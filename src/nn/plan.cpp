@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
@@ -114,25 +115,39 @@ constexpr ConvAlgo kProbeAlgos[6] = {
     ConvAlgo::kSpatial,   ConvAlgo::kIm2col,    ConvAlgo::kFft,
     ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4};
 
+/// The operands every candidate of one layer shape is timed against: a
+/// seed-123 uniform input image and normal filter bank. Built once per
+/// shape and shared by all of its candidates — at C = K = 64 the filter
+/// fill alone costs more than most of the kernels being timed.
+struct LayerOperands {
+  Tensor4f input;
+  Tensor4f kernels;
+
+  explicit LayerOperands(const ConvLayerSpec& layer)
+      : input(1, layer.c, layer.h, layer.w),
+        kernels(layer.k, layer.c, layer.r, layer.r) {
+    common::Rng rng(123);
+    rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+    rng.fill_normal(kernels.flat(), 0.0F, 0.1F);
+  }
+};
+
 /// Time one conv layer under `algo` the way forward() executes it: the
 /// Winograd backends get precomputed filter transforms (the executor
 /// reads them from the cross-call cache and the op model excludes them)
 /// and run the layout-aware kernel the plan walk dispatches; everything
 /// else runs through run_conv. One warm-up, best of 3, single image.
-double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo) {
-  Tensor4f input(1, layer.c, layer.h, layer.w);
-  Tensor4f kernels(layer.k, layer.c, layer.r, layer.r);
-  common::Rng rng(123);
-  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
-  rng.fill_normal(kernels.flat(), 0.0F, 0.1F);
-
+double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
+                             const LayerOperands& operands) {
+  const Tensor4f& input = operands.input;
+  const Tensor4f& kernels = operands.kernels;
   if (const int m = winograd_m(algo); m > 0) {
     const winograd::TileTransformer xf(
         winograd::transforms(m, static_cast<int>(layer.r)));
     const winograd::TransformedKernels tk(xf, kernels);
     winograd::WinogradConvOptions wopt;
     wopt.pad = layer.pad;
-    const PackedActivation act = PackedActivation::from_nchw(std::move(input));
+    const PackedActivation act = PackedActivation::from_nchw(Tensor4f(input));
     return best_seconds([&] {
       (void)winograd::conv2d_winograd_layout(act, tk, xf, wopt,
                                              LayoutKind::kNCHW,
@@ -164,25 +179,52 @@ double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo) {
 /// geometry: repeated shapes (VGG's towers of identical layers, repeated
 /// session registrations over one architecture) measure once. Entries can
 /// be bulk-imported from a persisted MeasuredState (warm server start) and
-/// exported back out; `measurements()` counts actual microbenchmark runs,
-/// which is how tests pin that a warm cache measures nothing.
+/// exported back out; `measurements()` counts actual microbenchmark runs
+/// (one per (shape, algo) timed), which is how tests pin that a warm cache
+/// measures nothing.
 class LayerTimeCache {
  public:
-  double seconds(const ConvLayerSpec& layer, ConvAlgo algo) {
-    const Key key{layer.h, layer.w, layer.c, layer.k, layer.r, layer.pad,
-                  algo};
+  /// Seconds of `layer` under each of `algos`. Cached entries are read
+  /// back; the missing ones are all timed against one LayerOperands, so a
+  /// shape pays its operand fill once however many candidates it times.
+  std::vector<double> seconds(const ConvLayerSpec& layer,
+                              std::span<const ConvAlgo> algos) {
+    std::vector<double> out(algos.size());
+    std::vector<ConvAlgo> missing;
     {
       std::lock_guard lock(mutex_);
-      if (const auto it = map_.find(key); it != map_.end()) {
-        return it->second;
+      for (std::size_t i = 0; i < algos.size(); ++i) {
+        if (const auto it = map_.find(key(layer, algos[i]));
+            it != map_.end()) {
+          out[i] = it->second;
+        } else if (std::find(missing.begin(), missing.end(), algos[i]) ==
+                   missing.end()) {
+          missing.push_back(algos[i]);
+        }
       }
     }
+    if (missing.empty()) return out;
     // Measure outside the lock (concurrent registrations may redundantly
-    // measure the same shape; last write wins with an identical meaning).
-    const double secs = measure_layer_seconds(layer, algo);
+    // measure the same shape; the first write wins with an identical
+    // meaning).
+    const LayerOperands operands(layer);
+    std::vector<double> measured;
+    measured.reserve(missing.size());
+    for (const ConvAlgo algo : missing) {
+      measured.push_back(measure_layer_seconds(layer, algo, operands));
+    }
     std::lock_guard lock(mutex_);
-    ++measurements_;
-    return map_.emplace(key, secs).first->second;
+    for (std::size_t j = 0; j < missing.size(); ++j) {
+      ++measurements_;
+      map_.emplace(key(layer, missing[j]), measured[j]);
+    }
+    for (std::size_t i = 0; i < algos.size(); ++i) {
+      if (const auto it = map_.find(key(layer, algos[i]));
+          it != map_.end()) {
+        out[i] = it->second;
+      }
+    }
+    return out;
   }
 
   void import_entries(const std::vector<MeasuredLayerTime>& entries) {
@@ -231,6 +273,9 @@ class LayerTimeCache {
     ConvAlgo algo;
     friend bool operator==(const Key&, const Key&) = default;
   };
+  static Key key(const ConvLayerSpec& layer, ConvAlgo algo) {
+    return {layer.h, layer.w, layer.c, layer.k, layer.r, layer.pad, algo};
+  }
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
       std::size_t h = k.h;
@@ -261,10 +306,11 @@ ProbePoint probe_point(std::size_t hw, std::size_t channels) {
   p.layer.k = channels;
   p.layer.r = 3;
   p.layer.pad = 1;
+  const std::vector<double> secs =
+      layer_time_cache().seconds(p.layer, kProbeAlgos);
   for (int a = 0; a < 6; ++a) {
     p.ops[a] = modelled_ops(p.layer, kProbeAlgos[a], 1);
-    p.gflops[a] =
-        p.ops[a] / layer_time_cache().seconds(p.layer, kProbeAlgos[a]) / 1e9;
+    p.gflops[a] = p.ops[a] / secs[a] / 1e9;
   }
   return p;
 }
@@ -455,7 +501,7 @@ void clear_measured_state() {
 }
 
 double measure_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo) {
-  return layer_time_cache().seconds(layer, algo) * 1e3;
+  return layer_time_cache().seconds(layer, {&algo, 1}).front() * 1e3;
 }
 
 double predict_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo,
@@ -693,41 +739,43 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
     if (options.quant && conv_ordinal < options.quant->conv_inputs.size()) {
       stats = &options.quant->conv_inputs[conv_ordinal];
     }
-    double best = 0;
-    bool first = true;
+    // Quality gate first: with an active budget, a candidate whose
+    // predicted error breaches it never enters the speed race — the
+    // mechanism that demotes int8 Winograd to int8 im2col to fp32 as the
+    // budget tightens.
+    std::vector<ConvAlgo> eligible;
     for (const ConvAlgo algo : options.candidates) {
-      // Quality gate first: with an active budget, a candidate whose
-      // predicted error breaches it never enters the speed race — the
-      // mechanism that demotes int8 Winograd to int8 im2col to fp32 as
-      // the budget tightens.
       if (budget > 0 &&
           predict_layer_rel_error(layers[i].conv, algo, stats) > budget) {
         continue;
       }
-      // Default scoring measures the candidate at this layer's exact
-      // geometry (cached per process); an injected calibration switches
-      // to the pure analytic model.
-      const double ms =
-          options.calibration
-              ? predict_layer_ms(layers[i].conv, algo, *options.calibration,
-                                 options.batch)
-              : measure_layer_ms(layers[i].conv, algo) *
-                    static_cast<double>(options.batch);
-      // Strict less-than: ties keep the earliest listed candidate, so the
-      // plan is deterministic for any scoring source (measurements are
-      // cached, so re-planning sees identical numbers).
-      if (first || ms < best) {
-        best = ms;
-        step.algo = algo;
-        first = false;
-      }
+      eligible.push_back(algo);
     }
-    if (first) {
+    if (eligible.empty()) {
       throw std::invalid_argument(
           "plan_execution: no candidate algorithm fits the error budget at "
           "conv layer " +
           std::to_string(conv_ordinal));
     }
+    // Default scoring measures every eligible candidate at this layer's
+    // exact geometry in one pass (cached per process); an injected
+    // calibration switches to the pure analytic model.
+    std::vector<double> ms;
+    if (options.calibration) {
+      for (const ConvAlgo algo : eligible) {
+        ms.push_back(predict_layer_ms(layers[i].conv, algo,
+                                      *options.calibration, options.batch));
+      }
+    } else {
+      ms = layer_time_cache().seconds(layers[i].conv, eligible);
+      for (double& v : ms) v = v * 1e3 * static_cast<double>(options.batch);
+    }
+    // min_element keeps the first minimum: ties keep the earliest listed
+    // candidate, so the plan is deterministic for any scoring source
+    // (measurements are cached, so re-planning sees identical numbers).
+    const auto pick = std::min_element(ms.begin(), ms.end()) - ms.begin();
+    step.algo = eligible[pick];
+    const double best = ms[pick];
     if (is_int8(step.algo) && stats != nullptr) {
       // Attach the static per-tensor activation scale the calibration
       // implies; without stats the executor derives it per image.

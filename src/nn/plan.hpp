@@ -5,10 +5,11 @@
 // multiplication complexity (Eq 4) against transform complexity (Eq 5)
 // *per layer*: the balance shifts with each layer's H/W/C/K, so one m for
 // the whole network leaves performance behind. This header turns that
-// observation into the runtime's execution model. A planner scores every
-// candidate algorithm (spatial / im2col / FFT / Winograd m in {2, 3, 4})
-// for every conv layer with the dse:: complexity equations — evaluated
-// with exact ragged-tile counts, which is what makes the best m genuinely
+// observation into the runtime's execution model. A planner scores the
+// candidate algorithms (by default im2col / Winograd m in {2, 3, 4};
+// spatial and FFT on request, see PlannerOptions::candidates) for every
+// conv layer with the dse:: complexity equations — evaluated with exact
+// ragged-tile counts, which is what makes the best m genuinely
 // layer-dependent on small late-network maps — calibrated against GFLOP/s
 // measured once per process by a microbenchmark probe. The result is an
 // ExecutionPlan: one decision record per layer {algo, output layout,
@@ -283,9 +284,14 @@ struct QuantCalibration {
 /// Planner knobs.
 struct PlannerOptions {
   /// Candidate algorithms, tried in order; ties keep the earliest listed.
-  std::vector<ConvAlgo> candidates = {
-      ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
-      ConvAlgo::kIm2col,    ConvAlgo::kFft,       ConvAlgo::kSpatial};
+  /// kFft and kSpatial are not in the default set: measured on every
+  /// distinct conv shape of vgg16_d_scaled(7|14|28, 8), FFT ran 10-40x
+  /// and spatial 1.1-8x slower than the best Winograd, so neither was ever
+  /// picked, yet timing FFT was most of a cold plan. Both remain valid
+  /// candidates: list them here to have them measured and scored again.
+  std::vector<ConvAlgo> candidates = {ConvAlgo::kWinograd2,
+                                      ConvAlgo::kWinograd3,
+                                      ConvAlgo::kWinograd4, ConvAlgo::kIm2col};
   /// How candidates are scored. nullopt (the default): every candidate is
   /// *measured* at each conv layer's own geometry by the microbenchmark
   /// probe (measure_layer_ms — cached per process, so planning many
@@ -323,10 +329,15 @@ struct PlannerOptions {
 /// planner's default scoring source: the backend runs the layer's exact
 /// geometry the way forward() executes it (Winograd with precomputed
 /// filter transforms through the layout-aware kernel; im2col/spatial/FFT
-/// through run_conv) and the best of a few reps is kept. Results are
-/// cached per process keyed by (H, W, C, K, r, pad, algo), so planning
-/// re-measures nothing for repeated shapes — VGG's towers of identical
-/// layers, or many sessions over the same architecture.
+/// through run_conv) and the best of a few reps is kept. Any ConvAlgo can
+/// be measured, including kFft and kSpatial, which the default candidate
+/// set leaves out. Results are cached per process keyed by (H, W, C, K, r,
+/// pad, algo), so planning re-measures nothing for repeated shapes — VGG's
+/// towers of identical layers, or many sessions over the same
+/// architecture. plan_execution times all of a layer's uncached
+/// candidates against one operand set, the same seed-123 input and filter
+/// bank this function builds, so a cached timing means the same whichever
+/// path made it.
 [[nodiscard]] double measure_layer_ms(const ConvLayerSpec& layer,
                                       ConvAlgo algo);
 

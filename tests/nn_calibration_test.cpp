@@ -213,8 +213,10 @@ TEST_F(CalibrationIoTest, ImportedCalibrationPreemptsProbe) {
 /// registers a planned model without running a single layer measurement —
 /// add_model_planned is near-instant.
 TEST_F(CalibrationIoTest, WarmServerStartSkipsEveryMeasurement) {
-  // One tiny conv layer; its six candidate timings are the entire
-  // measured surface plan_execution touches.
+  // One tiny conv layer; its four default candidate timings (W2, W3, W4,
+  // im2col — spatial and FFT measured slower on every VGG shape and are
+  // opt-in via PlannerOptions::candidates) are the entire measured
+  // surface plan_execution touches.
   wino::nn::LayerSpec l;
   l.kind = wino::nn::LayerKind::kConv;
   l.conv.name = "tiny";

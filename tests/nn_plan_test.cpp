@@ -9,14 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/random.hpp"
 #include "conv/spatial.hpp"
 #include "hw/engine_config.hpp"
 #include "hw/winograd_engine.hpp"
+#include "nn/calibration_io.hpp"
 #include "nn/forward.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/inference_server.hpp"
@@ -206,6 +211,105 @@ TEST(Planner, MeasuredModeIsCachedAndDeterministic) {
   EXPECT_EQ(measure_layer_ms(l0, ConvAlgo::kWinograd2),
             measure_layer_ms(l0, ConvAlgo::kWinograd2));
   EXPECT_GT(measure_layer_ms(l0, ConvAlgo::kWinograd2), 0.0);
+}
+
+std::size_t distinct_conv_shapes(const std::vector<LayerSpec>& layers) {
+  std::set<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                      std::size_t, int>>
+      shapes;
+  for (const LayerSpec& l : layers) {
+    if (l.kind != LayerKind::kConv) continue;
+    shapes.emplace(l.conv.h, l.conv.w, l.conv.c, l.conv.k, l.conv.r,
+                   l.conv.pad);
+  }
+  return shapes.size();
+}
+
+// Checks plan == forward_reference by memcmp at batch 3 on 2 threads.
+void expect_plan_matches_reference(const ExecutionPlan& plan,
+                                   std::size_t input_hw) {
+  const WeightBank weights = random_weights(plan.layers, 13);
+  Rng rng(57);
+  Tensor4f input(3, 3, input_hw, input_hw);
+  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+  runtime::ThreadPool::set_global_threads(2);
+  EXPECT_TRUE(same_bits(forward(plan, weights, input),
+                        forward_reference(plan, weights, input)));
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// A cold default plan times exactly the four default candidates once per
+// distinct conv shape, never picks spatial or FFT, and executes
+// bit-identically to its reference composition.
+TEST(Planner, ColdDefaultPlanMeasuresFourCandidatesPerShape) {
+  const auto layers = vgg16_d_scaled(7, 8);  // 32x32 input
+  clear_measured_state();
+  const auto before = plan_cache_stats();
+  PlannerOptions opts;
+  opts.batch = 8;
+  const ExecutionPlan plan = plan_execution(layers, opts);
+  const auto after = plan_cache_stats();
+  EXPECT_EQ(after.layer_measurements - before.layer_measurements,
+            distinct_conv_shapes(layers) * 4);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    if (layers[i].kind != LayerKind::kConv) continue;
+    EXPECT_NE(plan.steps[i].algo, ConvAlgo::kFft) << "layer " << i;
+    EXPECT_NE(plan.steps[i].algo, ConvAlgo::kSpatial) << "layer " << i;
+  }
+  expect_plan_matches_reference(plan, 32);
+}
+
+// Spatial and FFT left the default candidate set only: listed explicitly
+// they are measured, scored and executed as before.
+TEST(Planner, SpatialAndFftStayExplicitCandidates) {
+  const auto layers = vgg16_d_scaled(28, 16);  // 8x8 input
+  clear_measured_state();
+  const auto before = plan_cache_stats();
+  PlannerOptions opts;
+  opts.candidates = {ConvAlgo::kFft, ConvAlgo::kSpatial,
+                     ConvAlgo::kWinograd2};
+  const ExecutionPlan mixed = plan_execution(layers, opts);
+  EXPECT_EQ(plan_cache_stats().layer_measurements -
+                before.layer_measurements,
+            distinct_conv_shapes(layers) * 3);
+  expect_plan_matches_reference(mixed, 8);
+  // Without a Winograd candidate one of the two must win every layer,
+  // which runs the executor's spatial/FFT steps.
+  opts.candidates = {ConvAlgo::kFft, ConvAlgo::kSpatial};
+  const ExecutionPlan direct = plan_execution(layers, opts);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    if (layers[i].kind != LayerKind::kConv) continue;
+    EXPECT_TRUE(direct.steps[i].algo == ConvAlgo::kFft ||
+                direct.steps[i].algo == ConvAlgo::kSpatial);
+  }
+  expect_plan_matches_reference(direct, 8);
+
+  // measure_layer_ms alone fills the cache for an FFT timing.
+  clear_measured_state();
+  const ConvLayerSpec l = conv_spec(4, 8, 8);
+  const auto cold = plan_cache_stats();
+  const double fft_ms = measure_layer_ms(l, ConvAlgo::kFft);
+  EXPECT_GT(fft_ms, 0.0);
+  const auto warm = plan_cache_stats();
+  EXPECT_EQ(warm.layer_measurements, cold.layer_measurements + 1);
+  EXPECT_EQ(warm.layer_entries, 1u);
+  EXPECT_EQ(measure_layer_ms(l, ConvAlgo::kFft), fft_ms);
+  EXPECT_EQ(plan_cache_stats().layer_measurements, warm.layer_measurements);
+
+  // A winocal file holding FFT entries still loads, and its timing
+  // preempts measurement.
+  const std::string path =
+      ::testing::TempDir() + "nn_plan_test_fft.winocal";
+  ASSERT_TRUE(save_measured_state(path));
+  clear_measured_state();
+  ASSERT_TRUE(load_measured_state(path));
+  std::remove(path.c_str());
+  const MeasuredState loaded = export_measured_state();
+  ASSERT_EQ(loaded.layer_times.size(), 1u);
+  EXPECT_EQ(loaded.layer_times[0].algo, ConvAlgo::kFft);
+  EXPECT_EQ(measure_layer_ms(l, ConvAlgo::kFft), fft_ms);
+  EXPECT_EQ(plan_cache_stats().layer_measurements, warm.layer_measurements);
 }
 
 TEST(Planner, MeasuredCalibrationIsCachedAndPositive) {
