@@ -65,9 +65,9 @@ OwnedScratch make_scratch(std::size_t channels, std::size_t n,
                           std::size_t mm, std::size_t block) {
   const std::size_t nsq = n * n;
   const std::size_t bank =
-      block >= 2 ? channels * nsq * block + nsq * block : channels * nsq + nsq;
+      block >= 2 ? channels * nsq * block + nsq * block : channels * nsq;
   OwnedScratch o;
-  o.f.resize(nsq + bank + nsq + 2 * mm * mm);
+  o.f.resize(nsq + bank + nsq + mm * mm);
   o.idx.resize(3 * n);
   float* f = o.f.data();
   o.s.d = {f, nsq};
@@ -80,13 +80,9 @@ OwnedScratch make_scratch(std::size_t channels, std::size_t n,
   } else {
     o.s.u_all = {f, channels * nsq};
     f += channels * nsq;
-    o.s.prod = {f, nsq};
-    f += nsq;
   }
   o.s.acc_m = {f, nsq};
   f += nsq;
-  o.s.y = {f, mm * mm};
-  f += mm * mm;
   o.s.acc_y = {f, mm * mm};
   o.s.row_tile = {o.idx.data(), n};
   o.s.row_in = {o.idx.data() + n, n};

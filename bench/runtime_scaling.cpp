@@ -1,8 +1,6 @@
-// Single- vs multi-thread throughput of the runtime-threaded hot paths:
-// nn::forward on a VGG-style conv stack (batch-parallel), one VGG conv
-// layer per backend (channel-parallel), and the cycle-level hw engine
-// (tile-parallel). Also asserts the determinism contract: every thread
-// count must produce bit-identical outputs.
+// Single- vs multi-thread throughput of the batch-parallel nn::forward on
+// a VGG-style conv stack. Also asserts the determinism contract: every
+// thread count must produce bit-identical outputs.
 //
 // Usage: runtime_scaling [--out <path>]
 //   Emits BENCH_runtime_scaling.json next to the binary (or at --out).
@@ -14,8 +12,6 @@
 #include "common/bench_io.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
-#include "hw/engine_config.hpp"
-#include "hw/winograd_engine.hpp"
 #include "nn/forward.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/tensor.hpp"
@@ -51,7 +47,6 @@ int main(int argc, char** argv) {
     double speedup;
   };
   std::vector<Point> fwd_points;
-  std::vector<Point> hw_points;
 
   // --- Batch-parallel forward on a scaled VGG16-D stack ------------------
   const auto layers = wino::nn::vgg16_d_scaled(7, 8);  // 32x32 input
@@ -95,43 +90,6 @@ int main(int argc, char** argv) {
   fwd.print();
   std::printf("\n");
 
-  // --- Tile-parallel cycle-level engine on one VGG-ish layer -------------
-  Tensor4f input(1, 32, 56, 56);
-  Tensor4f kernels(32, 32, 3, 3);
-  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
-  rng.fill_normal(kernels.flat(), 0.0F, 0.1F);
-  wino::hw::EngineConfig cfg;
-  cfg.m = 4;
-  cfg.r = 3;
-  cfg.parallel_pes = 8;
-  const wino::hw::WinogradEngine engine(cfg);
-
-  wino::common::TextTable hw;
-  hw.header({"Threads", "engine runs/s", "speedup", "max|diff| vs 1T"});
-  double hw_base = 0;
-  Tensor4f hw_ref;
-  for (const std::size_t t : thread_counts) {
-    wino::runtime::ThreadPool::set_global_threads(t);
-    auto [sec, out] = timed([&] {
-      return engine.run_layer(input, kernels, 1).output;
-    });
-    if (t == 1) {
-      hw_base = sec;
-      hw_ref = out;
-    }
-    const double diff = wino::tensor::max_abs_diff(hw_ref, out);
-    hw_points.push_back({t, 1.0 / sec, hw_base / sec});
-    hw.row({std::to_string(t), wino::common::TextTable::num(1.0 / sec),
-            wino::common::TextTable::num(hw_base / sec),
-            wino::common::TextTable::num(diff, 6)});
-    if (diff != 0.0F) {
-      std::printf("DETERMINISM VIOLATION at %zu threads\n", t);
-      return 1;
-    }
-  }
-  hw.print();
-  std::printf("\n");
-
   std::printf("forward speedup at 4 threads: %.2fx\n", fwd_speedup_at4);
 
   // --- BENCH_runtime_scaling.json ----------------------------------------
@@ -143,23 +101,18 @@ int main(int argc, char** argv) {
                 json_path.c_str());
     return 0;
   }
-  const auto emit_points = [json](const char* name,
-                                  const std::vector<Point>& points,
-                                  bool trailing_comma) {
-    std::fprintf(json, "  \"%s\": [\n", name);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::fprintf(json,
-                   "    {\"threads\": %zu, \"rate_per_s\": %.4f, "
-                   "\"speedup\": %.4f}%s\n",
-                   points[i].threads, points[i].rate, points[i].speedup,
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]%s\n", trailing_comma ? "," : "");
-  };
-  std::fprintf(json, "{\n  \"bench\": \"runtime_scaling\",\n");
-  emit_points("forward_img_per_s", fwd_points, true);
-  emit_points("hw_engine_runs_per_s", hw_points, true);
-  std::fprintf(json, "  \"deterministic\": true\n}\n");
+  std::fprintf(json,
+               "{\n  \"bench\": \"runtime_scaling\",\n"
+               "  \"forward_img_per_s\": [\n");
+  for (std::size_t i = 0; i < fwd_points.size(); ++i) {
+    std::fprintf(json,
+                 "    {\"threads\": %zu, \"rate_per_s\": %.4f, "
+                 "\"speedup\": %.4f}%s\n",
+                 fwd_points[i].threads, fwd_points[i].rate,
+                 fwd_points[i].speedup,
+                 i + 1 < fwd_points.size() ? "," : "");
+  }
+  std::fprintf(json, "  ],\n  \"deterministic\": true\n}\n");
   std::fclose(json);
   std::printf("wrote %s\n", json_path.c_str());
   return 0;

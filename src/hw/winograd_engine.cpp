@@ -161,25 +161,20 @@ SimResult WinogradEngine::run_layer(const Tensor4f& input,
       simulate_timing(out_h, out_w, is.c, ks.n, is.h, is.w, is.n);
   if (mode == SimMode::kTimingOnly) return result;
 
-  // Functional execution through the shared tile walk. The hardware's
+  // Functional execution through the reference tile walk. The hardware's
   // datapath — shared data transform, elementwise PE products, per-PE
   // inverse, then the Fig 7 accumulation buffers summing channel by
-  // channel in ascending order — is exactly
-  // winograd::conv2d_winograd_layout with post-inverse accumulation: the
-  // same gather, the same transforms, the same channel-ascending sums
-  // after each tile's inverse. Kernel grouping only affects timing (the
-  // per-group stats above), never values, so the engine delegates to the
-  // one shared executor instead of keeping a private copy of the tile
-  // loop. Output remains bit-identical for any thread count (the shared
-  // wrapper confines each accumulator chain to one tile column).
+  // channel in ascending order — is exactly winograd::conv2d_winograd with
+  // post-inverse accumulation: the same gather, the same transforms, the
+  // same channel-ascending sums after each tile's inverse. Kernel grouping
+  // only affects timing (the per-group stats above), never values, so the
+  // engine delegates to the reference walk instead of keeping a private
+  // copy of the tile loop.
   const winograd::TileTransformer xf(
       winograd::transforms(config_.m, config_.r));
   const winograd::TransformedKernels tk(xf, kernels);
-  const winograd::WinogradConvOptions opt{
-      pad, winograd::AccumulationOrder::kPostInverse};
-  result.output = tensor::unpack(winograd::conv2d_winograd_layout(
-      tensor::PackedActivation::from_nchw(Tensor4f(input)), tk, xf, opt,
-      tensor::LayoutKind::kNCHW, /*fuse_relu=*/false));
+  result.output = winograd::conv2d_winograd(
+      input, tk, xf, {pad, winograd::AccumulationOrder::kPostInverse});
   return result;
 }
 

@@ -57,9 +57,9 @@ class WinogradEngine {
 
   /// Simulate one stride-1 convolution layer. In functional mode `input`
   /// is NCHW and `kernels` KCrr; the result tensor matches
-  /// conv::conv2d_spatial up to fp32 rounding. Tile positions within a
-  /// kernel group execute in parallel on the runtime's global ThreadPool;
-  /// per-tile arithmetic keeps hardware order, so the output is
+  /// conv::conv2d_spatial up to fp32 rounding. Computed by the
+  /// single-threaded reference walk (winograd::conv2d_winograd) in the
+  /// hardware's post-inverse accumulation order, so the output is
   /// bit-identical for any thread count.
   SimResult run_layer(const tensor::Tensor4f& input,
                       const tensor::Tensor4f& kernels, int pad,

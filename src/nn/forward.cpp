@@ -384,56 +384,6 @@ WeightBank random_weights(const std::vector<LayerSpec>& layers,
 
 namespace {
 
-/// Legacy data flow (LayoutPolicy::kAlwaysNCHW): every layer boundary
-/// materialises the NCHW tensor and ReLU runs as a separate pass. Kept
-/// verbatim as the reference the layout-planned path is pinned
-/// bit-identical against.
-Tensor4f forward_sequential_nchw(const std::vector<LayerSpec>& layers,
-                                 const WeightBank& weights,
-                                 const Tensor4f& input, ConvAlgo algo) {
-  Tensor4f act = input;
-  std::size_t conv_idx = 0;
-  std::size_t fc_idx = 0;
-  for (const auto& l : layers) {
-    switch (l.kind) {
-      case LayerKind::kConv: {
-        if (conv_idx >= weights.conv_kernels.size()) {
-          throw std::invalid_argument("forward: missing conv weights");
-        }
-        const Tensor4f& kern = weights.conv_kernels[conv_idx];
-        if (const int m = winograd_m(algo); m > 0) {
-          // Serving path: filter transforms come from the cross-call
-          // cache instead of being recomputed per image and per call.
-          const auto entry = transform_cache().get(
-              {weights.version, conv_idx, m, kern.shape().h}, kern);
-          winograd::WinogradConvOptions wopt;
-          wopt.pad = l.conv.pad;
-          act = winograd::conv2d_winograd(act, entry->tk, entry->xf, wopt);
-        } else {
-          act = run_conv(algo, act, kern, l.conv.pad);
-        }
-        ++conv_idx;
-        relu_inplace(act);
-        break;
-      }
-      case LayerKind::kMaxPool:
-        act = maxpool2x2(act);
-        break;
-      case LayerKind::kFullyConnected: {
-        if (fc_idx >= weights.fc_weights.size()) {
-          throw std::invalid_argument("forward: missing fc weights");
-        }
-        act = fully_connected(act, weights.fc_weights[fc_idx],
-                              weights.fc_bias[fc_idx], l.fc_out);
-        ++fc_idx;
-        if (fc_idx < weights.fc_weights.size()) relu_inplace(act);
-        break;
-      }
-    }
-  }
-  return act;
-}
-
 /// The calling thread's execution arena. Pool worker threads and serve
 /// worker threads each get their own; slabs grow monotonically and live
 /// for the thread's lifetime, so the steady state allocates nothing.
@@ -487,7 +437,7 @@ void store_activation(const Tensor4f& t, const tensor::Layout& ol,
 /// store bridge. Bit-identical to forward_reference (the per-layer
 /// always-NCHW composition): conversions are value-preserving
 /// permutations and all arithmetic runs in the same order on the same
-/// values (pinned by tests/nn_forward_test.cpp and tests/nn_plan_test.cpp).
+/// values (pinned by tests/nn_plan_test.cpp).
 void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                      const WeightBank& weights, std::size_t images,
                      std::span<const float> in, std::span<float> out,
@@ -513,9 +463,6 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                          ol.volume());
     switch (l.kind) {
       case LayerKind::kConv: {
-        if (conv_idx >= weights.conv_kernels.size()) {
-          throw std::invalid_argument("forward: missing conv weights");
-        }
         const Tensor4f& kern = weights.conv_kernels[conv_idx];
         const int m = winograd_m(step.algo);
         if (m > 0) {
@@ -644,9 +591,6 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
         break;
       }
       case LayerKind::kFullyConnected: {
-        if (fc_idx >= weights.fc_weights.size()) {
-          throw std::invalid_argument("forward: missing fc weights");
-        }
         if (cur_layout.kind != LayoutKind::kNCHW) {
           // Defensive: the layout pass always plans NCHW into FC.
           const Tensor4f in_t = materialize_nchw(cur_layout, cur);
@@ -693,21 +637,50 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
   }
 }
 
-/// Populate the transform cache for every conv layer before the batch
-/// fans out, so worker chunks never serialise on a cold cache (the cache
-/// mutex would make them take turns building the same entry's siblings).
-void prewarm_transforms(const std::vector<LayerSpec>& layers,
-                        const WeightBank& weights, ConvAlgo algo) {
-  const int m = winograd_m(algo);
-  if (m == 0) return;
+/// The weight-bank check at the API boundary: one K x C x r x r kernel
+/// bank per conv layer and one fc_in x fc_out weight + fc_out bias pair
+/// per FC layer, in stack order and nothing more. A bank built for another
+/// stack fails here, naming the layer, instead of deep inside a kernel on
+/// a worker thread.
+void check_weights(const ExecutionPlan& plan, const WeightBank& weights) {
+  const auto mismatch = [](std::size_t li, const char* what) {
+    return std::invalid_argument("forward: weight bank does not match layer " +
+                                 std::to_string(li) + " (" + what + ")");
+  };
   std::size_t conv_idx = 0;
-  for (const auto& l : layers) {
-    if (l.kind != LayerKind::kConv) continue;
-    if (conv_idx >= weights.conv_kernels.size()) break;
-    const Tensor4f& kern = weights.conv_kernels[conv_idx];
-    transform_cache().get({weights.version, conv_idx, m, kern.shape().h},
-                          kern);
-    ++conv_idx;
+  std::size_t fc_idx = 0;
+  for (std::size_t li = 0; li < plan.layers.size(); ++li) {
+    const LayerSpec& l = plan.layers[li];
+    if (l.kind == LayerKind::kConv) {
+      if (conv_idx >= weights.conv_kernels.size()) {
+        throw mismatch(li, "missing conv kernels");
+      }
+      const auto& ks = weights.conv_kernels[conv_idx++].shape();
+      if (ks.n != l.conv.k || ks.c != l.conv.c || ks.h != l.conv.r ||
+          ks.w != l.conv.r) {
+        throw mismatch(li, "conv kernels are not K x C x r x r");
+      }
+    } else if (l.kind == LayerKind::kFullyConnected) {
+      if (fc_idx >= weights.fc_weights.size() ||
+          fc_idx >= weights.fc_bias.size()) {
+        throw mismatch(li, "missing fc weights");
+      }
+      if (weights.fc_weights[fc_idx].size() != l.fc_in * l.fc_out ||
+          weights.fc_bias[fc_idx].size() != l.fc_out) {
+        throw mismatch(li, "fc weight or bias size");
+      }
+      ++fc_idx;
+    }
+  }
+  if (conv_idx != weights.conv_kernels.size() ||
+      fc_idx != weights.fc_weights.size() ||
+      fc_idx != weights.fc_bias.size()) {
+    throw std::invalid_argument(
+        "forward: weight bank holds " +
+        std::to_string(weights.conv_kernels.size()) + " conv / " +
+        std::to_string(weights.fc_weights.size()) +
+        " fc layers, the plan has " + std::to_string(conv_idx) + " / " +
+        std::to_string(fc_idx));
   }
 }
 
@@ -721,7 +694,6 @@ void prewarm_transforms(const ExecutionPlan& plan, const WeightBank& weights) {
   std::size_t conv_idx = 0;
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {
     if (plan.layers[li].kind != LayerKind::kConv) continue;
-    if (conv_idx >= weights.conv_kernels.size()) break;
     const Tensor4f& kern = weights.conv_kernels[conv_idx];
     if (const int m = winograd_m(plan.steps[li].algo); m > 0) {
       transform_cache().get({weights.version, conv_idx, m, kern.shape().h},
@@ -752,37 +724,25 @@ std::size_t winograd_layer_bytes(const ConvLayerSpec& l, int m) {
          (mu * mu);
 }
 
-/// Images a worker chunk marches through the stack together when filter
-/// transforms come from the cross-call cache. Larger sub-batches feed the
-/// Winograd coordinate GEMMs more rows (packing amortised over the batch),
-/// but multiply the transform-domain working set — (m+r-1)²/m² times the
-/// fattest layer's activations per image — so the size is capped to keep
-/// that set cache-resident. Chunk composition never changes results
-/// (image independence; pinned by tests/serve_test.cpp).
-std::size_t cached_subbatch(const std::vector<LayerSpec>& layers, int m) {
-  std::size_t worst_bytes = 1;
-  for (const auto& l : layers) {
-    if (l.kind != LayerKind::kConv) continue;
-    worst_bytes = std::max(worst_bytes, winograd_layer_bytes(l.conv, m));
-  }
-  return std::max<std::size_t>(1, kSubbatchCacheBudget / worst_bytes);
-}
-
-/// cached_subbatch generalised to a mixed-m plan: each Winograd layer's
-/// transform-domain working set is sized with that layer's own m. Plans
-/// with no Winograd layer have no cross-call cached transforms, so the
-/// whole range stays one chunk per thread — `batch` (the full range)
-/// comes back rather than an unbounded sentinel, keeping the caller's
-/// `i += cap` chunk walk overflow-free.
+/// The one sub-batch rule: images a worker chunk marches through the
+/// stack together. Larger sub-batches feed the Winograd coordinate GEMMs
+/// more rows, but multiply the transform-domain working set — (m+r-1)²/m²
+/// times a layer's activations per image, sized with each Winograd layer's
+/// own m (fp32 or int8) — so the size is capped to keep the fattest such
+/// set cache-resident. Chunk composition never changes results (image
+/// independence; pinned by tests/serve_test.cpp). Plans with no Winograd
+/// layer have no cache-budgeted working set, so the whole range stays one
+/// chunk per thread — `batch` (the full range) comes back rather than an
+/// unbounded sentinel, keeping the caller's `i += cap` chunk walk
+/// overflow-free.
 ///
 /// Known trade-off: in a plan mixing Winograd with an FFT layer, the
 /// Winograd cache budget wins and the FFT layer re-derives its per-call
-/// kernel FFTs once per sub-batch instead of the legacy once per thread
-/// chunk. Deliberate: the measured planner picks kFft only where FFT
-/// actually wins the layer (rare at r = 3), while every Winograd layer
-/// in the plan benefits from cache-resident chunks on every batch.
-/// Cross-call FFT kernel caching would dissolve the tension if such
-/// plans become common.
+/// kernel FFTs once per sub-batch rather than once per thread chunk.
+/// Deliberate: the measured planner picks kFft only where FFT actually
+/// wins the layer (rare at r = 3), while every Winograd layer in the plan
+/// benefits from cache-resident chunks on every batch. Cross-call FFT
+/// kernel caching would dissolve the tension if such plans become common.
 std::size_t plan_subbatch(const ExecutionPlan& plan, std::size_t batch) {
   std::size_t worst_bytes = 0;
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {
@@ -797,78 +757,7 @@ std::size_t plan_subbatch(const ExecutionPlan& plan, std::size_t batch) {
   return std::max<std::size_t>(1, kSubbatchCacheBudget / worst_bytes);
 }
 
-/// Output shape of the layer stack for an input shape — the legacy
-/// batched path preallocates the full batch output from this and workers
-/// write their chunks straight into it. Throws the kernels' own
-/// invalid_argument messages when the geometry is impossible, before any
-/// work fans out.
-tensor::Shape4 walk_output_shape(const std::vector<LayerSpec>& layers,
-                                 tensor::Shape4 s) {
-  for (const auto& l : layers) {
-    switch (l.kind) {
-      case LayerKind::kConv: {
-        const std::ptrdiff_t oh = static_cast<std::ptrdiff_t>(s.h) +
-                                  2 * l.conv.pad -
-                                  static_cast<std::ptrdiff_t>(l.conv.r) + 1;
-        const std::ptrdiff_t ow = static_cast<std::ptrdiff_t>(s.w) +
-                                  2 * l.conv.pad -
-                                  static_cast<std::ptrdiff_t>(l.conv.r) + 1;
-        if (oh <= 0 || ow <= 0) {
-          throw std::invalid_argument("forward: conv output would be empty");
-        }
-        s = {s.n, l.conv.k, static_cast<std::size_t>(oh),
-             static_cast<std::size_t>(ow)};
-        break;
-      }
-      case LayerKind::kMaxPool:
-        if (s.h < 2 || s.w < 2) {
-          throw std::invalid_argument("maxpool2x2: input too small");
-        }
-        s = {s.n, s.c, s.h / 2, s.w / 2};
-        break;
-      case LayerKind::kFullyConnected:
-        s = {s.n, l.fc_out, 1, 1};
-        break;
-    }
-  }
-  return s;
-}
-
 }  // namespace
-
-std::string to_string(LayoutPolicy policy) {
-  switch (policy) {
-    case LayoutPolicy::kAuto:
-      return "auto-layout";
-    case LayoutPolicy::kAlwaysNCHW:
-      return "always-nchw";
-  }
-  return "unknown";
-}
-
-LayoutPlan plan_layouts(const std::vector<LayerSpec>& layers,
-                        ConvAlgo algo) {
-  LayoutPlan plan;
-  plan.output_kind.assign(layers.size(), tensor::LayoutKind::kNCHW);
-  plan.boundaries = layers.empty() ? 0 : layers.size() - 1;
-  const int m = winograd_m(algo);
-  if (m == 0) return plan;  // only the Winograd backends have a tiled form
-  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
-    // Elision rule: a Winograd conv feeding another conv layer of the same
-    // algo (same m by construction — the algo is per-call) keeps its
-    // output in tile form; the consumer's gather reads tiles directly.
-    // Maxpool / FC / the final output force NCHW, so those boundaries
-    // stay at the lattice top.
-    if (layers[i].kind != LayerKind::kConv) continue;
-    if (layers[i + 1].kind != LayerKind::kConv) continue;
-    plan.output_kind[i] = tensor::LayoutKind::kWinogradTile;
-    ++plan.elided;
-    const auto& c = layers[i].conv;
-    plan.nchw_floats_elided +=
-        static_cast<std::uint64_t>(c.k) * c.out_h() * c.out_w();
-  }
-  return plan;
-}
 
 std::size_t plan_batch_ceiling(const ExecutionPlan& plan) {
   // plan_subbatch with batch = 0: plans with no Winograd layer return the
@@ -884,6 +773,7 @@ void forward(const ExecutionPlan& plan, const WeightBank& weights,
     throw std::invalid_argument(
         "forward: plan steps do not match its layer stack");
   }
+  check_weights(plan, weights);
   const auto& is = input.shape();
   if (plan.layers.empty()) {
     out = input;
@@ -946,6 +836,7 @@ void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
     throw std::invalid_argument(
         "forward: plan steps do not match its layer stack");
   }
+  check_weights(plan, weights);
   prewarm_transforms(plan, weights);
   if (plan.memory.empty()) return;
   const std::size_t imgs = std::max<std::size_t>(1, max_images);
@@ -966,51 +857,8 @@ std::size_t thread_workspace_bytes() {
 
 Tensor4f forward(const std::vector<LayerSpec>& layers,
                  const WeightBank& weights, const Tensor4f& input,
-                 ConvAlgo algo, LayoutPolicy policy) {
-  if (policy == LayoutPolicy::kAuto) {
-    // The uniform-algo entry is a thin wrapper over the plan executor.
-    return forward(uniform_plan(layers, algo), weights, input);
-  }
-  // Legacy reference flow: NCHW at every boundary, separate ReLU pass.
-  // For algorithms with real per-call kernel preprocessing (FFT kernel
-  // transforms) the split is per-thread sub-batches, keeping that prep to
-  // at most thread-count repeats; Winograd chunks are cache-budgeted as in
-  // the planned path.
-  prewarm_transforms(layers, weights, algo);
-  const auto& is = input.shape();
-  if (is.n <= 1) {
-    return forward_sequential_nchw(layers, weights, input, algo);
-  }
-  const int wino_m = winograd_m(algo);
-  const std::size_t cap =
-      wino_m > 0 ? cached_subbatch(layers, wino_m) : is.n;
-  // Chunked fan-out into a preallocated batch output: each worker still
-  // copies its sub-batch into a local owning tensor (the legacy kernels
-  // take Tensor4f), but results land straight in the batch output instead
-  // of every chunk staying alive until a final stitch pass.
-  const tensor::Shape4 os = walk_output_shape(layers, is);
-  Tensor4f out(os);
-  const std::size_t ivol = is.c * is.h * is.w;
-  const std::size_t ovol = os.c * os.h * os.w;
-  const std::span<const float> in_flat = input.flat();
-  const std::span<float> out_flat = out.flat();
-  runtime::parallel_for(is.n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; i += cap) {
-      const std::size_t count = std::min(cap, end - i);
-      Tensor4f sub(count, is.c, is.h, is.w);
-      const auto src = in_flat.subspan(i * ivol, count * ivol);
-      std::copy(src.begin(), src.end(), sub.flat().begin());
-      const Tensor4f res =
-          forward_sequential_nchw(layers, weights, sub, algo);
-      if (res.size() != count * ovol) {
-        throw std::logic_error("forward: unexpected chunk output size");
-      }
-      const auto rsrc = res.flat();
-      std::copy(rsrc.begin(), rsrc.end(),
-                out_flat.begin() + static_cast<std::ptrdiff_t>(i * ovol));
-    }
-  });
-  return out;
+                 ConvAlgo algo) {
+  return forward(uniform_plan(layers, algo), weights, input);
 }
 
 Tensor4f stack_images(const std::vector<const Tensor4f*>& images) {

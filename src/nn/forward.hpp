@@ -3,7 +3,10 @@
 // Lets the examples and tests run (scaled) CNN inference where every conv
 // layer is computed by spatial / im2col / FFT / Winograd-F(m) and the
 // results are cross-checked — the software analogue of swapping the
-// paper's convolution engine in and out of the datapath.
+// paper's convolution engine in and out of the datapath. Every forward
+// runs on one executor, the plan-driven forward(ExecutionPlan) in
+// nn/plan.hpp, whose memcmp oracle is forward_reference; the uniform-algo
+// overload here only builds the trivial plan.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +15,6 @@
 #include <vector>
 
 #include "nn/network.hpp"
-#include "tensor/layout.hpp"
 #include "tensor/tensor.hpp"
 
 namespace wino::nn {
@@ -105,59 +107,11 @@ struct WeightBank {
 WeightBank random_weights(const std::vector<LayerSpec>& layers,
                           std::uint64_t seed = 1);
 
-/// How forward() carries activations between layers.
-enum class LayoutPolicy {
-  /// Plan per-layer activation layouts from each backend's preference and
-  /// elide the unpack -> repack pair when consecutive layers agree:
-  /// chains of Winograd conv layers hand off in m x m tile form with ReLU
-  /// fused into the (post-inverse) output scatter, and im2col layers
-  /// consume explicitly packed patch panels. Bit-identical to
-  /// kAlwaysNCHW — layouts are pure permutations and ReLU is the same
-  /// formula on the same values (pinned by tests/nn_forward_test.cpp).
-  kAuto,
-  /// Legacy data flow: every layer boundary materialises the NCHW tensor
-  /// and ReLU runs as a separate full-tensor pass.
-  kAlwaysNCHW,
-};
-
-[[nodiscard]] std::string to_string(LayoutPolicy policy);
-
-/// The layout decisions forward(kAuto) makes for one (layers, algo) pair:
-/// the layout each layer's output is handed to the next layer in, plus
-/// summary counters for benches and tests.
-struct LayoutPlan {
-  /// Per layer: the layout of that layer's output activation.
-  std::vector<tensor::LayoutKind> output_kind;
-  /// conv -> conv boundaries whose NCHW round-trip was elided.
-  std::size_t elided = 0;
-  /// Total layer -> layer boundaries (layers.size() - 1).
-  std::size_t boundaries = 0;
-  /// Per-image activation floats that never materialise in NCHW thanks to
-  /// the elisions (the sum of the elided boundaries' feature-map volumes).
-  std::uint64_t nchw_floats_elided = 0;
-};
-
-/// Walk the layer graph and pick each boundary's handoff layout from the
-/// backends' preferences: a Winograd conv layer followed by another conv
-/// layer under a Winograd algo keeps its output in tile form; any boundary
-/// into a maxpool / fully-connected / non-Winograd conv layer (and the
-/// final output) is NCHW.
-///
-/// Legacy single-algo reporting pass, kept for the layout bench and its
-/// tests: execution itself now derives layouts from the per-layer
-/// ExecutionPlan (nn/plan.hpp), whose rules extend these with mixed-m
-/// handoffs and tiled maxpool boundaries.
-[[nodiscard]] LayoutPlan plan_layouts(const std::vector<LayerSpec>& layers,
-                                      ConvAlgo algo);
-
-/// Run the layer stack; conv layers use `algo`. Input must match the first
-/// layer's (c, h, w). Returns the final activation tensor.
-///
-/// Under kAuto this is a thin wrapper over the per-layer execution engine:
-/// it builds the trivial uniform plan (every conv layer runs `algo`; see
-/// nn/plan.hpp) and executes it with the plan-driven forward(ExecutionPlan)
-/// overload. The cost-model planner (plan_execution) produces mixed
-/// per-layer plans for the same executor.
+/// Run the layer stack with every conv layer under `algo`: a one-line
+/// wrapper over the plan executor, forward(uniform_plan(layers, algo), ...)
+/// (see nn/plan.hpp). Input must match the first layer's (c, h, w);
+/// returns the final activation tensor. The cost-model planner
+/// (plan_execution) produces mixed per-layer plans for the same executor.
 ///
 /// Batches run image-parallel on the runtime's global ThreadPool; every
 /// layer treats images independently, so the result is bit-identical for
@@ -165,18 +119,9 @@ struct LayoutPlan {
 /// is bit-identical to running that image through forward() alone,
 /// whatever batch it rides in (the property the serving layer's dynamic
 /// batcher relies on; pinned by tests/serve_test.cpp).
-///
-/// \param layers  the layer stack (conv / maxpool / fully-connected).
-/// \param weights weights produced by random_weights() for the same stack.
-/// \param input   NCHW activation batch matching the first layer.
-/// \param algo    convolution algorithm for every conv layer.
-/// \param policy  activation layout handling; kAuto (the default) plans
-///                layouts per plan_layouts() and is bit-identical to
-///                kAlwaysNCHW at every element.
 tensor::Tensor4f forward(const std::vector<LayerSpec>& layers,
                          const WeightBank& weights,
-                         const tensor::Tensor4f& input, ConvAlgo algo,
-                         LayoutPolicy policy = LayoutPolicy::kAuto);
+                         const tensor::Tensor4f& input, ConvAlgo algo);
 
 /// Batch-entry API: pack independently owned image tensors into one
 /// contiguous NCHW batch for forward(). Every entry must share the same

@@ -50,17 +50,14 @@ winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
   s.d = carver.take<float>(nsq);
   if (block_columns > 1) {
     // Fused tile-block layout: the [n*n][C][B] bank and its accumulators
-    // replace the per-tile bank + product tile. At B == 1 the two
-    // compositions carve identical bytes, so the block size only ever
-    // grows a step's scratch, never shrinks it below the per-tile cost.
+    // replace the per-tile bank, so the block size only ever grows a
+    // step's scratch, never shrinks it below the per-tile cost.
     s.u_blk = carver.take<float>(channels * nsq * block_columns);
     s.acc_blk = carver.take<float>(nsq * block_columns);
   } else {
     s.u_all = carver.take<float>(channels * nsq);
-    s.prod = carver.take<float>(nsq);
   }
   s.acc_m = carver.take<float>(nsq);
-  s.y = carver.take<float>(m * m);
   s.acc_y = carver.take<float>(m * m);
   s.row_tile = carver.take<std::size_t>(n_tile);
   s.row_in = carver.take<std::size_t>(n_tile);

@@ -164,9 +164,7 @@ struct MemoryPlan {
 /// tile, transform bank, accumulator tiles and the tile-form gather maps
 /// of winograd::conv2d_winograd_layout_into. `n_tile` is the transformer's
 /// m + r - 1 edge. `block_columns` > 1 carves the fused tile-block layout
-/// (u_blk/acc_blk) instead of the per-tile bank (u_all/prod); at 1 the
-/// composition — and therefore the carved byte count — is exactly the
-/// per-tile layout's.
+/// (u_blk/acc_blk) instead of the per-tile bank (u_all).
 [[nodiscard]] winograd::WinogradScratch carve_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns = 1);

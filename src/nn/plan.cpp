@@ -795,7 +795,7 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
 }
 
 ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
-                           ConvAlgo algo, LayoutPolicy policy) {
+                           ConvAlgo algo) {
   ExecutionPlan plan;
   plan.layers = layers;
   plan.steps.assign(layers.size(), LayerPlan{});
@@ -804,18 +804,7 @@ ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
     // is never read), matching plan_execution's output shape exactly.
     if (layers[i].kind == LayerKind::kConv) plan.steps[i].algo = algo;
   }
-  if (policy == LayoutPolicy::kAuto) {
-    replan_layouts(plan);
-  } else {
-    plan.boundaries = layers.empty() ? 0 : layers.size() - 1;
-    plan.nchw_boundaries = plan.boundaries;
-    try {
-      plan.memory = build_memory_plan(plan);
-    } catch (const std::exception&) {
-      // Same fallback as replan_layouts: forward() rebuilds as needed.
-    }
-    plan.batch_ceiling = plan_batch_ceiling(plan);
-  }
+  replan_layouts(plan);
   return plan;
 }
 

@@ -16,10 +16,10 @@
 // fused ReLU}, executed by the plan-driven nn::forward(ExecutionPlan)
 // overload (src/nn/forward.cpp).
 //
-// Layout handling generalises the PR 4 single-algo pass (plan_layouts) to
-// mixed m: a W4 layer hands tiles straight to a W2 layer — the consumer's
-// gather reads any producer tile edge, so no repack materialises (the
-// tensor::repack utility exists for consumers that do need re-blocking) —
+// The layout pass (replan_layouts) handles mixed m: a W4 layer hands
+// tiles straight to a W2 layer — the consumer's gather reads any producer
+// tile edge, so no repack materialises (the tensor::repack utility exists
+// for consumers that do need re-blocking) —
 // and the tiled maxpool (maxpool2x2_packed) pools 2x2/s2 directly on tile
 // form, so conv -> pool -> conv chains never round-trip through NCHW.
 //
@@ -364,19 +364,20 @@ void replan_layouts(ExecutionPlan& plan);
 /// ceiling and the forward-side chunking cannot disagree.
 [[nodiscard]] std::size_t plan_batch_ceiling(const ExecutionPlan& plan);
 
-/// The trivial plan the legacy forward(..., ConvAlgo, ...) overload wraps:
-/// every conv layer runs `algo`, with the same layout pass as
-/// plan_execution (under LayoutPolicy::kAlwaysNCHW every boundary is NCHW
-/// and nothing fuses — the legacy reference data flow).
-[[nodiscard]] ExecutionPlan uniform_plan(
-    const std::vector<LayerSpec>& layers, ConvAlgo algo,
-    LayoutPolicy policy = LayoutPolicy::kAuto);
+/// The trivial plan the forward(layers, weights, input, algo) overload
+/// wraps: every conv layer runs `algo`, with the same layout pass as
+/// plan_execution.
+[[nodiscard]] ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
+                                         ConvAlgo algo);
 
-/// Execute a plan. Batches fan out image-parallel on the global
-/// ThreadPool in cache-budgeted sub-batches exactly like the uniform-algo
-/// forward (bit-identical for any thread count / chunking); Winograd
+/// Execute a plan — the one executor every forward runs on. Batches fan
+/// out image-parallel on the global ThreadPool in cache-budgeted
+/// sub-batches (bit-identical for any thread count / chunking); Winograd
 /// layers read filter transforms from the cross-call cache, prewarmed per
-/// plan so worker chunks never serialise on a cold cache.
+/// plan so worker chunks never serialise on a cold cache. Throws
+/// std::invalid_argument, naming the layer, when `weights` was not built
+/// for the plan's layer stack (one K x C x r x r bank per conv layer, one
+/// fc_in x fc_out weight + fc_out bias pair per FC layer).
 tensor::Tensor4f forward(const ExecutionPlan& plan, const WeightBank& weights,
                          const tensor::Tensor4f& input);
 
@@ -392,6 +393,7 @@ void forward(const ExecutionPlan& plan, const WeightBank& weights,
 /// worker's (plus the caller's) thread-local workspace slab sized for
 /// chunks of up to `max_images`. serve::InferenceServer calls this at
 /// model registration, making per-request memory a planned constant.
+/// Checks `weights` against the plan exactly like forward().
 void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
                         std::size_t max_images);
 
@@ -399,10 +401,10 @@ void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
 /// executed a plan). Test/introspection hook.
 [[nodiscard]] std::size_t thread_workspace_bytes();
 
-/// The memcmp oracle for forward(plan): compose the same per-layer
-/// algorithms through the always-NCHW data flow (run_conv + separate ReLU
-/// pass + NCHW maxpool), one layer at a time. Slow; exists for tests and
-/// the bit-identity verdict in bench/ablation_per_layer_m.
+/// The memcmp oracle for forward(plan), and the only NCHW one: compose the
+/// same per-layer algorithms through the always-NCHW data flow (run_conv +
+/// separate ReLU pass + NCHW maxpool), one layer at a time. Slow; exists
+/// for tests and the bit-identity verdicts in the benches.
 tensor::Tensor4f forward_reference(const ExecutionPlan& plan,
                                    const WeightBank& weights,
                                    const tensor::Tensor4f& input);

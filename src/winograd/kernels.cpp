@@ -422,19 +422,16 @@ void decode_column(const LayoutConv& g, std::size_t col, std::size_t& img,
   tw = rem % g.tiles_w;
 }
 
-/// Per-tile (unfused) walk over columns [col_begin, col_end): the original
-/// three-sweep executor, kept verbatim so both accumulation orders remain
-/// available and so a block size of 1 never pays blocked-copy overhead.
+/// Per-tile (unfused) walk over columns [col_begin, col_end): one gather
+/// -> transform sweep per column, then K transform-domain accumulations,
+/// so a block size of 1 never pays blocked-copy overhead.
 void run_columns(const LayoutConv& g, const WinogradScratch& s,
-                 AccumulationOrder order, std::size_t col_begin,
-                 std::size_t col_end) {
+                 std::size_t col_begin, std::size_t col_end) {
   const TileTransformer& xf = *g.xf;
   const TransformedKernels& tk = *g.tk;
   const std::size_t nsq = g.nsq;
   const std::span<float> u_all = s.u_all;
-  const std::span<float> prod = s.prod;
   const std::span<float> acc_m = s.acc_m;
-  const std::span<float> y = s.y;
   const std::span<float> acc_y = s.acc_y;
 
   for (std::size_t col = col_begin; col < col_end; ++col) {
@@ -448,33 +445,15 @@ void run_columns(const LayoutConv& g, const WinogradScratch& s,
       xf.transform_data(s.d, {u_all.data() + c * nsq, nsq});
     }
 
-    // The accumulation-order branch is hoisted out of the channel loop
-    // (the baseline tests it per channel): same arithmetic in the same
-    // order, but the transform-domain inner loop — the hot path
-    // nn::forward uses — stays branch-free.
-    if (order == AccumulationOrder::kTransformDomain) {
-      for (std::size_t k = 0; k < g.kernel_count; ++k) {
-        std::fill(acc_m.begin(), acc_m.end(), 0.0F);
-        for (std::size_t c = 0; c < g.channels; ++c) {
-          const float* u = u_all.data() + c * nsq;
-          const auto v = tk.v(k, c);
-          for (std::size_t i = 0; i < nsq; ++i) acc_m[i] += u[i] * v[i];
-        }
-        xf.inverse(acc_m, acc_y);
-        scatter_tile(g, acc_y, img, k, th, tw);
+    for (std::size_t k = 0; k < g.kernel_count; ++k) {
+      std::fill(acc_m.begin(), acc_m.end(), 0.0F);
+      for (std::size_t c = 0; c < g.channels; ++c) {
+        const float* u = u_all.data() + c * nsq;
+        const auto v = tk.v(k, c);
+        for (std::size_t i = 0; i < nsq; ++i) acc_m[i] += u[i] * v[i];
       }
-    } else {
-      for (std::size_t k = 0; k < g.kernel_count; ++k) {
-        std::fill(acc_y.begin(), acc_y.end(), 0.0F);
-        for (std::size_t c = 0; c < g.channels; ++c) {
-          const float* u = u_all.data() + c * nsq;
-          const auto v = tk.v(k, c);
-          for (std::size_t i = 0; i < nsq; ++i) prod[i] = u[i] * v[i];
-          xf.inverse(prod, y);
-          for (std::size_t i = 0; i < y.size(); ++i) acc_y[i] += y[i];
-        }
-        scatter_tile(g, acc_y, img, k, th, tw);
-      }
+      xf.inverse(acc_m, acc_y);
+      scatter_tile(g, acc_y, img, k, th, tw);
     }
   }
 }
@@ -585,6 +564,11 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
     throw std::invalid_argument(
         "conv2d_winograd_layout: buffer size != layout volume");
   }
+  if (opt.accumulation != AccumulationOrder::kTransformDomain) {
+    throw std::invalid_argument(
+        "conv2d_winograd_layout: transform-domain accumulation only (the "
+        "post-inverse order runs in conv2d_winograd)");
+  }
   const auto& is = il.shape;
   const auto r = static_cast<std::size_t>(xf.r());
   const auto tile = static_cast<std::size_t>(xf.tile());
@@ -646,19 +630,16 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
 
 /// Validate the scratch against the geometry; returns the fused block size
 /// (>= 2) when the blocked spans engage the fused pipeline, 0 otherwise.
-std::size_t validate_scratch(const LayoutConv& g, AccumulationOrder order,
-                             const WinogradScratch& s) {
+std::size_t validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
   const std::size_t nsq = g.nsq;
-  const std::size_t mm = g.mm;
   if (s.d.size() != nsq || s.acc_m.size() != nsq ||
-      s.y.size() != mm * mm || s.acc_y.size() != mm * mm ||
-      s.row_tile.size() != g.n || s.row_in.size() != g.n ||
-      s.col_off.size() != g.n) {
+      s.acc_y.size() != g.mm * g.mm || s.row_tile.size() != g.n ||
+      s.row_in.size() != g.n || s.col_off.size() != g.n) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: scratch size mismatch");
   }
   if (s.u_blk.empty()) {
-    if (s.u_all.size() != g.channels * nsq || s.prod.size() != nsq) {
+    if (s.u_all.size() != g.channels * nsq) {
       throw std::invalid_argument(
           "conv2d_winograd_layout: scratch size mismatch");
     }
@@ -671,12 +652,7 @@ std::size_t validate_scratch(const LayoutConv& g, AccumulationOrder order,
     throw std::invalid_argument(
         "conv2d_winograd_layout: blocked scratch size mismatch");
   }
-  if (order != AccumulationOrder::kTransformDomain) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: fused blocks require transform-domain "
-        "accumulation");
-  }
-  if (!s.u_all.empty() || !s.prod.empty()) {
+  if (!s.u_all.empty()) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: blocked scratch must not carry the "
         "per-tile bank");
@@ -698,8 +674,8 @@ OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
   const std::size_t bank = block_columns > 1
                                ? channels * nsq * block_columns + /*acc_blk*/
                                      nsq * block_columns
-                               : channels * nsq + /*prod*/ nsq;
-  o.f.resize(nsq + bank + nsq + mm * mm + mm * mm);
+                               : channels * nsq;
+  o.f.resize(nsq + bank + nsq + mm * mm);
   o.idx.resize(3 * n);
   float* f = o.f.data();
   o.s.d = {f, nsq};
@@ -712,13 +688,9 @@ OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
   } else {
     o.s.u_all = {f, channels * nsq};
     f += channels * nsq;
-    o.s.prod = {f, nsq};
-    f += nsq;
   }
   o.s.acc_m = {f, nsq};
   f += nsq;
-  o.s.y = {f, mm * mm};
-  f += mm * mm;
   o.s.acc_y = {f, mm * mm};
   o.s.row_tile = {o.idx.data(), n};
   o.s.row_in = {o.idx.data() + n, n};
@@ -738,11 +710,11 @@ void conv2d_winograd_layout_into(const tensor::Layout& il,
                                  const WinogradScratch& scratch) {
   const LayoutConv g =
       make_layout_conv(il, in, tk, xf, opt, ol, out, fuse_relu);
-  const std::size_t block = validate_scratch(g, opt.accumulation, scratch);
+  const std::size_t block = validate_scratch(g, scratch);
   if (block >= 2) {
     run_columns_fused(g, scratch, block, 0, g.columns());
   } else {
-    run_columns(g, scratch, opt.accumulation, 0, g.columns());
+    run_columns(g, scratch, 0, g.columns());
   }
 }
 
@@ -782,23 +754,21 @@ tensor::PackedActivation conv2d_winograd_layout(
       make_layout_conv(il, input.data, tk, xf, opt, ol, out.data, fuse_relu);
   const auto n = static_cast<std::size_t>(xf.tile());
 
-  // Fused cache-blocked pipeline for the hot accumulation order; the
-  // block loop is what the ThreadPool splits — every worker chunk owns a
-  // private scratch and a contiguous column range, and per-column
-  // arithmetic is independent of both the chunking and the block
-  // boundaries, so any thread count produces the same bytes.
+  // Fused cache-blocked pipeline; the block loop is what the ThreadPool
+  // splits — every worker chunk owns a private scratch and a contiguous
+  // column range, and per-column arithmetic is independent of both the
+  // chunking and the block boundaries, so any thread count produces the
+  // same bytes.
   std::size_t block =
-      opt.accumulation == AccumulationOrder::kTransformDomain
-          ? std::min(fused_block_columns(is.c, n, kFusedCacheBudgetBytes),
-                     std::max<std::size_t>(1, g.columns()))
-          : 1;
+      std::min(fused_block_columns(is.c, n, kFusedCacheBudgetBytes),
+               std::max<std::size_t>(1, g.columns()));
   if (block < kFusedMinBlockColumns) block = 1;  // all-scalar-tail: slower
   runtime::parallel_for(g.columns(), [&](std::size_t begin, std::size_t end) {
     const OwnedScratch o = make_owned_scratch(is.c, n, mm, block);
     if (block >= 2) {
       run_columns_fused(g, o.s, block, begin, end);
     } else {
-      run_columns(g, o.s, opt.accumulation, begin, end);
+      run_columns(g, o.s, begin, end);
     }
   });
   return out;

@@ -2,13 +2,14 @@
 // F(m x m, r x r) tile operations, and full NCHW layer convolution.
 //
 // Layer-level evaluation mirrors the paper's system (Fig 7): the image is
-// decomposed into overlapping (m+r-1)^2 tiles with stride m, kernels are
-// pre-transformed once (V = G g G^T, Section IV "filter transforms are
-// assumed to be precomputed"), and channel accumulation happens either in
-// the transform domain (software-optimal, one inverse per output tile) or
-// after the inverse transform (matching the hardware's accumulation
-// buffers). Both orders are exposed because their equivalence is a linearity
-// property the test suite checks.
+// decomposed into overlapping (m+r-1)^2 tiles with stride m, and kernels
+// are pre-transformed once (V = G g G^T, Section IV "filter transforms are
+// assumed to be precomputed"). The reference walk (conv2d_winograd)
+// accumulates channels either in the transform domain (software-optimal,
+// one inverse per output tile) or after the inverse transform (matching
+// the hardware's accumulation buffers); their equivalence is a linearity
+// property the test suite checks. The layout-aware executor
+// (conv2d_winograd_layout[_into]) runs the transform-domain order only.
 #pragma once
 
 #include <span>
@@ -186,7 +187,7 @@ tensor::Tensor4f conv2d_winograd(const tensor::Tensor4f& input,
 /// the transform/accumulation order is untouched, and ReLU is the same
 /// formula applied to the same result — so this path is bit-identical to
 /// the always-NCHW path at every element, whatever mix of layouts carries
-/// the activations (pinned by tests/nn_forward_test.cpp and
+/// the activations (pinned by tests/nn_plan_test.cpp and
 /// tests/tensor_layout_test.cpp).
 ///
 /// This wrapper runs the fused tile-block pipeline (see WinogradScratch)
@@ -196,6 +197,10 @@ tensor::Tensor4f conv2d_winograd(const tensor::Tensor4f& input,
 /// accumulator chain is confined to one column, so the result is
 /// bit-identical for any thread count and any block boundary placement
 /// (pinned by tests/winograd_fused_test.cpp).
+///
+/// Transform-domain accumulation only: any other opt.accumulation throws
+/// std::invalid_argument (the post-inverse order lives in the reference
+/// walk, conv2d_winograd).
 tensor::PackedActivation conv2d_winograd_layout(
     const tensor::PackedActivation& input, const TransformedKernels& tk,
     const TileTransformer& xf, const WinogradConvOptions& opt,
@@ -206,23 +211,22 @@ tensor::PackedActivation conv2d_winograd_layout(
 /// a workspace slab by nn::carve_winograd_scratch, which is also the
 /// single definition of each span's extent.
 ///
-/// Two mutually exclusive executor modes share this struct:
-///  - per-tile (unfused): u_all and prod are populated, u_blk/acc_blk are
-///    empty — one tile column at a time, either accumulation order;
+/// Two mutually exclusive executor modes share this struct, both
+/// accumulating in the transform domain:
+///  - per-tile (unfused): u_all is populated, u_blk/acc_blk are empty —
+///    one tile column at a time;
 ///  - fused tile-block pipeline: u_blk holds B tile columns of transformed
 ///    data laid out [n*n][C][B] and acc_blk the matching [n*n][B]
-///    accumulators (B = u_blk.size() / (C * n*n) >= 2, transform-domain
-///    accumulation only) — u_all and prod must then be empty, and acc_m
-///    doubles as the per-column transform staging / inverse gather tile.
+///    accumulators (B = u_blk.size() / (C * n*n) >= 2) — u_all must then
+///    be empty, and acc_m doubles as the per-column transform staging /
+///    inverse gather tile.
 struct WinogradScratch {
   std::span<float> d;        ///< n*n gathered input tile
   std::span<float> u_all;    ///< C * n*n transformed data tiles (unfused)
-  std::span<float> prod;     ///< n*n elementwise product (post-inverse)
   std::span<float> u_blk;    ///< [n*n][C][B] blocked transform bank (fused)
   std::span<float> acc_blk;  ///< [n*n][B] blocked accumulators (fused)
   std::span<float> acc_m;    ///< n*n transform-domain accumulator / staging
-  std::span<float> y;        ///< m*m inverse-transformed tile
-  std::span<float> acc_y;    ///< m*m output-domain accumulator
+  std::span<float> acc_y;    ///< m*m inverse-transformed output tile
   std::span<std::size_t> row_tile;  ///< tile-form gather: source tile row
   std::span<std::size_t> row_in;    ///< row-within-tile * tile_m
   std::span<std::size_t> col_off;   ///< tile-col * tile_m^2 + col-within
@@ -243,7 +247,7 @@ struct WinogradScratch {
 /// parallel_for — the hot caller (nn/forward.cpp) already fans out across
 /// images above this call with exactly one carved scratch per workspace,
 /// so intra-call threading belongs to the allocating wrapper, which owns
-/// per-worker scratch.
+/// per-worker scratch. Accumulation order as for conv2d_winograd_layout.
 void conv2d_winograd_layout_into(const tensor::Layout& il,
                                  std::span<const float> in,
                                  const TransformedKernels& tk,

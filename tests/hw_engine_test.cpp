@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.hpp"
 #include "conv/spatial.hpp"
 #include "dse/performance.hpp"
+#include "runtime/thread_pool.hpp"
+#include "winograd/kernels.hpp"
 
 namespace wino::hw {
 namespace {
@@ -273,6 +277,36 @@ TEST(Engine, BatchProcessing) {
   layer.pad = 1;
   EXPECT_EQ(engine.run_layer_timing(layer, 2).tiles,
             2 * engine.run_layer_timing(layer, 1).tiles);
+}
+
+TEST(HwEngine, BitIdenticalToPostInverseReferenceWalk) {
+  // The engine's functional output is the reference walk in the Fig 7
+  // accumulation order, byte for byte: kernel grouping (PEs) only shapes
+  // the timing, and the thread count never reaches the arithmetic.
+  Rng rng(2024);
+  const Tensor4f input = random_tensor(2, 3, 9, 7, rng);  // ragged tiles
+  const Tensor4f kernels = random_tensor(5, 3, 3, 3, rng);
+  for (const int m : {2, 3, 4}) {
+    for (const int pad : {0, 1}) {
+      const Tensor4f want = winograd::conv2d_winograd(
+          input, kernels, m,
+          {pad, winograd::AccumulationOrder::kPostInverse});
+      for (const std::size_t pes : {1u, 3u}) {
+        const WinogradEngine engine(small_engine(m, pes));
+        for (const std::size_t threads : {1u, 4u}) {
+          runtime::ThreadPool::set_global_threads(threads);
+          const Tensor4f got = engine.run_layer(input, kernels, pad).output;
+          ASSERT_EQ(got.shape(), want.shape());
+          EXPECT_EQ(std::memcmp(got.flat().data(), want.flat().data(),
+                                want.flat().size() * sizeof(float)),
+                    0)
+              << "m=" << m << " pad=" << pad << " pes=" << pes
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+  runtime::ThreadPool::set_global_threads(4);
 }
 
 }  // namespace

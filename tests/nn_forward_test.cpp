@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <thread>
 
 #include "common/random.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace wino::nn {
 namespace {
@@ -141,69 +138,6 @@ TEST(TransformCache, RepeatedForwardHitsInsteadOfRetransforming) {
   EXPECT_EQ(transform_cache_stats().misses, 2 * conv_layers);
   clear_transform_cache();
   EXPECT_EQ(transform_cache_stats().entries, 0u);
-}
-
-TEST(LayoutPlan, ElidesWinogradChainsAndStopsAtPools) {
-  const auto layers = vgg16_d_scaled(7, 16);
-  const LayoutPlan plan = plan_layouts(layers, ConvAlgo::kWinograd2);
-  ASSERT_EQ(plan.output_kind.size(), layers.size());
-  EXPECT_EQ(plan.boundaries, layers.size() - 1);
-  // VGG16-D groups: 2+2+3+3+3 conv layers -> 1+1+2+2+2 = 8 conv->conv
-  // handoffs stay in tile form; every boundary into a pool/FC is NCHW.
-  EXPECT_EQ(plan.elided, 8u);
-  EXPECT_GT(plan.nchw_floats_elided, 0u);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (plan.output_kind[i] == tensor::LayoutKind::kWinogradTile) {
-      EXPECT_EQ(layers[i].kind, LayerKind::kConv);
-      ASSERT_LT(i + 1, layers.size());
-      EXPECT_EQ(layers[i + 1].kind, LayerKind::kConv);
-    }
-    if (layers[i].kind == LayerKind::kMaxPool ||
-        layers[i].kind == LayerKind::kFullyConnected) {
-      EXPECT_EQ(plan.output_kind[i], tensor::LayoutKind::kNCHW);
-    }
-  }
-  // Non-Winograd algos have no tiled form: nothing elides.
-  const LayoutPlan im2col_plan = plan_layouts(layers, ConvAlgo::kIm2col);
-  EXPECT_EQ(im2col_plan.elided, 0u);
-}
-
-TEST(LayoutPolicy, ElidedChainsBitIdenticalToAlwaysNCHW) {
-  // The pinned determinism-contract extension: the layout-planned path
-  // (tile-form handoffs, fused ReLU, packed im2col panels) must reproduce
-  // the always-NCHW path bit-for-bit — per algorithm, per batch size, per
-  // thread count.
-  const auto layers = vgg16_d_scaled(/*scale=*/14, /*channel_div=*/16);
-  const WeightBank weights = random_weights(layers, 77);
-  Rng rng(79);
-  for (const ConvAlgo algo :
-       {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
-        ConvAlgo::kIm2col}) {
-    for (const std::size_t batch : {1u, 5u}) {
-      Tensor4f input(batch, 3, 16, 16);
-      rng.fill_uniform(input.flat(), -1.0F, 1.0F);
-      const Tensor4f nchw =
-          forward(layers, weights, input, algo, LayoutPolicy::kAlwaysNCHW);
-      for (const std::size_t threads : {1u, 4u}) {
-        runtime::ThreadPool::set_global_threads(threads);
-        const Tensor4f elided =
-            forward(layers, weights, input, algo, LayoutPolicy::kAuto);
-        ASSERT_EQ(elided.shape(), nchw.shape()) << to_string(algo);
-        ASSERT_EQ(std::memcmp(elided.flat().data(), nchw.flat().data(),
-                              nchw.flat().size() * sizeof(float)),
-                  0)
-            << to_string(algo) << " batch=" << batch
-            << " threads=" << threads;
-      }
-    }
-  }
-  runtime::ThreadPool::set_global_threads(
-      std::max(1u, std::thread::hardware_concurrency()));  // restore
-}
-
-TEST(LayoutPolicyNames, AllDistinct) {
-  EXPECT_EQ(to_string(LayoutPolicy::kAuto), "auto-layout");
-  EXPECT_EQ(to_string(LayoutPolicy::kAlwaysNCHW), "always-nchw");
 }
 
 TEST(TransformCache, BumpVersionInvalidatesStaleTransforms) {

@@ -429,18 +429,30 @@ TEST(ForwardPlan, MixedMBitIdenticalToReferenceComposition) {
 }
 
 TEST(ForwardPlan, UniformWrapperMatchesPlanExecutor) {
+  // The uniform-algo entry runs the one executor (tile-form handoffs,
+  // fused ReLU, packed im2col panels) and must reproduce the always-NCHW
+  // oracle bit-for-bit — per algorithm, per batch size, per thread count.
   const auto layers = vgg16_d_scaled(14, 16);
-  const WeightBank weights = random_weights(layers, 5);
-  Rng rng(31);
-  Tensor4f input(3, 3, 16, 16);
-  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
-  for (const ConvAlgo algo :
-       {ConvAlgo::kWinograd2, ConvAlgo::kWinograd4, ConvAlgo::kIm2col}) {
-    const Tensor4f via_algo = forward(layers, weights, input, algo);
-    const Tensor4f via_plan =
-        forward(uniform_plan(layers, algo), weights, input);
-    EXPECT_TRUE(same_bits(via_algo, via_plan)) << to_string(algo);
+  const WeightBank weights = random_weights(layers, 77);
+  Rng rng(79);
+  for (const ConvAlgo algo : {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3,
+                              ConvAlgo::kWinograd4, ConvAlgo::kIm2col}) {
+    for (const std::size_t batch : {1u, 5u}) {
+      Tensor4f input(batch, 3, 16, 16);
+      rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+      const Tensor4f reference =
+          forward_reference(uniform_plan(layers, algo), weights, input);
+      for (const std::size_t threads : {1u, 4u}) {
+        runtime::ThreadPool::set_global_threads(threads);
+        EXPECT_TRUE(
+            same_bits(forward(layers, weights, input, algo), reference))
+            << to_string(algo) << " batch=" << batch
+            << " threads=" << threads;
+      }
+    }
   }
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(ForwardPlan, NonWinogradPlanBatchedAcrossManyThreads) {
@@ -472,6 +484,52 @@ TEST(ForwardPlan, RejectsMalformedPlan) {
   plan.steps.pop_back();
   const Tensor4f input(1, 3, 8, 8);
   EXPECT_THROW(forward(plan, weights, input), std::invalid_argument);
+}
+
+TEST(ForwardPlan, RejectsWeightBankOfAnotherStack) {
+  // A bank built for another stack fails at the API boundary, naming the
+  // layer, in every entry that takes one — not inside a kernel on a
+  // worker thread with a kernel-specific message.
+  const auto layers = vgg16_d_scaled(28, 16);
+  const ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kWinograd2);
+  const Tensor4f input(1, 3, 8, 8);
+  std::size_t last_conv = 0;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    if (layers[i].kind == LayerKind::kConv) last_conv = i;
+  }
+  const std::size_t fc = layers.size() - 1;
+  ASSERT_EQ(layers[fc].kind, LayerKind::kFullyConnected);
+
+  const auto expect_rejected = [&](const WeightBank& bank,
+                                   const std::string& names) {
+    const auto check = [&](const char* entry, const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << entry << " accepted a mismatched bank";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+            << entry << ": " << e.what();
+      }
+    };
+    check("forward", [&] { (void)forward(plan, bank, input); });
+    check("prewarm_workspaces", [&] { prewarm_workspaces(plan, bank, 1); });
+    check("add_model", [&] {
+      serve::InferenceServer server(serve::ServerConfig{});
+      (void)server.add_model("mismatched", plan, bank);
+    });
+  };
+
+  // Twice the channels: conv 0's bank is K x C x r x r for another stack.
+  expect_rejected(random_weights(vgg16_d_scaled(28, 8), 1), "layer 0 (");
+  WeightBank bank = random_weights(layers, 1);
+  bank.conv_kernels.pop_back();
+  expect_rejected(bank, "layer " + std::to_string(last_conv) + " (");
+  bank = random_weights(layers, 1);
+  bank.conv_kernels.push_back(bank.conv_kernels.back());
+  expect_rejected(bank, "the plan has");
+  bank = random_weights(layers, 1);
+  bank.fc_bias[0].pop_back();
+  expect_rejected(bank, "layer " + std::to_string(fc) + " (");
 }
 
 TEST(Serve, PlannedSessionServesBitIdenticalResults) {

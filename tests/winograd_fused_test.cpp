@@ -56,7 +56,7 @@ bool bit_identical(const Tensor4f& a, const Tensor4f& b) {
 }
 
 /// Heap-backed WinogradScratch in either executor mode: block == 0 builds
-/// the per-tile spans (u_all/prod), block >= 2 the fused blocked bank
+/// the per-tile bank (u_all), block >= 2 the fused blocked bank
 /// (u_blk/acc_blk) — the same extents nn::carve_winograd_scratch hands out.
 struct OwnedScratch {
   std::vector<float> f;
@@ -68,9 +68,9 @@ OwnedScratch make_scratch(std::size_t channels, std::size_t n,
                           std::size_t mm, std::size_t block) {
   const std::size_t nsq = n * n;
   const std::size_t bank =
-      block >= 2 ? channels * nsq * block + nsq * block : channels * nsq + nsq;
+      block >= 2 ? channels * nsq * block + nsq * block : channels * nsq;
   OwnedScratch o;
-  o.f.resize(nsq + bank + nsq + 2 * mm * mm);
+  o.f.resize(nsq + bank + nsq + mm * mm);
   o.idx.resize(3 * n);
   float* f = o.f.data();
   o.s.d = {f, nsq};
@@ -83,13 +83,9 @@ OwnedScratch make_scratch(std::size_t channels, std::size_t n,
   } else {
     o.s.u_all = {f, channels * nsq};
     f += channels * nsq;
-    o.s.prod = {f, nsq};
-    f += nsq;
   }
   o.s.acc_m = {f, nsq};
   f += nsq;
-  o.s.y = {f, mm * mm};
-  f += mm * mm;
   o.s.acc_y = {f, mm * mm};
   o.s.row_tile = {o.idx.data(), n};
   o.s.row_in = {o.idx.data() + n, n};
@@ -180,10 +176,21 @@ TEST(FusedPipeline, BlockedScratchRejectsPostInverseAccumulation) {
   const Layout il = Layout::nchw(input.shape());
   const Layout ol = Layout::nchw({1, 1, 6, 6});
   std::vector<float> out(ol.volume());
-  OwnedScratch bs = make_scratch(2, n, 2, 4);
-  EXPECT_THROW(conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt, ol,
-                                           out, false, bs.s),
-               std::invalid_argument);
+  // The layout executor accumulates in the transform domain only, in
+  // either scratch mode (per-tile bank or fused blocks) and through the
+  // allocating wrapper; the post-inverse order lives in conv2d_winograd.
+  for (const std::size_t block : {0u, 4u}) {
+    OwnedScratch s = make_scratch(2, n, 2, block);
+    EXPECT_THROW(conv2d_winograd_layout_into(il, input.flat(), tk, xf, opt,
+                                             ol, out, false, s.s),
+                 std::invalid_argument)
+        << "B=" << block;
+  }
+  EXPECT_THROW(
+      (void)conv2d_winograd_layout(
+          wino::tensor::PackedActivation::from_nchw(Tensor4f(input)), tk, xf,
+          opt, wino::tensor::LayoutKind::kNCHW, false),
+      std::invalid_argument);
 }
 
 // -------------------------------------------------------------------------
