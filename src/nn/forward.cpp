@@ -472,13 +472,10 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
           wopt.pad = l.conv.pad;
           ByteCarver carver(ws.buffer_bytes(
               static_cast<std::size_t>(mp.step_scratch[li])));
-          const std::size_t blk = li < mp.step_block_columns.size()
-                                      ? mp.step_block_columns[li]
-                                      : 1;
           const winograd::WinogradScratch scratch = carve_winograd_scratch(
               carver, cur_layout.shape.c,
               static_cast<std::size_t>(entry->xf.tile()),
-              static_cast<std::size_t>(m), blk);
+              static_cast<std::size_t>(m));
           winograd::conv2d_winograd_layout_into(cur_layout, cur, entry->tk,
                                                 entry->xf, wopt, ol, obuf,
                                                 step.fused_relu, scratch);
@@ -553,14 +550,11 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                                            step.act_scale, /*fuse_relu=*/true,
                                            obuf, scratch);
           } else {
-            const std::size_t blk = li < mp.step_block_columns.size()
-                                        ? mp.step_block_columns[li]
-                                        : 1;
             const quant::QuantWinogradScratch scratch =
                 carve_quant_winograd_scratch(
                     carver, cur_layout.shape.c,
                     static_cast<std::size_t>(entry->xf->tile()),
-                    static_cast<std::size_t>(entry->xf->m()), blk);
+                    static_cast<std::size_t>(entry->xf->m()));
             quant::conv2d_winograd_int8_into(view, *entry->wino, *entry->xf,
                                              l.conv.pad, step.act_scale,
                                              /*fuse_relu=*/true, obuf,
@@ -708,12 +702,9 @@ void prewarm_transforms(const ExecutionPlan& plan, const WeightBank& weights) {
   }
 }
 
-// Roughly half a typical L2 slice, leaving room for kernels + scratch:
-// the budget the transform-domain working set of a worker chunk must fit.
-// One definition shared with the fused tile-block sizing in
-// winograd/kernels.hpp so the two locality decisions cannot drift apart.
-constexpr std::size_t kSubbatchCacheBudget =
-    winograd::kFusedCacheBudgetBytes;
+// Per-core cache budget, roughly one L2 slice: the transform-domain
+// working set of a worker chunk must fit in it.
+constexpr std::size_t kSubbatchCacheBudget = 768u << 10;
 
 /// Per-image transform-domain working set of one Winograd conv layer:
 /// the (m+r-1)^2 / m^2 expansion over its input + output activations.
@@ -725,16 +716,16 @@ std::size_t winograd_layer_bytes(const ConvLayerSpec& l, int m) {
 }
 
 /// The one sub-batch rule: images a worker chunk marches through the
-/// stack together. Larger sub-batches feed the Winograd coordinate GEMMs
-/// more rows, but multiply the transform-domain working set — (m+r-1)²/m²
-/// times a layer's activations per image, sized with each Winograd layer's
-/// own m (fp32 or int8) — so the size is capped to keep the fattest such
-/// set cache-resident. Chunk composition never changes results (image
-/// independence; pinned by tests/serve_test.cpp). Plans with no Winograd
-/// layer have no cache-budgeted working set, so the whole range stays one
-/// chunk per thread — `batch` (the full range) comes back rather than an
-/// unbounded sentinel, keeping the caller's `i += cap` chunk walk
-/// overflow-free.
+/// stack together. Larger sub-batches amortise each step's per-call
+/// set-up over more images, but multiply the transform-domain working set
+/// — (m+r-1)²/m² times a layer's activations per image, sized with each
+/// Winograd layer's own m (fp32 or int8) — so the size is capped to keep
+/// the fattest such set cache-resident. Chunk composition never changes
+/// results (image independence; pinned by tests/serve_test.cpp). Plans
+/// with no Winograd layer have no cache-budgeted working set, so the whole
+/// range stays one chunk per thread — `batch` (the full range) comes back
+/// rather than an unbounded sentinel, keeping the caller's `i += cap`
+/// chunk walk overflow-free.
 ///
 /// Known trade-off: in a plan mixing Winograd with an FFT layer, the
 /// Winograd cache budget wins and the FFT layer re-derives its per-call

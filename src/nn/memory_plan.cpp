@@ -38,6 +38,14 @@ Layout step_output_layout(const LayerPlan& step, Shape4 out) {
   }
 }
 
+void require_one_block_column(std::size_t block_columns) {
+  if (block_columns != 1) {
+    throw std::invalid_argument(
+        "carve_*_winograd_scratch: block_columns must be 1 (the Winograd "
+        "walk has no blocked scratch)");
+  }
+}
+
 }  // namespace
 
 winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
@@ -45,18 +53,11 @@ winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
                                                  std::size_t n_tile,
                                                  std::size_t m,
                                                  std::size_t block_columns) {
+  require_one_block_column(block_columns);
   const std::size_t nsq = n_tile * n_tile;
   winograd::WinogradScratch s;
   s.d = carver.take<float>(nsq);
-  if (block_columns > 1) {
-    // Fused tile-block layout: the [n*n][C][B] bank and its accumulators
-    // replace the per-tile bank, so the block size only ever grows a
-    // step's scratch, never shrinks it below the per-tile cost.
-    s.u_blk = carver.take<float>(channels * nsq * block_columns);
-    s.acc_blk = carver.take<float>(nsq * block_columns);
-  } else {
-    s.u_all = carver.take<float>(channels * nsq);
-  }
+  s.u_all = carver.take<float>(channels * nsq);
   s.acc_m = carver.take<float>(nsq);
   s.acc_y = carver.take<float>(m * m);
   s.row_tile = carver.take<std::size_t>(n_tile);
@@ -79,20 +80,14 @@ quant::QuantIm2colScratch carve_quant_im2col_scratch(ByteCarver& carver,
 quant::QuantWinogradScratch carve_quant_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns) {
+  require_one_block_column(block_columns);
   const std::size_t nsq = n_tile * n_tile;
   quant::QuantWinogradScratch s;
   s.d = carver.take<float>(nsq);
-  if (block_columns > 1) {
-    s.u_blk = carver.take<float>(channels * nsq * block_columns);
-    s.sv_blk = carver.take<float>(nsq * block_columns);
-    s.uq_blk = carver.take<std::int8_t>(channels * nsq * block_columns);
-    s.acc_blk = carver.take<std::int32_t>(nsq * block_columns);
-  } else {
-    s.u_all = carver.take<float>(channels * nsq);
-    s.sv = carver.take<float>(nsq);
-    s.uq_all = carver.take<std::int8_t>(channels * nsq);
-    s.acc = carver.take<std::int32_t>(nsq);
-  }
+  s.u_all = carver.take<float>(channels * nsq);
+  s.sv = carver.take<float>(nsq);
+  s.uq_all = carver.take<std::int8_t>(channels * nsq);
+  s.acc = carver.take<std::int32_t>(nsq);
   s.m_f = carver.take<float>(nsq);
   s.y = carver.take<float>(m * m);
   return s;
@@ -108,38 +103,7 @@ PoolScratch carve_pool_scratch(ByteCarver& carver, const Layout& il,
   return s;
 }
 
-namespace {
-
-/// One Winograd conv step recorded during the plan walk, for the fused
-/// block sizing pass: enough geometry to re-measure its scratch at any
-/// block size.
-struct WinoStepRecord {
-  std::size_t step = 0;       ///< step index (for step_block_columns)
-  std::size_t buffer = 0;     ///< buffers index of the scratch
-  std::size_t channels = 0;
-  std::size_t n_tile = 0;
-  std::size_t m = 0;
-  std::size_t tiles = 0;      ///< output tiles per image
-  bool is_int8 = false;
-};
-
-std::size_t measure_wino_scratch(const WinoStepRecord& ws,
-                                 std::size_t block_columns) {
-  ByteCarver measure;
-  if (ws.is_int8) {
-    (void)carve_quant_winograd_scratch(measure, ws.channels, ws.n_tile, ws.m,
-                                       block_columns);
-  } else {
-    (void)carve_winograd_scratch(measure, ws.channels, ws.n_tile, ws.m,
-                                 block_columns);
-  }
-  return measure.used();
-}
-
-}  // namespace
-
-MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
-                             bool fuse_blocks) {
+MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
   if (plan.steps.size() != plan.layers.size()) {
     throw std::invalid_argument(
         "build_memory_plan: plan steps do not match its layer stack");
@@ -158,7 +122,6 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
   mp.step_scratch.reserve(layers.size());
   mp.step_block_columns.assign(layers.size(), 1);
   mp.act_layout.reserve(layers.size());
-  std::vector<WinoStepRecord> wino_steps;
 
   Shape4 cur = input;
   Layout cur_layout = Layout::nchw(cur);
@@ -183,24 +146,12 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
         }
         out = {1, l.conv.k, static_cast<std::size_t>(oh),
                static_cast<std::size_t>(ow)};
-        const auto record_wino = [&](std::size_t mw, bool is_int8) {
-          const std::size_t tiles = ((out.h + mw - 1) / mw) *
-                                    ((out.w + mw - 1) / mw);
-          wino_steps.push_back(WinoStepRecord{.step = li,
-                                              .buffer = 0,  // patched below
-                                              .channels = cur.c,
-                                              .n_tile = mw + r - 1,
-                                              .m = mw,
-                                              .tiles = tiles,
-                                              .is_int8 = is_int8});
-        };
         if (const int m = winograd_m(step.algo); m > 0) {
           ByteCarver measure;
           (void)carve_winograd_scratch(
               measure, cur.c, static_cast<std::size_t>(m) + r - 1,
               static_cast<std::size_t>(m));
           scratch_bytes = measure.used();
-          record_wino(static_cast<std::size_t>(m), /*is_int8=*/false);
         } else if (step.algo == ConvAlgo::kIm2col) {
           const Layout panel = Layout::im2col_panel(
               {1, cur.c, cur.h, cur.w}, r, pad, pad, /*stride=*/1);
@@ -220,7 +171,6 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
               measure, cur.c, static_cast<std::size_t>(qm) + r - 1,
               static_cast<std::size_t>(qm));
           scratch_bytes = measure.used();
-          record_wino(static_cast<std::size_t>(qm), /*is_int8=*/true);
         }
         // Spatial/FFT conv steps keep their allocating kernels (the plan
         // executor materialises an NCHW tensor for them); no planned
@@ -262,9 +212,6 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
       mp.step_activation.push_back(-1);
     }
     if (scratch_bytes > 0) {
-      if (!wino_steps.empty() && wino_steps.back().step == li) {
-        wino_steps.back().buffer = mp.buffers.size();
-      }
       mp.step_scratch.push_back(
           static_cast<std::ptrdiff_t>(mp.buffers.size()));
       mp.buffers.push_back(PlannedBuffer{.step_first = li,
@@ -279,53 +226,10 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input,
     cur_layout = ol;
   }
 
-  // Fused block sizing pass: grow each Winograd step's scratch to the
-  // largest block the cache budget allows WITHOUT raising the slab peak at
-  // 1 or 8 images over the per-tile plan — the fused pipeline's locality
-  // win must not cost a byte of planned peak (the bench gate pins it).
-  // First-fit interval packing is not monotone in a buffer's size, so each
-  // candidate is verified by re-resolving the whole plan; the binary
-  // search just orders the probes.
-  if (fuse_blocks && !wino_steps.empty()) {
-    const std::size_t peak1 = mp.peak_bytes(1);
-    const std::size_t peak8 = mp.peak_bytes(8);
-    for (const WinoStepRecord& ws : wino_steps) {
-      const std::size_t cache_cap = winograd::fused_block_columns(
-          ws.channels, ws.n_tile, winograd::kFusedCacheBudgetBytes);
-      // Column supply: the executor walks chunk_images * tiles columns per
-      // call; chunks max out at 8 images, so a bigger block is pure waste.
-      const std::size_t cap = std::min(cache_cap, ws.tiles * 8);
-      // Blocks narrower than the coordinate GEMM's register tile run all
-      // columns through the scalar tail and lose to the per-tile walk.
-      if (cap < winograd::kFusedMinBlockColumns) continue;
-      PlannedBuffer& buf = mp.buffers[ws.buffer];
-      const std::size_t unfused_bytes = buf.fixed_bytes;
-      const auto fits = [&](std::size_t block) {
-        buf.fixed_bytes = measure_wino_scratch(ws, block);
-        return mp.peak_bytes(1) <= peak1 && mp.peak_bytes(8) <= peak8;
-      };
-      std::size_t best = 1;
-      std::size_t lo = winograd::kFusedMinBlockColumns, hi = cap;
-      while (lo <= hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (fits(mid)) {
-          best = mid;
-          lo = mid + 1;
-        } else {
-          hi = mid - 1;
-        }
-      }
-      if (best >= 2 && fits(best)) {
-        mp.step_block_columns[ws.step] = best;
-      } else {
-        buf.fixed_bytes = unfused_bytes;
-      }
-    }
-  }
   return mp;
 }
 
-MemoryPlan build_memory_plan(const ExecutionPlan& plan, bool fuse_blocks) {
+MemoryPlan build_memory_plan(const ExecutionPlan& plan) {
   if (plan.layers.empty()) {
     throw std::invalid_argument("build_memory_plan: empty layer stack");
   }
@@ -333,13 +237,11 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, bool fuse_blocks) {
   switch (first.kind) {
     case LayerKind::kConv:
       return build_memory_plan(
-          plan, Shape4{1, first.conv.c, first.conv.h, first.conv.w},
-          fuse_blocks);
+          plan, Shape4{1, first.conv.c, first.conv.h, first.conv.w});
     case LayerKind::kFullyConnected:
       // FC consumes the flattened volume; plan as a flat channel vector
       // (forward() rebuilds locally for other factorisations of fc_in).
-      return build_memory_plan(plan, Shape4{1, first.fc_in, 1, 1},
-                               fuse_blocks);
+      return build_memory_plan(plan, Shape4{1, first.fc_in, 1, 1});
     case LayerKind::kMaxPool:
       break;
   }

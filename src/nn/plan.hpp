@@ -358,10 +358,10 @@ void replan_layouts(ExecutionPlan& plan);
 
 /// The plan's cache-derived batch ceiling (see ExecutionPlan::
 /// batch_ceiling): largest worker-chunk image count whose worst Winograd
-/// transform-domain working set fits the shared cache budget
-/// (winograd::kFusedCacheBudgetBytes), or 0 when no layer runs a Winograd
-/// form. Same math as the executor's sub-batch split, so the serve-side
-/// ceiling and the forward-side chunking cannot disagree.
+/// transform-domain working set fits the per-core cache budget (768 KiB),
+/// or 0 when no layer runs a Winograd form. Same math as the executor's
+/// sub-batch split, so the serve-side ceiling and the forward-side
+/// chunking cannot disagree.
 [[nodiscard]] std::size_t plan_batch_ceiling(const ExecutionPlan& plan);
 
 /// The trivial plan the forward(layers, weights, input, algo) overload

@@ -6,6 +6,7 @@
 
 #include "conv/im2col.hpp"
 #include "runtime/igemm.hpp"
+#include "winograd/tile_accumulate.hpp"
 
 namespace wino::quant {
 namespace {
@@ -115,15 +116,6 @@ QuantizedWinogradKernels quantize_winograd_kernels(
       }
     }
   }
-  qk.pos.resize(qk.data.size());
-  for (std::size_t k = 0; k < qk.kernels; ++k) {
-    for (std::size_t c = 0; c < qk.channels; ++c) {
-      const std::int8_t* v_kc = qk.data.data() + (k * qk.channels + c) * nsq;
-      for (std::size_t i = 0; i < nsq; ++i) {
-        qk.pos[(k * nsq + i) * qk.channels + c] = v_kc[i];
-      }
-    }
-  }
   return qk;
 }
 
@@ -209,25 +201,10 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
   check_span(scratch.m_f.size(), nsq, "m_f");
   check_span(scratch.y.size(), msq, "y");
   check_span(out.size(), is.n * qk.kernels * oh * ow, "out");
-  std::size_t block = 0;  // fused block size, 0 = per-tile walk
-  if (scratch.u_blk.empty()) {
-    check_span(scratch.u_all.size(), is.c * nsq, "u_all");
-    check_span(scratch.sv.size(), nsq, "sv");
-    check_span(scratch.uq_all.size(), is.c * nsq, "uq_all");
-    check_span(scratch.acc.size(), nsq, "acc");
-  } else {
-    block = scratch.u_blk.size() / (is.c * nsq);
-    if (block < 2 || !scratch.u_all.empty() || !scratch.sv.empty() ||
-        !scratch.uq_all.empty() || !scratch.acc.empty()) {
-      throw std::invalid_argument(
-          "conv2d_winograd_int8: blocked scratch must replace the per-tile "
-          "bank with B >= 2 columns");
-    }
-    check_span(scratch.u_blk.size(), is.c * nsq * block, "u_blk");
-    check_span(scratch.sv_blk.size(), nsq * block, "sv_blk");
-    check_span(scratch.uq_blk.size(), is.c * nsq * block, "uq_blk");
-    check_span(scratch.acc_blk.size(), nsq * block, "acc_blk");
-  }
+  check_span(scratch.u_all.size(), is.c * nsq, "u_all");
+  check_span(scratch.sv.size(), nsq, "sv");
+  check_span(scratch.uq_all.size(), is.c * nsq, "uq_all");
+  check_span(scratch.acc.size(), nsq, "acc");
 
   // The Winograd form self-calibrates in the transform domain: each tile
   // position takes its scale from the observed max across channels (the
@@ -265,130 +242,37 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
     }
   };
 
-  if (block == 0) {
-    for (std::size_t img = 0; img < is.n; ++img) {
-      float* obase = out.data() + img * qk.kernels * oh * ow;
-      for (std::size_t ty = 0; ty < tiles_y; ++ty) {
-        for (std::size_t tx = 0; tx < tiles_x; ++tx) {
-          for (std::size_t c = 0; c < is.c; ++c) {
-            gather(img, c, ty, tx);
-            xf.transform_data(scratch.d,
-                              scratch.u_all.subspan(c * nsq, nsq));
-          }
-          for (std::size_t i = 0; i < nsq; ++i) {
-            float pos_max = 0.0F;
-            for (std::size_t c = 0; c < is.c; ++c) {
-              pos_max =
-                  std::max(pos_max, std::abs(scratch.u_all[c * nsq + i]));
-            }
-            scratch.sv[i] = pos_max / 127.0F;
-            const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
-            for (std::size_t c = 0; c < is.c; ++c) {
-              scratch.uq_all[c * nsq + i] =
-                  quantize_symmetric(scratch.u_all[c * nsq + i], inv);
-            }
-          }
-          for (std::size_t k = 0; k < qk.kernels; ++k) {
-            std::fill(scratch.acc.begin(), scratch.acc.end(), 0);
-            const std::int8_t* vbase =
-                qk.data.data() + k * qk.channels * nsq;
-            for (std::size_t c = 0; c < is.c; ++c) {
-              const std::int8_t* uq = scratch.uq_all.data() + c * nsq;
-              const std::int8_t* vq = vbase + c * nsq;
-              for (std::size_t i = 0; i < nsq; ++i) {
-                scratch.acc[i] += static_cast<std::int32_t>(uq[i]) *
-                                  static_cast<std::int32_t>(vq[i]);
-              }
-            }
-            const float* kscale = qk.scale.data() + k * nsq;
-            for (std::size_t i = 0; i < nsq; ++i) {
-              scratch.m_f[i] = static_cast<float>(scratch.acc[i]) *
-                               (kscale[i] * scratch.sv[i]);
-            }
-            finish_tile(obase, k, ty, tx);
-          }
-        }
-      }
-    }
-    return;
-  }
-
-  // Fused tile-block pipeline (see winograd::run_columns_fused for the
-  // fp32 analogue): per block of B tiles, transform + self-calibrate +
-  // quantize into the [n*n][C][B] banks, run one int32 coordinate GEMM
-  // per (kernel, position) over the block's columns, then dequantize /
-  // inverse / scatter per tile. Every per-tile quantity is computed from
-  // that tile's own data by the same fp32 expressions (and the reduction
-  // is exact int32), so the result is bit-identical to the per-tile walk.
-  const std::size_t B = block;
-  const std::size_t C = is.c;
-  const std::size_t tiles_total = tiles_y * tiles_x;
+  // Exact int32 sums: the reduction order cannot change a bit.
+  const auto accumulate =
+      winograd::accumulate_for<std::int8_t, std::int32_t>(nsq);
   for (std::size_t img = 0; img < is.n; ++img) {
     float* obase = out.data() + img * qk.kernels * oh * ow;
-    for (std::size_t base = 0; base < tiles_total; base += B) {
-      const std::size_t bcols = std::min(B, tiles_total - base);
-      for (std::size_t t = 0; t < bcols; ++t) {
-        const std::size_t ty = (base + t) / tiles_x;
-        const std::size_t tx = (base + t) % tiles_x;
-        for (std::size_t c = 0; c < C; ++c) {
+    for (std::size_t ty = 0; ty < tiles_y; ++ty) {
+      for (std::size_t tx = 0; tx < tiles_x; ++tx) {
+        for (std::size_t c = 0; c < is.c; ++c) {
           gather(img, c, ty, tx);
-          xf.transform_data(scratch.d, scratch.m_f);
-          float* lane = scratch.u_blk.data() + c * B + t;
-          for (std::size_t i = 0; i < nsq; ++i) {
-            lane[i * C * B] = scratch.m_f[i];
-          }
+          xf.transform_data(scratch.d, scratch.u_all.subspan(c * nsq, nsq));
         }
-      }
-      for (std::size_t i = 0; i < nsq; ++i) {
-        const float* ue = scratch.u_blk.data() + i * C * B;
-        std::int8_t* qe = scratch.uq_blk.data() + i * C * B;
-        float* sve = scratch.sv_blk.data() + i * B;
-        for (std::size_t t = 0; t < bcols; ++t) {
-          float pos_max = 0.0F;
-          for (std::size_t c = 0; c < C; ++c) {
-            pos_max = std::max(pos_max, std::abs(ue[c * B + t]));
-          }
-          sve[t] = pos_max / 127.0F;
-          const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
-          for (std::size_t c = 0; c < C; ++c) {
-            qe[c * B + t] = quantize_symmetric(ue[c * B + t], inv);
-          }
-        }
-      }
-      for (std::size_t k = 0; k < qk.kernels; ++k) {
-        constexpr std::size_t kRegCols = 8;
         for (std::size_t i = 0; i < nsq; ++i) {
-          const std::int8_t* vp = qk.v_pos(k, i).data();
-          const std::int8_t* qe = scratch.uq_blk.data() + i * C * B;
-          std::int32_t* accrow = scratch.acc_blk.data() + i * B;
-          std::size_t t = 0;
-          for (; t + kRegCols <= bcols; t += kRegCols) {
-            std::int32_t acc[kRegCols] = {};
-            for (std::size_t c = 0; c < C; ++c) {
-              const auto vv = static_cast<std::int32_t>(vp[c]);
-              const std::int8_t* up = qe + c * B + t;
-              for (std::size_t j = 0; j < kRegCols; ++j) {
-                acc[j] += static_cast<std::int32_t>(up[j]) * vv;
-              }
-            }
-            for (std::size_t j = 0; j < kRegCols; ++j) accrow[t + j] = acc[j];
+          float pos_max = 0.0F;
+          for (std::size_t c = 0; c < is.c; ++c) {
+            pos_max = std::max(pos_max, std::abs(scratch.u_all[c * nsq + i]));
           }
-          for (; t < bcols; ++t) {
-            std::int32_t a = 0;
-            for (std::size_t c = 0; c < C; ++c) {
-              a += static_cast<std::int32_t>(qe[c * B + t]) *
-                   static_cast<std::int32_t>(vp[c]);
-            }
-            accrow[t] = a;
+          scratch.sv[i] = pos_max / 127.0F;
+          const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
+          for (std::size_t c = 0; c < is.c; ++c) {
+            scratch.uq_all[c * nsq + i] =
+                quantize_symmetric(scratch.u_all[c * nsq + i], inv);
           }
         }
-        const float* kscale = qk.scale.data() + k * nsq;
-        for (std::size_t t = 0; t < bcols; ++t) {
-          const std::size_t ty = (base + t) / tiles_x;
-          const std::size_t tx = (base + t) % tiles_x;
+        for (std::size_t k = 0; k < qk.kernels; ++k) {
+          accumulate(scratch.uq_all.data(),
+                     qk.data.data() + k * qk.channels * nsq, is.c, nsq,
+                     scratch.acc.data());
+          const float* kscale = qk.scale.data() + k * nsq;
           for (std::size_t i = 0; i < nsq; ++i) {
-            scratch.m_f[i] = static_cast<float>(scratch.acc_blk[i * B + t]) *
-                             (kscale[i] * scratch.sv_blk[i * B + t]);
+            scratch.m_f[i] = static_cast<float>(scratch.acc[i]) *
+                             (kscale[i] * scratch.sv[i]);
           }
           finish_tile(obase, k, ty, tx);
         }
@@ -447,10 +331,6 @@ tensor::Tensor4f run_winograd_int8(const tensor::Tensor4f& input,
                            .sv = sv,
                            .uq_all = uq_all,
                            .acc = acc,
-                           .u_blk = {},
-                           .sv_blk = {},
-                           .uq_blk = {},
-                           .acc_blk = {},
                            .m_f = m_f,
                            .y = y});
   return out;

@@ -38,13 +38,16 @@
 namespace wino::quant {
 
 /// Round-to-nearest-even symmetric int8 quantization of one value.
-/// `inv_scale` is 1 / scale (pass 0 to map everything to 0, the convention
-/// for all-zero operands). Inputs are assumed finite — the quantized paths
-/// quantize activations the fp32 path produced, which the runtime keeps
-/// finite. Saturates to [-127, 127] (the symmetric grid; -128 is unused so
-/// negation stays closed).
+/// `inv_scale` is 1 / scale (pass 0 to map every finite value to 0, the
+/// convention for all-zero operands). Saturates to [-127, 127] (the
+/// symmetric grid; -128 is unused so negation stays closed); +-inf
+/// saturate like any out-of-range value. A NaN product — a NaN input, or
+/// an infinity times a zero inverse scale — maps to 0, the only code with
+/// no directional bias (as in FixedPointFormat::quantize); casting it
+/// would be undefined behaviour.
 inline std::int8_t quantize_symmetric(float v, float inv_scale) {
   const float scaled = std::nearbyint(v * inv_scale);
+  if (std::isnan(scaled)) return 0;
   const float clamped = scaled < -127.0F ? -127.0F
                         : scaled > 127.0F ? 127.0F
                                           : scaled;
@@ -84,19 +87,10 @@ struct QuantizedFilter {
 /// positions of quantization levels.
 struct QuantizedWinogradKernels {
   std::vector<std::int8_t> data;  ///< [k][c][n*n] quantized V tiles
-  std::vector<std::int8_t> pos;   ///< [k][n*n][c], same values re-ordered
   std::vector<float> scale;       ///< [k][n*n]: max_c |V_kc[i]| / 127
   std::size_t kernels = 0;        ///< output channels K
   std::size_t channels = 0;       ///< input channels C
   std::size_t tile_sq = 0;        ///< (m + r - 1)^2 values per tile
-
-  /// Position-major view: all C channels of tile position `i` for kernel
-  /// k, contiguous in c — streamed by the fused block executor's int32
-  /// coordinate GEMM (see conv2d_winograd_int8_into).
-  [[nodiscard]] std::span<const std::int8_t> v_pos(std::size_t k,
-                                                   std::size_t i) const {
-    return {pos.data() + (k * tile_sq + i) * channels, channels};
-  }
 };
 
 /// Pre-transform and quantize a KCrr kernel bank for F(m x m, r x r) under
@@ -115,28 +109,16 @@ struct QuantIm2colScratch {
 };
 
 /// Caller-provided scratch for conv2d_winograd_int8_into; carved by
-/// nn::carve_quant_winograd_scratch. Extents validated at entry.
-///
-/// Mirrors winograd::WinogradScratch's two executor modes:
-///  - per-tile: u_all / sv / uq_all / acc populated, blocked spans empty;
-///  - fused tile-block pipeline: u_blk [n*n][C][B] fp32 bank, sv_blk
-///    [n*n][B] per-position scales, uq_blk [n*n][C][B] quantized bank,
-///    acc_blk [n*n][B] int32 accumulators (B = u_blk.size() / (C * n*n)
-///    >= 2) — the per-tile spans must then be empty, and m_f doubles as
-///    the transform staging / dequantized gather tile. Every per-tile
-///    quantity (pos_max, sv, quantized values, int32 sums, dequant
-///    products) depends only on that tile's own data, so the blocked walk
-///    is bit-identical to the per-tile walk.
+/// nn::carve_quant_winograd_scratch. Extents validated at entry. The walk
+/// visits one output tile at a time; acc is the accumulator of the
+/// runtime-n fallback, while the specialised n*n in {16, 25, 36}
+/// reductions accumulate in registers and stage their sums there.
 struct QuantWinogradScratch {
   std::span<float> d;             ///< n*n gathered input tile
   std::span<float> u_all;         ///< C * n*n fp32 transformed tiles
   std::span<float> sv;            ///< n*n per-position data scales
   std::span<std::int8_t> uq_all;  ///< C * n*n quantized transform tiles
   std::span<std::int32_t> acc;    ///< n*n int32 channel accumulator
-  std::span<float> u_blk;           ///< [n*n][C][B] fp32 bank (fused)
-  std::span<float> sv_blk;          ///< [n*n][B] data scales (fused)
-  std::span<std::int8_t> uq_blk;    ///< [n*n][C][B] quantized bank (fused)
-  std::span<std::int32_t> acc_blk;  ///< [n*n][B] accumulators (fused)
   std::span<float> m_f;           ///< n*n dequantized transform tile
   std::span<float> y;             ///< m*m inverse-transformed tile
 };

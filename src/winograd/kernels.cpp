@@ -4,21 +4,11 @@
 #include <stdexcept>
 
 #include "runtime/thread_pool.hpp"
+#include "winograd/tile_accumulate.hpp"
 
 namespace wino::winograd {
 
 using tensor::Tensor4f;
-
-std::size_t fused_block_columns(std::size_t channels, std::size_t tile,
-                                std::size_t budget_bytes) {
-  // Per column the block holds (C + 1) * n^2 floats: the transformed data
-  // bank plus one accumulator lane. Half the budget keeps the V bank and
-  // the output tiles of the block resident alongside.
-  const std::size_t per_column = (channels + 1) * tile * tile * sizeof(float);
-  if (per_column == 0) return 1;
-  const std::size_t fit = budget_bytes / (2 * per_column);
-  return std::clamp<std::size_t>(fit, 1, kFusedMaxBlockColumns);
-}
 
 TileTransformer::TileTransformer(const TransformSet& t)
     : m_(t.m), r_(t.r), n_(t.tile()), bt_(t.bt_f()), g_(t.g_f()),
@@ -133,17 +123,6 @@ TransformedKernels::TransformedKernels(const TileTransformer& xf,
       }
       xf.transform_filter(
           g, {data_.data() + (k * channels_ + c) * tile_sq_, tile_sq_});
-    }
-  }
-  // Position-major mirror for the fused executor: same floats, re-ordered
-  // so the coordinate-e GEMM reads its C multiplicands contiguously.
-  pos_.resize(data_.size());
-  for (std::size_t k = 0; k < kernels_; ++k) {
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float* v_kc = data_.data() + (k * channels_ + c) * tile_sq_;
-      for (std::size_t e = 0; e < tile_sq_; ++e) {
-        pos_[(k * tile_sq_ + e) * channels_ + c] = v_kc[e];
-      }
     }
   }
 }
@@ -422,17 +401,16 @@ void decode_column(const LayoutConv& g, std::size_t col, std::size_t& img,
   tw = rem % g.tiles_w;
 }
 
-/// Per-tile (unfused) walk over columns [col_begin, col_end): one gather
-/// -> transform sweep per column, then K transform-domain accumulations,
-/// so a block size of 1 never pays blocked-copy overhead.
+/// The transform-domain tile walk over columns [col_begin, col_end): per
+/// column, gather and transform the C channels into the u_all bank once,
+/// then per kernel accumulate, inverse-transform and scatter its tile.
 void run_columns(const LayoutConv& g, const WinogradScratch& s,
                  std::size_t col_begin, std::size_t col_end) {
   const TileTransformer& xf = *g.xf;
   const TransformedKernels& tk = *g.tk;
   const std::size_t nsq = g.nsq;
-  const std::span<float> u_all = s.u_all;
-  const std::span<float> acc_m = s.acc_m;
-  const std::span<float> acc_y = s.acc_y;
+  const auto accumulate = accumulate_for<float, float>(nsq);
+  float* u_all = s.u_all.data();
 
   for (std::size_t col = col_begin; col < col_end; ++col) {
     std::size_t img = 0, th = 0, tw = 0;
@@ -442,103 +420,13 @@ void run_columns(const LayoutConv& g, const WinogradScratch& s,
 
     for (std::size_t c = 0; c < g.channels; ++c) {
       gather_channel(g, s, w, img, c);
-      xf.transform_data(s.d, {u_all.data() + c * nsq, nsq});
+      xf.transform_data(s.d, {u_all + c * nsq, nsq});
     }
 
     for (std::size_t k = 0; k < g.kernel_count; ++k) {
-      std::fill(acc_m.begin(), acc_m.end(), 0.0F);
-      for (std::size_t c = 0; c < g.channels; ++c) {
-        const float* u = u_all.data() + c * nsq;
-        const auto v = tk.v(k, c);
-        for (std::size_t i = 0; i < nsq; ++i) acc_m[i] += u[i] * v[i];
-      }
-      xf.inverse(acc_m, acc_y);
-      scatter_tile(g, acc_y, img, k, th, tw);
-    }
-  }
-}
-
-/// Fused tile-block pipeline over columns [col_begin, col_end), walked in
-/// blocks of `block_columns` (transform-domain accumulation only): gather
-/// and transform a block of columns into the [n^2][C][B] bank, run one
-/// register-accumulating coordinate GEMM per (kernel, position) restricted
-/// to the block's columns, then inverse-transform and scatter each column
-/// while the block is still cache-hot.
-///
-/// Bit-identity with run_columns holds per element: for every (kernel,
-/// column, position) the accumulator starts at 0 and adds u*v in strictly
-/// ascending channel order — the same float operations in the same order,
-/// only regrouped across *independent* columns. (This translation unit is
-/// built with -ffp-contract=off, so the compiler cannot contract the
-/// multiply-add differently in the two loops either.)
-void run_columns_fused(const LayoutConv& g, const WinogradScratch& s,
-                       std::size_t block_columns, std::size_t col_begin,
-                       std::size_t col_end) {
-  const TileTransformer& xf = *g.xf;
-  const TransformedKernels& tk = *g.tk;
-  const std::size_t nsq = g.nsq;
-  const std::size_t C = g.channels;
-  const std::size_t B = block_columns;
-  const std::span<float> u_blk = s.u_blk;
-  const std::span<float> acc_blk = s.acc_blk;
-  const std::span<float> acc_m = s.acc_m;  // staging + inverse gather tile
-  const std::span<float> acc_y = s.acc_y;
-
-  for (std::size_t base = col_begin; base < col_end; base += B) {
-    const std::size_t bcols = std::min(B, col_end - base);
-
-    // Stage 1: gather + transform every column of the block into the
-    // blocked bank u_blk[(e*C + c)*B + t].
-    for (std::size_t t = 0; t < bcols; ++t) {
-      std::size_t img = 0, th = 0, tw = 0;
-      decode_column(g, base + t, img, th, tw);
-      const Window w = make_window(g, th, tw);
-      if (g.in_tiled) build_gather_maps(g, s, w);
-      for (std::size_t c = 0; c < C; ++c) {
-        gather_channel(g, s, w, img, c);
-        xf.transform_data(s.d, acc_m);
-        float* lane = u_blk.data() + c * B + t;
-        for (std::size_t e = 0; e < nsq; ++e) lane[e * C * B] = acc_m[e];
-      }
-    }
-
-    for (std::size_t k = 0; k < g.kernel_count; ++k) {
-      // Stage 2: per-position coordinate GEMMs over the block's columns.
-      // The t-register tile holds its partial sums across the whole
-      // channel loop — one load per multiply-add instead of the per-tile
-      // path's load-v/load-acc/store-acc triple.
-      constexpr std::size_t kRegCols = 8;
-      for (std::size_t e = 0; e < nsq; ++e) {
-        const float* vp = tk.v_pos(k, e).data();
-        const float* ue = u_blk.data() + e * C * B;
-        float* accrow = acc_blk.data() + e * B;
-        std::size_t t = 0;
-        for (; t + kRegCols <= bcols; t += kRegCols) {
-          float acc[kRegCols] = {};
-          for (std::size_t c = 0; c < C; ++c) {
-            const float vv = vp[c];
-            const float* up = ue + c * B + t;
-            for (std::size_t j = 0; j < kRegCols; ++j) {
-              acc[j] += up[j] * vv;
-            }
-          }
-          for (std::size_t j = 0; j < kRegCols; ++j) accrow[t + j] = acc[j];
-        }
-        for (; t < bcols; ++t) {
-          float a = 0.0F;
-          for (std::size_t c = 0; c < C; ++c) a += ue[c * B + t] * vp[c];
-          accrow[t] = a;
-        }
-      }
-
-      // Stage 3: inverse transform + (fused ReLU) scatter per column.
-      for (std::size_t t = 0; t < bcols; ++t) {
-        std::size_t img = 0, th = 0, tw = 0;
-        decode_column(g, base + t, img, th, tw);
-        for (std::size_t e = 0; e < nsq; ++e) acc_m[e] = acc_blk[e * B + t];
-        xf.inverse(acc_m, acc_y);
-        scatter_tile(g, acc_y, img, k, th, tw);
-      }
+      accumulate(u_all, tk.v(k).data(), g.channels, nsq, s.acc_m.data());
+      xf.inverse(s.acc_m, s.acc_y);
+      scatter_tile(g, s.acc_y, img, k, th, tw);
     }
   }
 }
@@ -628,36 +516,16 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
   return g;
 }
 
-/// Validate the scratch against the geometry; returns the fused block size
-/// (>= 2) when the blocked spans engage the fused pipeline, 0 otherwise.
-std::size_t validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
+/// Validate the scratch against the geometry.
+void validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
   const std::size_t nsq = g.nsq;
-  if (s.d.size() != nsq || s.acc_m.size() != nsq ||
-      s.acc_y.size() != g.mm * g.mm || s.row_tile.size() != g.n ||
-      s.row_in.size() != g.n || s.col_off.size() != g.n) {
+  if (s.d.size() != nsq || s.u_all.size() != g.channels * nsq ||
+      s.acc_m.size() != nsq || s.acc_y.size() != g.mm * g.mm ||
+      s.row_tile.size() != g.n || s.row_in.size() != g.n ||
+      s.col_off.size() != g.n) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: scratch size mismatch");
   }
-  if (s.u_blk.empty()) {
-    if (s.u_all.size() != g.channels * nsq) {
-      throw std::invalid_argument(
-          "conv2d_winograd_layout: scratch size mismatch");
-    }
-    return 0;
-  }
-  const std::size_t per_col = g.channels * nsq;
-  const std::size_t block = s.u_blk.size() / per_col;
-  if (block < 2 || s.u_blk.size() != block * per_col ||
-      s.acc_blk.size() != block * nsq) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: blocked scratch size mismatch");
-  }
-  if (!s.u_all.empty()) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: blocked scratch must not carry the "
-        "per-tile bank");
-  }
-  return block;
 }
 
 /// Heap-backed scratch for the allocating wrapper (one per worker chunk).
@@ -668,27 +536,16 @@ struct OwnedScratch {
 };
 
 OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
-                                std::size_t mm, std::size_t block_columns) {
+                                std::size_t mm) {
   const std::size_t nsq = n * n;
   OwnedScratch o;
-  const std::size_t bank = block_columns > 1
-                               ? channels * nsq * block_columns + /*acc_blk*/
-                                     nsq * block_columns
-                               : channels * nsq;
-  o.f.resize(nsq + bank + nsq + mm * mm);
+  o.f.resize(nsq + channels * nsq + nsq + mm * mm);
   o.idx.resize(3 * n);
   float* f = o.f.data();
   o.s.d = {f, nsq};
   f += nsq;
-  if (block_columns > 1) {
-    o.s.u_blk = {f, channels * nsq * block_columns};
-    f += channels * nsq * block_columns;
-    o.s.acc_blk = {f, nsq * block_columns};
-    f += nsq * block_columns;
-  } else {
-    o.s.u_all = {f, channels * nsq};
-    f += channels * nsq;
-  }
+  o.s.u_all = {f, channels * nsq};
+  f += channels * nsq;
   o.s.acc_m = {f, nsq};
   f += nsq;
   o.s.acc_y = {f, mm * mm};
@@ -710,12 +567,8 @@ void conv2d_winograd_layout_into(const tensor::Layout& il,
                                  const WinogradScratch& scratch) {
   const LayoutConv g =
       make_layout_conv(il, in, tk, xf, opt, ol, out, fuse_relu);
-  const std::size_t block = validate_scratch(g, scratch);
-  if (block >= 2) {
-    run_columns_fused(g, scratch, block, 0, g.columns());
-  } else {
-    run_columns(g, scratch, 0, g.columns());
-  }
+  validate_scratch(g, scratch);
+  run_columns(g, scratch, 0, g.columns());
 }
 
 tensor::PackedActivation conv2d_winograd_layout(
@@ -754,22 +607,12 @@ tensor::PackedActivation conv2d_winograd_layout(
       make_layout_conv(il, input.data, tk, xf, opt, ol, out.data, fuse_relu);
   const auto n = static_cast<std::size_t>(xf.tile());
 
-  // Fused cache-blocked pipeline; the block loop is what the ThreadPool
-  // splits — every worker chunk owns a private scratch and a contiguous
-  // column range, and per-column arithmetic is independent of both the
-  // chunking and the block boundaries, so any thread count produces the
-  // same bytes.
-  std::size_t block =
-      std::min(fused_block_columns(is.c, n, kFusedCacheBudgetBytes),
-               std::max<std::size_t>(1, g.columns()));
-  if (block < kFusedMinBlockColumns) block = 1;  // all-scalar-tail: slower
+  // Every worker chunk owns a private scratch and a contiguous column
+  // range; per-column arithmetic is independent of the chunking, so any
+  // thread count produces the same bytes.
   runtime::parallel_for(g.columns(), [&](std::size_t begin, std::size_t end) {
-    const OwnedScratch o = make_owned_scratch(is.c, n, mm, block);
-    if (block >= 2) {
-      run_columns_fused(g, o.s, block, begin, end);
-    } else {
-      run_columns(g, o.s, begin, end);
-    }
+    const OwnedScratch o = make_owned_scratch(is.c, n, mm);
+    run_columns(g, o.s, begin, end);
   });
   return out;
 }

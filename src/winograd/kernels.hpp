@@ -21,43 +21,6 @@
 
 namespace wino::winograd {
 
-/// Per-core cache budget in bytes, shared by the fused tile-block sizing
-/// here and nn's cache-aware sub-batch split (plan_subbatch in
-/// nn/forward.cpp): roughly one L2 slice. One constant so the two
-/// locality decisions — how many images walk the stack together and how
-/// many tile columns a fused block spans — can never drift apart.
-inline constexpr std::size_t kFusedCacheBudgetBytes = 768u << 10;
-
-/// Number of tile columns per fused block for a layer with `channels`
-/// input channels and tile edge `tile`, sized so the block's transformed
-/// data bank plus its accumulators occupy at most half of `budget_bytes`
-/// (the other half is left to the V bank and the output working set),
-/// clamped to kFusedMaxBlockColumns. Never returns 0.
-[[nodiscard]] std::size_t fused_block_columns(std::size_t channels,
-                                              std::size_t tile,
-                                              std::size_t budget_bytes);
-
-/// Widest block worth fusing: two column register tiles. The blocked bank
-/// is re-streamed once per (kernel, position) pair, so its payoff is
-/// amortising transform work across the register tile — not raw width.
-/// Past ~2 tiles the bank starts spilling the L1 slice that the
-/// per-position GEMM re-reads K times and throughput decays, worst for
-/// shallow layers where the cache-budget formula alone would pick very
-/// wide blocks (measured in bench/fused_pipeline.cpp: C = 8 columns at
-/// B = 64 run ~15% slower than at B = 16). fused_block_columns clamps to
-/// this, so wrapper, planner, and bench inherit one ceiling.
-inline constexpr std::size_t kFusedMaxBlockColumns = 16;
-
-/// Narrowest block worth fusing: the width of the coordinate GEMM's
-/// column register tile. Below this every column lands in the scalar
-/// tail and the blocked walk is strictly slower than the per-tile one
-/// (measured in bench/fused_pipeline.cpp), so the allocating wrapper and
-/// the memory planner fall back to the per-tile executor rather than
-/// engage a sub-register-width block. conv2d_winograd_layout_into still
-/// accepts any B >= 2 — correctness does not depend on the width, only
-/// selection does.
-inline constexpr std::size_t kFusedMinBlockColumns = 8;
-
 /// Where the reduction over input channels is performed.
 enum class AccumulationOrder {
   kTransformDomain,  ///< sum U_c . V_c over c, single inverse per tile
@@ -127,13 +90,9 @@ class TransformedKernels {
   [[nodiscard]] std::span<const float> v(std::size_t k, std::size_t c) const {
     return {data_.data() + (k * channels_ + c) * tile_sq_, tile_sq_};
   }
-  /// Position-major view of the same values: all C channels of transform
-  /// coordinate e for kernel k, contiguous in c. The fused block executor's
-  /// coordinate GEMM streams this once per block (one scalar broadcast per
-  /// channel) instead of re-reading the [k][c][n*n] bank once per tile.
-  [[nodiscard]] std::span<const float> v_pos(std::size_t k,
-                                             std::size_t e) const {
-    return {pos_.data() + (k * tile_sq_ + e) * channels_, channels_};
+  /// All C tiles of kernel k, [c][n*n] contiguous.
+  [[nodiscard]] std::span<const float> v(std::size_t k) const {
+    return {data_.data() + k * channels_ * tile_sq_, channels_ * tile_sq_};
   }
   [[nodiscard]] std::size_t kernel_count() const { return kernels_; }
   [[nodiscard]] std::size_t channels() const { return channels_; }
@@ -146,7 +105,6 @@ class TransformedKernels {
   std::size_t channels_ = 0;
   std::size_t tile_sq_ = 0;
   std::vector<float> data_;  ///< [k][c][n*n]
-  std::vector<float> pos_;   ///< [k][n*n][c], same values re-ordered
 };
 
 /// Convolve an NCHW input with a KCrr kernel bank using F(m x m, r x r),
@@ -190,13 +148,15 @@ tensor::Tensor4f conv2d_winograd(const tensor::Tensor4f& input,
 /// the activations (pinned by tests/nn_plan_test.cpp and
 /// tests/tensor_layout_test.cpp).
 ///
-/// This wrapper runs the fused tile-block pipeline (see WinogradScratch)
-/// with a cache-budget block size, and threads the *block loop* across the
-/// deterministic ThreadPool: each worker owns a private scratch and a
-/// contiguous range of tile columns. Every (kernel, column, position)
-/// accumulator chain is confined to one column, so the result is
-/// bit-identical for any thread count and any block boundary placement
-/// (pinned by tests/winograd_fused_test.cpp).
+/// The walk visits one tile column (image, tile row, tile column) at a
+/// time: gather and transform its C channels into one C*n*n bank, then per
+/// kernel accumulate the n*n tile over ascending c, inverse-transform it
+/// and scatter it. That is the per-element order of conv2d_winograd's
+/// transform-domain walk, so the result is memcmp-equal to it. This wrapper
+/// splits the columns across the deterministic ThreadPool — each worker
+/// owns a private scratch and a contiguous column range — and since every
+/// accumulator chain is confined to one column, any thread count produces
+/// the same bytes (pinned by tests/winograd_fused_test.cpp).
 ///
 /// Transform-domain accumulation only: any other opt.accumulation throws
 /// std::invalid_argument (the post-inverse order lives in the reference
@@ -207,25 +167,16 @@ tensor::PackedActivation conv2d_winograd_layout(
     tensor::LayoutKind out_kind, bool fuse_relu);
 
 /// Caller-provided scratch for conv2d_winograd_layout_into: the data tile
-/// d, the accumulation tiles, and the tile-form gather maps. Carved out of
-/// a workspace slab by nn::carve_winograd_scratch, which is also the
-/// single definition of each span's extent.
-///
-/// Two mutually exclusive executor modes share this struct, both
-/// accumulating in the transform domain:
-///  - per-tile (unfused): u_all is populated, u_blk/acc_blk are empty —
-///    one tile column at a time;
-///  - fused tile-block pipeline: u_blk holds B tile columns of transformed
-///    data laid out [n*n][C][B] and acc_blk the matching [n*n][B]
-///    accumulators (B = u_blk.size() / (C * n*n) >= 2) — u_all must then
-///    be empty, and acc_m doubles as the per-column transform staging /
-///    inverse gather tile.
+/// d, the column's transform bank, the accumulation tiles and the tile-form
+/// gather maps. Carved out of a workspace slab by
+/// nn::carve_winograd_scratch, which is also the single definition of each
+/// span's extent. acc_m is the accumulator of the runtime-n fallback; the
+/// specialised n*n in {16, 25, 36} reductions accumulate in registers and
+/// only stage their result there for the inverse transform.
 struct WinogradScratch {
   std::span<float> d;        ///< n*n gathered input tile
-  std::span<float> u_all;    ///< C * n*n transformed data tiles (unfused)
-  std::span<float> u_blk;    ///< [n*n][C][B] blocked transform bank (fused)
-  std::span<float> acc_blk;  ///< [n*n][B] blocked accumulators (fused)
-  std::span<float> acc_m;    ///< n*n transform-domain accumulator / staging
+  std::span<float> u_all;    ///< C * n*n transformed data tiles
+  std::span<float> acc_m;    ///< n*n transform-domain accumulator
   std::span<float> acc_y;    ///< m*m inverse-transformed output tile
   std::span<std::size_t> row_tile;  ///< tile-form gather: source tile row
   std::span<std::size_t> row_in;    ///< row-within-tile * tile_m
@@ -238,12 +189,10 @@ struct WinogradScratch {
 /// kWinogradTile with the transformer's own m), with every intermediate in
 /// caller-provided scratch. The plan executor in nn/forward.cpp runs every
 /// Winograd conv layer through this against its per-thread workspace;
-/// the allocating conv2d_winograd_layout wrapper delegates here, so the
-/// two entry points cannot diverge numerically.
+/// the allocating conv2d_winograd_layout wrapper delegates to the same
+/// column walk, so the two entry points cannot diverge numerically.
 ///
-/// The scratch selects the executor (see WinogradScratch): blocked spans
-/// engage the fused tile-block pipeline, which walks the caller's columns
-/// sequentially in B-sized blocks. It deliberately does not spawn its own
+/// Walks every column sequentially. It deliberately does not spawn its own
 /// parallel_for — the hot caller (nn/forward.cpp) already fans out across
 /// images above this call with exactly one carved scratch per workspace,
 /// so intra-call threading belongs to the allocating wrapper, which owns

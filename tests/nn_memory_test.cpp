@@ -126,6 +126,37 @@ TEST(MemoryPlanTest, OffsetsAlignedLifetimesDisjointPeakIsHighWater) {
   }
 }
 
+// The slab high-water mark of the uniform Winograd plans, pinned exactly:
+// every byte is a deterministic function of the model geometry and the
+// scratch composition, so any change is a planner or carver change, not
+// noise. (vgg16_d_scaled(14, 8) at W4 is bench/ablation_per_layer_m's
+// --quick model; its BENCH_plan gate keeps only a loose 18432-byte
+// ceiling with a 10% allowance.)
+TEST(MemoryPlanTest, UniformWinogradSlabPeaksArePinned) {
+  struct Pin {
+    std::size_t scale;
+    ConvAlgo algo;
+    std::size_t peak1;
+    std::size_t peak8;
+  };
+  const Pin pins[] = {
+      {14, ConvAlgo::kWinograd2, 17280, 131968},
+      {14, ConvAlgo::kWinograd4, 18176, 132864},
+      {7, ConvAlgo::kWinograd2, 66432, 525184},
+      {7, ConvAlgo::kWinograd4, 67328, 526080},
+      {28, ConvAlgo::kWinograd2, 6528, 33664},
+      {28, ConvAlgo::kWinograd4, 18048, 75392},
+  };
+  for (const Pin& p : pins) {
+    const ExecutionPlan plan =
+        uniform_plan(vgg16_d_scaled(p.scale, 8), p.algo);
+    EXPECT_EQ(plan.memory.peak_bytes(1), p.peak1)
+        << "scale=" << p.scale << " " << to_string(p.algo);
+    EXPECT_EQ(plan.memory.peak_bytes(8), p.peak8)
+        << "scale=" << p.scale << " " << to_string(p.algo);
+  }
+}
+
 // Satellite pin: the im2col lowering panel is planned per-layer fixed
 // scratch — one slab range per layer, its size independent of how many
 // images the chunk walks through the stack (the old code resized a

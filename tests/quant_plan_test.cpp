@@ -168,6 +168,171 @@ TEST(Int8Conv, BitIdenticalAcrossThreadCounts) {
       std::max(1u, std::thread::hardware_concurrency()));
 }
 
+// The int8 Winograd walk against a direct per-tile evaluation of the same
+// recipe at every tile area it specialises (n*n = 16, 25, 36) and at the
+// runtime-n fallback (n*n = 49). The int32 sums are exact and every fp32
+// step is the same expression, so any indexing slip shows as a bit
+// difference.
+TEST(Int8Conv, WinogradWalkMatchesDirectRecipeAtEveryTileArea) {
+  Rng rng(127);
+  const std::size_t imgs = 2, chans = 3, kcount = 4, h = 11, w = 7;
+  Tensor4f input(imgs, chans, h, w);
+  Tensor4f kernels(kcount, chans, 3, 3);
+  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+  rng.fill_normal(kernels.flat(), 0.0F, 0.2F);
+  for (const int m : {2, 3, 4, 5}) {
+    const winograd::TileTransformer xf(winograd::transforms(m, 3));
+    const quant::QuantizedWinogradKernels qk =
+        quant::quantize_winograd_kernels(xf, kernels);
+    const auto mm = static_cast<std::size_t>(m);
+    const auto n = static_cast<std::size_t>(xf.tile());
+    const std::size_t nsq = n * n;
+    Tensor4f want(imgs, kcount, h, w);
+    std::vector<float> d(nsq);
+    std::vector<float> u(chans * nsq);
+    std::vector<float> mf(nsq);
+    std::vector<float> y(mm * mm);
+    for (std::size_t img = 0; img < imgs; ++img) {
+      for (std::size_t ty = 0; ty * mm < h; ++ty) {
+        for (std::size_t tx = 0; tx * mm < w; ++tx) {
+          for (std::size_t c = 0; c < chans; ++c) {
+            for (std::size_t i = 0; i < nsq; ++i) {
+              d[i] = input.padded(
+                  img, c, static_cast<std::ptrdiff_t>(ty * mm + i / n) - 1,
+                  static_cast<std::ptrdiff_t>(tx * mm + i % n) - 1);
+            }
+            xf.transform_data(d, std::span<float>(u).subspan(c * nsq, nsq));
+          }
+          for (std::size_t k = 0; k < kcount; ++k) {
+            for (std::size_t i = 0; i < nsq; ++i) {
+              float pos_max = 0.0F;
+              for (std::size_t c = 0; c < chans; ++c) {
+                pos_max = std::max(pos_max, std::abs(u[c * nsq + i]));
+              }
+              const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
+              std::int32_t acc = 0;
+              for (std::size_t c = 0; c < chans; ++c) {
+                acc += quant::quantize_symmetric(u[c * nsq + i], inv) *
+                       qk.data[(k * chans + c) * nsq + i];
+              }
+              mf[i] = static_cast<float>(acc) *
+                      (qk.scale[k * nsq + i] * (pos_max / 127.0F));
+            }
+            xf.inverse(mf, y);
+            for (std::size_t i = 0; i < mm && ty * mm + i < h; ++i) {
+              for (std::size_t j = 0; j < mm && tx * mm + j < w; ++j) {
+                want(img, k, ty * mm + i, tx * mm + j) = y[i * mm + j];
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_TRUE(same_bits(quant::conv2d_winograd_int8(input, qk, xf, 1), want))
+        << "m=" << m;
+  }
+}
+
+// Non-finite activations reach quantize_symmetric from a served session as
+// a NaN input, or as an infinity times a zero inverse scale. Either way the
+// product is NaN, which quantizes to 0 (casting it to int8 would be
+// undefined behaviour); +-inf saturate. These pins fix what each int8 form
+// then produces.
+TEST(Int8Conv, NonFiniteInputsHaveDefinedOutputs) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(113);
+  Tensor4f clean(2, 3, 9, 7);
+  Tensor4f kernels(4, 3, 3, 3);
+  rng.fill_uniform(clean.flat(), -1.0F, 1.0F);
+  rng.fill_normal(kernels.flat(), 0.0F, 0.2F);
+  // Image 0, channel 1, pixel (4, 3) carries the non-finite value.
+  const std::size_t py = 4;
+  const std::size_t px = 3;
+  const auto poisoned = [&](float v) {
+    Tensor4f t = clean;
+    t(0, 1, py, px) = v;
+    return t;
+  };
+  const auto im2col = [&](const Tensor4f& in, float act_scale) {
+    return quant::conv2d_im2col_int8(in, kernels, /*pad=*/1, act_scale);
+  };
+
+  // im2col at a static scale: NaN quantizes like 0, +-inf like any value
+  // past the saturation point.
+  const float scale = 1.0F / 127.0F;
+  EXPECT_TRUE(same_bits(im2col(poisoned(kNan), scale),
+                        im2col(poisoned(0.0F), scale)));
+  EXPECT_TRUE(same_bits(im2col(poisoned(kInf), scale),
+                        im2col(poisoned(1e30F), scale)));
+  EXPECT_TRUE(same_bits(im2col(poisoned(-kInf), scale),
+                        im2col(poisoned(-1e30F), scale)));
+
+  // im2col at a per-image scale: max|x| skips the NaN, which then
+  // quantizes like 0. An infinity makes its image's scale infinite, so
+  // every value of that image quantizes to 0 and dequantizes as 0 * inf:
+  // all of its outputs are NaN, and the other image is untouched.
+  EXPECT_TRUE(same_bits(im2col(poisoned(kNan), 0.0F),
+                        im2col(poisoned(0.0F), 0.0F)));
+  const Tensor4f clean_dyn = im2col(clean, 0.0F);
+  const std::size_t per_image = clean_dyn.size() / 2;
+  for (const float v : {kInf, -kInf}) {
+    const Tensor4f got = im2col(poisoned(v), 0.0F);
+    const auto flat = got.flat();
+    EXPECT_TRUE(std::all_of(flat.begin(), flat.begin() + per_image,
+                            [](float x) { return std::isnan(x); }));
+    EXPECT_EQ(std::memcmp(flat.data() + per_image,
+                          clean_dyn.flat().data() + per_image,
+                          per_image * sizeof(float)),
+              0);
+  }
+
+  // Winograd form: each tile position takes its scale from the max over
+  // channels, which skips NaN. A NaN therefore quantizes to 0 and every
+  // output stays finite; an infinity makes its positions' scales infinite
+  // and the outputs it reaches NaN. Either way the outputs of every tile
+  // whose input window misses the pixel are bit-identical to the clean run.
+  for (const int m : {2, 4}) {
+    const auto mm = static_cast<std::size_t>(m);
+    const Tensor4f want = quant::conv2d_winograd_int8(clean, kernels, m, 1);
+    const auto window_holds_pixel = [&](std::size_t oy, std::size_t ox) {
+      // Tile (oy / m, ox / m) reads input rows/cols [t*m - 1, t*m + m + 1].
+      const auto covers = [&](std::size_t o, std::size_t p) {
+        const std::size_t lo = o / mm * mm;  // t*m
+        return p + 1 >= lo && p <= lo + mm + 1;
+      };
+      return covers(oy, py) && covers(ox, px);
+    };
+    for (const float v : {kNan, kInf, -kInf}) {
+      const Tensor4f got =
+          quant::conv2d_winograd_int8(poisoned(v), kernels, m, 1);
+      EXPECT_TRUE(same_bits(
+          got, quant::conv2d_winograd_int8(poisoned(v), kernels, m, 1)));
+      std::size_t reached = 0;
+      for (std::size_t img = 0; img < 2; ++img) {
+        for (std::size_t k = 0; k < 4; ++k) {
+          for (std::size_t oy = 0; oy < 9; ++oy) {
+            for (std::size_t ox = 0; ox < 7; ++ox) {
+              const float g = got(img, k, oy, ox);
+              const float w = want(img, k, oy, ox);
+              const bool same = std::memcmp(&g, &w, sizeof(float)) == 0;
+              if (img == 1 || !window_holds_pixel(oy, ox)) {
+                EXPECT_TRUE(same) << "m=" << m << " v=" << v;
+              } else if (std::isnan(v)) {
+                EXPECT_TRUE(std::isfinite(g)) << "m=" << m;
+              } else if (!same) {
+                EXPECT_TRUE(std::isnan(g)) << "m=" << m << " v=" << v;
+                ++reached;
+              }
+            }
+          }
+        }
+      }
+      if (!std::isnan(v)) EXPECT_GT(reached, 0u) << "m=" << m << " v=" << v;
+    }
+  }
+}
+
 TEST(ErrorModel, AmplificationGrowsWithTileSize) {
   const winograd::ErrorModel e2 = winograd::error_model(2, 3);
   const winograd::ErrorModel e4 = winograd::error_model(4, 3);
