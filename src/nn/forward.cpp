@@ -90,29 +90,42 @@ struct TransformKeyHash {
   }
 };
 
-/// Process-wide cache of filter transforms keyed by (weights version,
-/// layer, m, r). Serving workloads call forward() many times over frozen
-/// weights; without this every call re-transforms every filter of every
-/// layer, per sub-batch. Bounded FIFO so abandoned weight versions age
-/// out.
-class TransformCache {
+/// Process-wide cache of immutable per-layer kernel preps keyed by
+/// (weights version, layer, m, r). Serving workloads call forward() many
+/// times over frozen weights; without it every call re-transforms (or
+/// re-quantizes) every filter of every layer, per sub-batch. Bounded FIFO
+/// so abandoned weight versions age out.
+///
+/// A miss builds its entry with the mutex released, then inserts it only
+/// if the key is still absent (the first insert wins; a racing builder's
+/// copy is dropped). The build fans out over the global pool, and the
+/// chunks of an in-flight forward take this mutex for their lookups while
+/// their caller holds the pool's job slot — building under the mutex
+/// would deadlock a registration against a serving model.
+template <typename Entry>
+class KernelPrepCache {
  public:
-  std::shared_ptr<const CachedTransforms> get(const TransformKey& key,
-                                              const Tensor4f& kernels) {
+  std::shared_ptr<const Entry> get(const TransformKey& key,
+                                   const Tensor4f& kernels) {
+    {
+      std::lock_guard lock(mutex_);
+      if (auto it = map_.find(key); it != map_.end()) {
+        ++hits_;
+        return it->second;
+      }
+      ++misses_;
+    }
+    auto entry = std::make_shared<const Entry>(key.m, kernels);
     std::lock_guard lock(mutex_);
-    if (auto it = map_.find(key); it != map_.end()) {
-      ++hits_;
-      return it->second;
+    const auto [it, inserted] = map_.emplace(key, std::move(entry));
+    if (inserted) {
+      order_.push_back(key);
+      while (order_.size() > kMaxEntries) {
+        map_.erase(order_.front());
+        order_.pop_front();
+      }
     }
-    ++misses_;
-    auto entry = std::make_shared<const CachedTransforms>(key.m, kernels);
-    map_.emplace(key, entry);
-    order_.push_back(key);
-    while (order_.size() > kMaxEntries) {
-      map_.erase(order_.front());
-      order_.pop_front();
-    }
-    return entry;
+    return it->second;
   }
 
   TransformCacheStats stats() {
@@ -133,13 +146,15 @@ class TransformCache {
   static constexpr std::size_t kMaxEntries = 256;
 
   std::mutex mutex_;
-  std::unordered_map<TransformKey, std::shared_ptr<const CachedTransforms>,
+  std::unordered_map<TransformKey, std::shared_ptr<const Entry>,
                      TransformKeyHash>
       map_;
   std::deque<TransformKey> order_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
+
+using TransformCache = KernelPrepCache<CachedTransforms>;
 
 TransformCache& transform_cache() {
   static TransformCache cache;
@@ -169,42 +184,12 @@ struct CachedQuantKernels {
   }
 };
 
-/// Process-wide cache of quantized kernel banks, keyed like the fp32
-/// transform cache: (weights version, layer, m-or-0, r). Weight
-/// quantization happens once per frozen model, not per forward call —
-/// the "per-channel weight scales computed at model registration"
-/// contract (prewarm_transforms warms this at add_model time).
-class QuantKernelCache {
- public:
-  std::shared_ptr<const CachedQuantKernels> get(const TransformKey& key,
-                                                const Tensor4f& kernels) {
-    std::lock_guard lock(mutex_);
-    if (auto it = map_.find(key); it != map_.end()) return it->second;
-    auto entry = std::make_shared<const CachedQuantKernels>(key.m, kernels);
-    map_.emplace(key, entry);
-    order_.push_back(key);
-    while (order_.size() > kMaxEntries) {
-      map_.erase(order_.front());
-      order_.pop_front();
-    }
-    return entry;
-  }
-
-  void clear() {
-    std::lock_guard lock(mutex_);
-    map_.clear();
-    order_.clear();
-  }
-
- private:
-  static constexpr std::size_t kMaxEntries = 256;
-
-  std::mutex mutex_;
-  std::unordered_map<TransformKey, std::shared_ptr<const CachedQuantKernels>,
-                     TransformKeyHash>
-      map_;
-  std::deque<TransformKey> order_;
-};
+/// The quantized banks, keyed like the fp32 transform cache with m = 0
+/// for the im2col form. Weight quantization happens once per frozen model,
+/// not per forward call — the "per-channel weight scales computed at model
+/// registration" contract (prewarm_transforms warms this at add_model
+/// time).
+using QuantKernelCache = KernelPrepCache<CachedQuantKernels>;
 
 QuantKernelCache& quant_cache() {
   static QuantKernelCache cache;

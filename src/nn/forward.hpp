@@ -144,6 +144,11 @@ std::vector<tensor::Tensor4f> unstack_images(const tensor::Tensor4f& batch);
 /// WeightBank version): repeated forward calls over the same weights — the
 /// serving-workload shape — reuse the filter transforms instead of
 /// recomputing them per image and per call.
+///
+/// A miss builds its entry outside the cache lock. Two threads that miss
+/// the same key concurrently therefore both count a miss and both build;
+/// the first insert is kept and the other copy is dropped, so `entries`
+/// counts one. Single-threaded, every miss is exactly one build.
 struct TransformCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;

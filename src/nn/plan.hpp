@@ -335,9 +335,9 @@ struct PlannerOptions {
 /// pad, algo), so planning re-measures nothing for repeated shapes — VGG's
 /// towers of identical layers, or many sessions over the same
 /// architecture. plan_execution times all of a layer's uncached
-/// candidates against one operand set, the same seed-123 input and filter
-/// bank this function builds, so a cached timing means the same whichever
-/// path made it.
+/// candidates against one operand set, the same pattern-filled input and
+/// filter bank this function builds, so a cached timing means the same
+/// whichever path made it.
 [[nodiscard]] double measure_layer_ms(const ConvLayerSpec& layer,
                                       ConvAlgo algo);
 

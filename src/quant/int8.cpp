@@ -77,7 +77,6 @@ QuantizedWinogradKernels quantize_winograd_kernels(
   }
   const std::size_t n_tile = static_cast<std::size_t>(xf.tile());
   const std::size_t nsq = n_tile * n_tile;
-  const std::size_t rsq = ks.h * ks.w;
   QuantizedWinogradKernels qk;
   qk.kernels = ks.n;
   qk.channels = ks.c;
@@ -92,14 +91,7 @@ QuantizedWinogradKernels quantize_winograd_kernels(
   // multiply — and per-position scales absorb the transform's
   // position-magnitude disparity.
   std::vector<float> v_bank(qk.kernels * qk.channels * nsq);
-  const auto flat = kernels.flat();
-  for (std::size_t k = 0; k < qk.kernels; ++k) {
-    for (std::size_t c = 0; c < qk.channels; ++c) {
-      xf.transform_filter(
-          flat.subspan((k * qk.channels + c) * rsq, rsq),
-          std::span<float>(v_bank.data() + (k * qk.channels + c) * nsq, nsq));
-    }
-  }
+  winograd::transform_filter_bank(xf, kernels, v_bank);
   for (std::size_t k = 0; k < qk.kernels; ++k) {
     const float* kbase = v_bank.data() + k * qk.channels * nsq;
     for (std::size_t i = 0; i < nsq; ++i) {

@@ -17,11 +17,16 @@ thread_local bool t_in_parallel_region = false;
 }  // namespace
 
 struct ThreadPool::State {
-  // Serialises whole parallel_for jobs: concurrent callers from distinct
-  // application threads queue up rather than corrupting the job slot.
-  // Never taken by pool workers (nested calls run inline), so it cannot
-  // self-deadlock.
+  // Serialises whole parallel_for jobs in arrival order (a ticket lock):
+  // concurrent callers from distinct application threads queue up rather
+  // than corrupting the job slot, and a caller that loops on parallel_for
+  // (a serving model) cannot re-take the slot ahead of a waiting one (a
+  // registration building its filter banks). Never taken by pool workers
+  // (nested calls run inline), so it cannot self-deadlock.
   std::mutex job_mutex;
+  std::condition_variable job_turn;
+  std::uint64_t next_ticket = 0;
+  std::uint64_t now_serving = 0;
   std::mutex mutex;
   std::condition_variable work_ready;
   std::condition_variable work_done;
@@ -110,7 +115,23 @@ void ThreadPool::parallel_for_raw(std::size_t count, void* ctx,
     return;
   }
 
-  std::lock_guard job_lock(state_->job_mutex);
+  // Hold the job slot for the whole job; the destructor passes it to the
+  // next ticket on every exit path, the rethrow included.
+  struct JobTurn {
+    State& st;
+    explicit JobTurn(State& s) : st(s) {
+      std::unique_lock lock(st.job_mutex);
+      const std::uint64_t ticket = st.next_ticket++;
+      st.job_turn.wait(lock, [&] { return st.now_serving == ticket; });
+    }
+    ~JobTurn() {
+      {
+        std::lock_guard lock(st.job_mutex);
+        ++st.now_serving;
+      }
+      st.job_turn.notify_all();
+    }
+  } turn(*state_);
   {
     std::lock_guard lock(state_->mutex);
     state_->ctx = ctx;

@@ -32,8 +32,8 @@ class ThreadPool {
   /// Run body(begin, end) over a static partition of [0, count) into at
   /// most threads() contiguous chunks. Blocks until every chunk finished.
   /// A nested call from inside a body runs inline (no re-entry deadlock),
-  /// and concurrent calls from distinct application threads serialise on
-  /// an internal job mutex rather than interleaving.
+  /// and concurrent calls from distinct application threads run one whole
+  /// job at a time, in arrival order, rather than interleaving.
   /// The first exception thrown by any chunk is rethrown to the caller.
   ///
   /// The body is dispatched as a raw (context, function-pointer) pair, not

@@ -105,26 +105,37 @@ void TileTransformer::convolve_1d(std::span<const float> d,
   }
 }
 
+void transform_filter_bank(const TileTransformer& xf, const Tensor4f& kernels,
+                           std::span<float> out) {
+  const auto& ks = kernels.shape();
+  const auto r = static_cast<std::size_t>(xf.r());
+  if (ks.h != r || ks.w != r) {
+    throw std::invalid_argument("transform_filter_bank: kernel size != r x r");
+  }
+  const auto nsq =
+      static_cast<std::size_t>(xf.tile()) * static_cast<std::size_t>(xf.tile());
+  const std::size_t filters = ks.n * ks.c;
+  if (out.size() != filters * nsq) {
+    throw std::invalid_argument("transform_filter_bank: output extent");
+  }
+  // KCrr is contiguous, so filter f = k * C + c is the f-th r*r run of the
+  // flat bank and lands on the f-th n*n run of `out`.
+  const auto flat = kernels.flat();
+  runtime::parallel_for(filters, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t f = begin; f < end; ++f) {
+      xf.transform_filter(flat.subspan(f * r * r, r * r),
+                          out.subspan(f * nsq, nsq));
+    }
+  });
+}
+
 TransformedKernels::TransformedKernels(const TileTransformer& xf,
                                        const Tensor4f& kernels)
     : kernels_(kernels.shape().n), channels_(kernels.shape().c),
       tile_sq_(static_cast<std::size_t>(xf.tile()) *
-               static_cast<std::size_t>(xf.tile())) {
-  const auto r = static_cast<std::size_t>(xf.r());
-  if (kernels.shape().h != r || kernels.shape().w != r) {
-    throw std::invalid_argument("TransformedKernels: kernel size != r x r");
-  }
-  data_.resize(kernels_ * channels_ * tile_sq_);
-  std::vector<float> g(r * r);
-  for (std::size_t k = 0; k < kernels_; ++k) {
-    for (std::size_t c = 0; c < channels_; ++c) {
-      for (std::size_t u = 0; u < r; ++u) {
-        for (std::size_t v = 0; v < r; ++v) g[u * r + v] = kernels(k, c, u, v);
-      }
-      xf.transform_filter(
-          g, {data_.data() + (k * channels_ + c) * tile_sq_, tile_sq_});
-    }
-  }
+               static_cast<std::size_t>(xf.tile())),
+      data_(kernels_ * channels_ * tile_sq_) {
+  transform_filter_bank(xf, kernels, data_);
 }
 
 Tensor4f conv2d_winograd(const Tensor4f& input, const Tensor4f& kernels,

@@ -80,8 +80,19 @@ struct WinogradConvOptions {
   AccumulationOrder accumulation = AccumulationOrder::kTransformDomain;
 };
 
+/// V = G g G^T for every filter of a KCrr bank, written [k][c][n*n] into
+/// `out` (K * C * n*n floats). The K * C transforms are independent, so
+/// they are split over the global ThreadPool; each one runs the arithmetic
+/// of xf.transform_filter, so the bank is bit-identical at any thread
+/// count (pinned by tests/winograd_kernels_test.cpp). Called from inside a
+/// pool chunk it runs inline. Throws std::invalid_argument when the
+/// filters are not r x r or `out` has the wrong extent.
+void transform_filter_bank(const TileTransformer& xf,
+                           const tensor::Tensor4f& kernels,
+                           std::span<float> out);
+
 /// Pre-transformed kernel bank: V tiles for K x C kernels, each n*n floats,
-/// laid out [k][c][n*n] contiguously.
+/// laid out [k][c][n*n] contiguously (built by transform_filter_bank).
 class TransformedKernels {
  public:
   TransformedKernels(const TileTransformer& xf,

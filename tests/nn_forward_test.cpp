@@ -3,8 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <future>
+#include <thread>
+#include <vector>
 
 #include "common/random.hpp"
+#include "nn/plan.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace wino::nn {
 namespace {
@@ -160,6 +170,90 @@ TEST(TransformCache, BumpVersionInvalidatesStaleTransforms) {
       forward(layers, weights, input, ConvAlgo::kWinograd2);
   EXPECT_GT(transform_cache_stats().misses, cold.misses);
   EXPECT_GT(tensor::max_abs_diff(before, after), 0.0F);
+}
+
+bool same_bits(const Tensor4f& a, const Tensor4f& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.flat().data(), b.flat().data(),
+                     a.flat().size() * sizeof(float)) == 0;
+}
+
+// Watchdog: a deadlocked std::async thread can be neither joined nor
+// abandoned (the future's destructor waits for it), so a task that misses
+// the deadline fails the test and ends the process instead of hanging it.
+void finish_or_exit(std::future<void>& task, const char* what) {
+  if (task.wait_for(std::chrono::seconds(60)) == std::future_status::ready) {
+    task.get();
+    return;
+  }
+  ADD_FAILURE() << what << " did not finish within 60 s: deadlock";
+  std::fflush(stdout);
+  std::_Exit(EXIT_FAILURE);
+}
+
+// A cold cache entry is built by transform_filter_bank over the global
+// pool. The chunks of an in-flight batched forward take the cache mutex
+// for their lookups while their caller holds the pool's job slot, so a
+// build made under the cache mutex would deadlock against them. One
+// thread serves plan A at batch 4 on warm weights; the other registers
+// fresh weight banks (cold fp32 W2/W4 and int8 Winograd entries) and runs
+// them, the add_model-while-serving shape.
+TEST(TransformCache, ColdBuildWhileServingDoesNotDeadlock) {
+  runtime::ThreadPool::set_global_threads(4);
+  const auto layers = vgg16_d_scaled(28, 16);  // 8x8 input
+  Tensor4f input(4, 3, 8, 8);
+  Rng rng(29);
+  rng.fill_uniform(input.flat());
+
+  const ExecutionPlan plan_a = uniform_plan(layers, ConvAlgo::kWinograd2);
+  const WeightBank warm = random_weights(layers, 31);
+  const Tensor4f want_a = forward(plan_a, warm, input);  // warms A's entries
+
+  ExecutionPlan plan_b = uniform_plan(layers, ConvAlgo::kWinograd2);
+  std::size_t conv_idx = 0;
+  for (std::size_t li = 0; li < layers.size(); ++li) {
+    if (layers[li].kind != LayerKind::kConv) continue;
+    plan_b.steps[li].algo = conv_idx == 1   ? ConvAlgo::kInt8Winograd2
+                            : conv_idx % 2 ? ConvAlgo::kWinograd4
+                                           : ConvAlgo::kWinograd2;
+    ++conv_idx;
+  }
+  replan_layouts(plan_b);
+  ASSERT_EQ(plan_b.int8_layers, 1u);
+
+  std::atomic<bool> registered{false};
+  std::atomic<std::size_t> a_mismatches{0};
+  auto serving = std::async(std::launch::async, [&] {
+    Tensor4f out;
+    do {
+      forward(plan_a, warm, input, out);
+      if (!same_bits(out, want_a)) a_mismatches.fetch_add(1);
+    } while (!registered.load());
+  });
+  std::vector<WeightBank> banks;
+  std::vector<Tensor4f> outputs;
+  auto registering = std::async(std::launch::async, [&] {
+    struct Done {
+      std::atomic<bool>& flag;
+      ~Done() { flag.store(true); }  // ends the serving loop, even on a throw
+    } done{registered};
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      banks.push_back(random_weights(layers, 40 + round));
+      prewarm_workspaces(plan_b, banks.back(), input.shape().n);
+      outputs.push_back(forward(plan_b, banks.back(), input));
+    }
+  });
+  finish_or_exit(registering, "registering fresh weights");
+  finish_or_exit(serving, "serving plan A");
+
+  EXPECT_EQ(a_mismatches.load(), 0u);
+  for (std::size_t i = 0; i < banks.size(); ++i) {
+    EXPECT_TRUE(same_bits(outputs[i], forward_reference(plan_b, banks[i],
+                                                        input)))
+        << "bank " << i;
+  }
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -162,6 +163,71 @@ TEST(Int8Conv, BitIdenticalAcrossThreadCounts) {
       runtime::ThreadPool::set_global_threads(threads);
       EXPECT_TRUE(same_bits(run_conv(algo, input, kernels, 1), base))
           << to_string(algo) << " threads=" << threads;
+    }
+  }
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// quantize_winograd_kernels transforms its fp32 bank with
+// transform_filter_bank over the pool. The int8 bank and its scales must
+// be memcmp-equal at every pool size, and equal to the same quantization
+// applied to a plain per-filter transform_filter loop.
+TEST(Int8Conv, QuantizedWinogradBankBitIdenticalAtEveryPoolSize) {
+  Rng rng(113);
+  const std::pair<int, int> tiles[] = {{2, 3}, {3, 3}, {4, 3}, {5, 3},
+                                       {6, 3}, {2, 5}, {4, 5}};
+  const std::pair<std::size_t, std::size_t> banks[] = {
+      {1, 3}, {2, 3}, {5, 7}, {16, 9}};  // K*C = 3, 6, 35, 144
+  for (const auto& [m, r] : tiles) {
+    const winograd::TileTransformer xf(winograd::transforms(m, r));
+    const auto rsq = static_cast<std::size_t>(r * r);
+    const auto nsq = static_cast<std::size_t>(xf.tile() * xf.tile());
+    for (const auto& [k, c] : banks) {
+      const auto ur = static_cast<std::size_t>(r);
+      Tensor4f kernels(k, c, ur, ur);
+      rng.fill_normal(kernels.flat(), 0.0F, 0.2F);
+      // The reference: per-filter transforms, then per-(k, position)
+      // scales over c, exactly the quantizer's recipe.
+      std::vector<float> v(k * c * nsq);
+      for (std::size_t f = 0; f < k * c; ++f) {
+        xf.transform_filter(kernels.flat().subspan(f * rsq, rsq),
+                            std::span<float>(v).subspan(f * nsq, nsq));
+      }
+      std::vector<std::int8_t> want_data(v.size());
+      std::vector<float> want_scale(k * nsq);
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        for (std::size_t i = 0; i < nsq; ++i) {
+          float pos_max = 0.0F;
+          for (std::size_t cc = 0; cc < c; ++cc) {
+            pos_max = std::max(pos_max, std::abs(v[(kk * c + cc) * nsq + i]));
+          }
+          const float scale = pos_max / 127.0F;
+          want_scale[kk * nsq + i] = scale;
+          const float inv = scale > 0.0F ? 1.0F / scale : 0.0F;
+          for (std::size_t cc = 0; cc < c; ++cc) {
+            const std::size_t at = (kk * c + cc) * nsq + i;
+            want_data[at] = quant::quantize_symmetric(v[at], inv);
+          }
+        }
+      }
+      for (const std::size_t threads : {1u, 2u, 7u}) {
+        runtime::ThreadPool::set_global_threads(threads);
+        const quant::QuantizedWinogradKernels qk =
+            quant::quantize_winograd_kernels(xf, kernels);
+        ASSERT_EQ(qk.data.size(), want_data.size());
+        ASSERT_EQ(qk.scale.size(), want_scale.size());
+        EXPECT_EQ(std::memcmp(qk.data.data(), want_data.data(),
+                              want_data.size()),
+                  0)
+            << "F(" << m << "," << r << ") K=" << k << " C=" << c
+            << " threads=" << threads;
+        EXPECT_EQ(std::memcmp(qk.scale.data(), want_scale.data(),
+                              want_scale.size() * sizeof(float)),
+                  0)
+            << "F(" << m << "," << r << ") K=" << k << " C=" << c
+            << " threads=" << threads;
+      }
     }
   }
   runtime::ThreadPool::set_global_threads(

@@ -5,8 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.hpp"
@@ -114,6 +118,44 @@ TEST_F(RuntimeTest, ExceptionPropagatesToCaller) {
     total.fetch_add(static_cast<int>(end - begin));
   });
   EXPECT_EQ(total.load(), 10);
+}
+
+// Jobs from distinct application threads are admitted in arrival order.
+// A looping caller (a serving model) holds the pool while a second caller
+// (a registration) queues behind it, then submits again at once: the
+// queued job must run first. A plain mutex hands the slot back to the
+// looper, which is still running when it unlocks, again and again.
+TEST_F(RuntimeTest, ConcurrentCallersAreAdmittedInArrivalOrder) {
+  ThreadPool pool(2);
+  for (int round = 0; round < 5; ++round) {
+    std::atomic<bool> looper_in_job{false};
+    std::atomic<bool> waiter_calling{false};
+    std::mutex order_mutex;
+    std::string order;
+    const auto record = [&](char who) {
+      std::lock_guard lock(order_mutex);
+      order += who;
+    };
+    std::thread looper([&] {
+      pool.parallel_for(2, [&](std::size_t begin, std::size_t) {
+        if (begin != 0) return;
+        looper_in_job.store(true);
+        while (!waiter_calling.load()) std::this_thread::yield();
+        // Time for the waiter to queue behind this job.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      });
+      pool.parallel_for(2, [&](std::size_t begin, std::size_t) {
+        if (begin == 0) record('L');
+      });
+    });
+    while (!looper_in_job.load()) std::this_thread::yield();
+    waiter_calling.store(true);
+    pool.parallel_for(2, [&](std::size_t begin, std::size_t) {
+      if (begin == 0) record('W');
+    });
+    looper.join();
+    EXPECT_EQ(order, "WL") << "round " << round;
+  }
 }
 
 TEST_F(RuntimeTest, SetGlobalThreadsRejectsZero) {

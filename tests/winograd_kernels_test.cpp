@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "common/random.hpp"
 #include "conv/spatial.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace wino::winograd {
 namespace {
@@ -228,6 +235,65 @@ TEST(TransformedKernels, LayoutAndValues) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_FLOAT_EQ(got[i], want[i]);
   }
+}
+
+// transform_filter_bank splits the K*C filter transforms over the pool.
+// Each filter runs transform_filter's arithmetic, so the bank, and the
+// TransformedKernels built on it, match a plain per-filter loop byte for
+// byte at every pool size, with K*C below and above the thread count.
+TEST(TransformFilterBank, BitIdenticalToPerFilterLoopAtEveryPoolSize) {
+  Rng rng(211);
+  const std::pair<int, int> tiles[] = {{2, 3}, {3, 3}, {4, 3}, {5, 3},
+                                       {6, 3}, {2, 5}, {4, 5}};
+  const std::pair<std::size_t, std::size_t> banks[] = {
+      {1, 3}, {2, 3}, {5, 7}, {16, 9}};  // K*C = 3, 6, 35, 144
+  for (const auto& [m, r] : tiles) {
+    const TileTransformer xf(transforms(m, r));
+    const auto rsq = static_cast<std::size_t>(r * r);
+    const auto nsq = static_cast<std::size_t>(xf.tile() * xf.tile());
+    for (const auto& [k, c] : banks) {
+      const Tensor4f kernels =
+          random_tensor(k, c, static_cast<std::size_t>(r),
+                        static_cast<std::size_t>(r), rng);
+      std::vector<float> want(k * c * nsq);
+      for (std::size_t f = 0; f < k * c; ++f) {
+        xf.transform_filter(kernels.flat().subspan(f * rsq, rsq),
+                            std::span<float>(want).subspan(f * nsq, nsq));
+      }
+      for (const std::size_t threads : {1u, 2u, 7u}) {
+        runtime::ThreadPool::set_global_threads(threads);
+        std::vector<float> got(want.size(), -1.0F);
+        transform_filter_bank(xf, kernels, got);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "F(" << m << "," << r << ") K=" << k << " C=" << c
+            << " threads=" << threads;
+        const TransformedKernels tk(xf, kernels);
+        for (std::size_t kk = 0; kk < k; ++kk) {
+          EXPECT_EQ(std::memcmp(tk.v(kk).data(), want.data() + kk * c * nsq,
+                                c * nsq * sizeof(float)),
+                    0)
+              << "F(" << m << "," << r << ") K=" << k << " C=" << c
+              << " threads=" << threads << " kernel " << kk;
+        }
+      }
+    }
+  }
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
+}
+
+TEST(TransformFilterBank, RejectsWrongFilterSizeOrOutputExtent) {
+  const TileTransformer xf(transforms(2, 3));
+  const Tensor4f kernels(2, 3, 3, 3, 0.5F);
+  std::vector<float> short_out(2 * 3 * 16 - 1);
+  EXPECT_THROW(transform_filter_bank(xf, kernels, short_out),
+               std::invalid_argument);
+  const Tensor4f five(2, 3, 5, 5, 0.5F);
+  std::vector<float> out(2 * 3 * 16);
+  EXPECT_THROW(transform_filter_bank(xf, five, out), std::invalid_argument);
+  EXPECT_THROW((void)TransformedKernels(xf, five), std::invalid_argument);
 }
 
 TEST(Conv2dWinograd, RejectsKernelBankFromDifferentTile) {
