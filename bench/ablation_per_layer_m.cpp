@@ -1,14 +1,12 @@
 // Ablation C — per-layer algorithm selection, now executed for real.
 //
 // The paper deploys ONE engine (one m) for the whole network; ROADMAP
-// queued per-layer mixed-m selection on top of the layout planner. This
-// bench drives nn::plan_execution (the cost-model planner calibrated by
+// queued per-layer mixed-m selection. This bench drives nn::plan_execution (the cost-model planner calibrated by
 // the one-shot microbenchmark probe) over the scaled VGG16-D stack and
 // measures what the planned per-layer mix buys over the best *uniform*
 // algorithm — same executor, same transform cache, interleaved paired
 // reps so drift cancels. The planned run must also be bit-identical to
-// composing the same per-layer algorithms through the always-NCHW
-// reference path (nn::forward_reference), which is the executor's
+// composing the same per-layer algorithms through the reference path (nn::forward_reference), which is the executor's
 // determinism contract.
 //
 // Emits BENCH_plan.json next to the binary (or at --out); the
@@ -166,24 +164,16 @@ int main(int argc, char** argv) {
 
   // Per-layer decisions.
   wino::common::TextTable plan_table;
-  plan_table.header({"layer", "planned algo", "predicted ms", "handoff"});
+  plan_table.header({"layer", "planned algo", "predicted ms"});
   for (std::size_t i = 0; i < layers.size(); ++i) {
     if (layers[i].kind != wino::nn::LayerKind::kConv) continue;
     const auto& step = plan.steps[i];
     plan_table.row(
         {layers[i].conv.name, wino::nn::to_string(step.algo),
-         wino::common::TextTable::num(step.predicted_ms, 3),
-         wino::tensor::to_string(step.output_kind) +
-             (step.out_tile_m != 0
-                  ? "(m=" + std::to_string(step.out_tile_m) + ")"
-                  : "")});
+         wino::common::TextTable::num(step.predicted_ms, 3)});
   }
   plan_table.print();
-  std::printf("\nplan: %s, %zu/%zu boundaries NCHW, %zu mixed-m tile "
-              "handoffs\n\n",
-              plan.uniform() ? "uniform" : "mixed",
-              plan.nchw_boundaries, plan.boundaries,
-              plan.mixed_m_handoffs);
+  std::printf("\nplan: %s\n\n", plan.uniform() ? "uniform" : "mixed");
 
   // One execution recipe per mode: index 0 is the planned mix, the rest
   // are the uniform plans it is raced against.
@@ -317,12 +307,9 @@ int main(int argc, char** argv) {
                cal.fft.gflops_small, cal.winograd2.gflops_small,
                cal.winograd3.gflops_small, cal.winograd4.gflops_small);
   std::fprintf(json,
-               "  \"plan\": {\"mixed\": %s, \"nchw_boundaries\": %zu,\n"
-               "    \"boundaries\": %zu, \"mixed_m_handoffs\": %zu,\n"
+               "  \"plan\": {\"mixed\": %s,\n"
                "    \"predicted_total_ms\": %.4f,\n    \"layers\": [\n",
-               plan.uniform() ? "false" : "true", plan.nchw_boundaries,
-               plan.boundaries, plan.mixed_m_handoffs,
-               plan.predicted_total_ms);
+               plan.uniform() ? "false" : "true", plan.predicted_total_ms);
   bool first_layer = true;
   for (std::size_t i = 0; i < layers.size(); ++i) {
     if (layers[i].kind != wino::nn::LayerKind::kConv) continue;

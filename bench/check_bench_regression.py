@@ -6,7 +6,7 @@ Usage: check_bench_regression.py <BENCH_json> <baseline_json>
 Generalises the original GEMM-only gate: the committed baseline file
 declares a list of checks, each resolving a value out of the bench JSON
 by path and comparing it against a floor or a boolean verdict. One script
-gates every system bench (GEMM, serving, layout pipeline) so new benches
+gates every system bench (GEMM, serving, SLO, planner, quantization) so new benches
 add a baseline file, not a new gate script.
 
 Baseline schema:

@@ -377,58 +377,40 @@ Workspace& thread_workspace() {
   return ws;
 }
 
-/// Materialise the current activation as an owning NCHW tensor — the
-/// bridge into the allocating fallback kernels (spatial/FFT convs, and
-/// defensively any layout the planned kernels do not cover).
+/// Copy the current NCHW activation into an owning tensor — the bridge
+/// into the allocating spatial/FFT conv kernels.
 Tensor4f materialize_nchw(const tensor::Layout& cur_layout,
                           std::span<const float> cur) {
-  if (cur_layout.kind == tensor::LayoutKind::kNCHW) {
-    Tensor4f t(cur_layout.shape);
-    std::copy(cur.begin(), cur.end(), t.flat().begin());
-    return t;
-  }
-  tensor::PackedActivation packed{
-      cur_layout, std::vector<float>(cur.begin(), cur.end())};
-  return tensor::unpack(packed);
+  return Tensor4f(cur_layout.shape, std::vector<float>(cur.begin(), cur.end()));
 }
 
-/// Store an owning NCHW tensor into the planned output buffer, packing
-/// first when the plan wants tile form (defensive: the layout pass only
-/// plans NCHW outputs for fallback layers).
+/// Copy an owning tensor into the planned NCHW output buffer.
 void store_activation(const Tensor4f& t, const tensor::Layout& ol,
                       std::span<float> obuf) {
   if (!(t.shape() == ol.shape)) {
     throw std::invalid_argument("forward: plan layer geometry mismatch");
   }
-  if (ol.kind == tensor::LayoutKind::kNCHW) {
-    const auto src = t.flat();
-    std::copy(src.begin(), src.end(), obuf.begin());
-    return;
-  }
-  const tensor::PackedActivation packed = tensor::pack(t, ol);
-  std::copy(packed.data.begin(), packed.data.end(), obuf.begin());
+  const auto src = t.flat();
+  std::copy(src.begin(), src.end(), obuf.begin());
 }
 
 /// Plan-driven data flow over one contiguous sub-batch, executing against
-/// a prepared per-thread Workspace: each layer's algorithm, handoff layout
-/// and ReLU fusion come from its LayerPlan, activations and scratch live
-/// at the MemoryPlan's slab offsets, and the final layer writes the
-/// caller's output span directly. Winograd conv layers scatter straight
-/// into the planned output layout (the consumer's gather accepts any
-/// producer tile edge, so mixed-m boundaries need no repack); the tiled
-/// maxpool pools directly on whatever form arrives; im2col layers lower
-/// into a slab-carved panel and GEMM straight into the output activation;
-/// spatial/FFT convs keep their allocating kernels behind a materialise/
-/// store bridge. Bit-identical to forward_reference (the per-layer
-/// always-NCHW composition): conversions are value-preserving
-/// permutations and all arithmetic runs in the same order on the same
-/// values (pinned by tests/nn_plan_test.cpp).
+/// a prepared per-thread Workspace: each layer's algorithm and ReLU fusion
+/// come from its LayerPlan, the NCHW activations and the scratch live at
+/// the MemoryPlan's slab offsets, and the final layer writes the caller's
+/// output span directly. Winograd conv layers tile the activation inside
+/// the layer and scatter NCHW; im2col layers lower into a slab-carved
+/// panel and GEMM straight into the output activation; the int8 layers
+/// run their allocation-free cores; spatial/FFT convs keep their
+/// allocating kernels behind a copy in and a copy out. Bit-identical to
+/// forward_reference (the per-layer composition through run_conv): all
+/// arithmetic runs in the same order on the same values (pinned by
+/// tests/nn_plan_test.cpp).
 void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                      const WeightBank& weights, std::size_t images,
                      std::span<const float> in, std::span<float> out,
                      Workspace& ws) {
   using tensor::Layout;
-  using tensor::LayoutKind;
   const std::vector<LayerSpec>& layers = plan.layers;
   const std::size_t last = layers.size() - 1;
   std::span<const float> cur = in;
@@ -465,14 +447,9 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                                                 entry->xf, wopt, ol, obuf,
                                                 step.fused_relu, scratch);
           if (!step.fused_relu) {
-            // Same values as relu_inplace on the NCHW tensor: the packed
-            // buffer is a permutation (plus zero ragged fill, fixed by
-            // max(0, .)).
             for (float& v : obuf) v = v > 0.0F ? v : 0.0F;
           }
-        } else if (step.algo == ConvAlgo::kIm2col &&
-                   cur_layout.kind == LayoutKind::kNCHW &&
-                   ol.kind == LayoutKind::kNCHW) {
+        } else if (step.algo == ConvAlgo::kIm2col) {
           // Lower one image at a time into the slab-carved panel — one
           // panel alive per walk, sized once per layer — and GEMM each
           // image's rows directly into its output slice: the legacy
@@ -507,9 +484,7 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                        kcount, inner, cols);
           }
           for (float& v : obuf) v = v > 0.0F ? v : 0.0F;
-        } else if (is_int8(step.algo) &&
-                   cur_layout.kind == LayoutKind::kNCHW &&
-                   ol.kind == LayoutKind::kNCHW) {
+        } else if (is_int8(step.algo)) {
           // Quantized fast path: the int8 banks come from the cross-call
           // quant cache (weights quantized once per frozen model), the
           // int8 cores read the slab-backed NCHW activation through a
@@ -555,32 +530,10 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
         ++conv_idx;
         break;
       }
-      case LayerKind::kMaxPool: {
-        // The tiled maxpool reads NCHW or any tile edge and writes the
-        // planned output form directly, so conv -> pool -> conv chains
-        // stay in tile form end to end.
-        PoolScratch ps;
-        if (mp.step_scratch[li] >= 0) {
-          ByteCarver carver(ws.buffer_bytes(
-              static_cast<std::size_t>(mp.step_scratch[li])));
-          ps = carve_pool_scratch(carver, cur_layout, ol);
-        }
-        maxpool2x2_packed_into(cur_layout, cur, ol, obuf, ps.in_col,
-                               ps.out_col);
+      case LayerKind::kMaxPool:
+        maxpool2x2_packed_into(cur_layout, cur, ol, obuf, {}, {});
         break;
-      }
       case LayerKind::kFullyConnected: {
-        if (cur_layout.kind != LayoutKind::kNCHW) {
-          // Defensive: the layout pass always plans NCHW into FC.
-          const Tensor4f in_t = materialize_nchw(cur_layout, cur);
-          Tensor4f out_t =
-              fully_connected(in_t, weights.fc_weights[fc_idx],
-                              weights.fc_bias[fc_idx], l.fc_out);
-          ++fc_idx;
-          if (fc_idx < weights.fc_weights.size()) relu_inplace(out_t);
-          store_activation(out_t, ol, obuf);
-          break;
-        }
         // fully_connected's loop verbatim, reading/writing flat spans.
         const auto& s = cur_layout.shape;
         const std::size_t in_features = s.c * s.h * s.w;

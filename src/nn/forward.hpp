@@ -46,10 +46,10 @@ enum class ConvAlgo {
 [[nodiscard]] ConvAlgo parse_conv_algo(const std::string& name);
 
 /// F(m) output-tile edge of the fp32 Winograd algos; 0 for every other
-/// algorithm (the "has a tiled form" predicate the layout and execution
-/// planners branch on). Deliberately 0 for the int8 Winograd algos: the
-/// quantized path consumes and produces NCHW, so it never participates in
-/// tile-form handoffs — int8_winograd_m() exposes its tile edge instead.
+/// algorithm (the predicate the planner and executor dispatch the fp32
+/// Winograd walk on). Deliberately 0 for the int8 Winograd algos, which
+/// run their own quantized walk — int8_winograd_m() exposes their tile
+/// edge instead.
 [[nodiscard]] int winograd_m(ConvAlgo algo);
 
 /// True for the quantized (kInt8*) algorithms.

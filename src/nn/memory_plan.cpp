@@ -10,7 +10,6 @@
 namespace wino::nn {
 
 using tensor::Layout;
-using tensor::LayoutKind;
 using tensor::Shape4;
 
 namespace {
@@ -22,20 +21,6 @@ std::size_t align_up(std::size_t n) {
 std::uint64_t next_plan_id() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-/// Planned output Layout of one step at shape.n == 1; validates the plan
-/// only emits layouts the workspace executor can write.
-Layout step_output_layout(const LayerPlan& step, Shape4 out) {
-  switch (step.output_kind) {
-    case LayoutKind::kNCHW:
-      return Layout::nchw(out);
-    case LayoutKind::kWinogradTile:
-      return Layout::winograd_tile(out, step.out_tile_m);
-    default:
-      throw std::invalid_argument(
-          "build_memory_plan: unsupported planned output layout");
-  }
 }
 
 void require_one_block_column(std::size_t block_columns) {
@@ -60,9 +45,6 @@ winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
   s.u_all = carver.take<float>(channels * nsq);
   s.acc_m = carver.take<float>(nsq);
   s.acc_y = carver.take<float>(m * m);
-  s.row_tile = carver.take<std::size_t>(n_tile);
-  s.row_in = carver.take<std::size_t>(n_tile);
-  s.col_off = carver.take<std::size_t>(n_tile);
   return s;
 }
 
@@ -93,14 +75,8 @@ quant::QuantWinogradScratch carve_quant_winograd_scratch(
   return s;
 }
 
-PoolScratch carve_pool_scratch(ByteCarver& carver, const Layout& il,
-                               const Layout& ol) {
-  PoolScratch s;
-  s.in_col = carver.take<std::size_t>(
-      il.kind == LayoutKind::kWinogradTile ? il.shape.w : 0);
-  s.out_col = carver.take<std::size_t>(
-      ol.kind == LayoutKind::kWinogradTile ? ol.shape.w : 0);
-  return s;
+PoolScratch carve_pool_scratch(ByteCarver&, const Layout&, const Layout&) {
+  return {};
 }
 
 MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
@@ -124,10 +100,9 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
   mp.act_layout.reserve(layers.size());
 
   Shape4 cur = input;
-  Layout cur_layout = Layout::nchw(cur);
   for (std::size_t li = 0; li < layers.size(); ++li) {
     const LayerSpec& l = layers[li];
-    const LayerPlan& step = plan.steps[li];
+    const ConvAlgo algo = plan.steps[li].algo;
     Shape4 out{};
     std::size_t scratch_bytes = 0;
     switch (l.kind) {
@@ -146,26 +121,26 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
         }
         out = {1, l.conv.k, static_cast<std::size_t>(oh),
                static_cast<std::size_t>(ow)};
-        if (const int m = winograd_m(step.algo); m > 0) {
+        if (const int m = winograd_m(algo); m > 0) {
           ByteCarver measure;
           (void)carve_winograd_scratch(
               measure, cur.c, static_cast<std::size_t>(m) + r - 1,
               static_cast<std::size_t>(m));
           scratch_bytes = measure.used();
-        } else if (step.algo == ConvAlgo::kIm2col) {
+        } else if (algo == ConvAlgo::kIm2col) {
           const Layout panel = Layout::im2col_panel(
               {1, cur.c, cur.h, cur.w}, r, pad, pad, /*stride=*/1);
           ByteCarver measure;
           (void)measure.take<float>(panel.volume());
           scratch_bytes = measure.used();
-        } else if (step.algo == ConvAlgo::kInt8Im2col) {
+        } else if (algo == ConvAlgo::kInt8Im2col) {
           ByteCarver measure;
           (void)carve_quant_im2col_scratch(
               measure, cur.c * r * r,
               static_cast<std::size_t>(oh) * static_cast<std::size_t>(ow),
               l.conv.k);
           scratch_bytes = measure.used();
-        } else if (const int qm = int8_winograd_m(step.algo); qm > 0) {
+        } else if (const int qm = int8_winograd_m(algo); qm > 0) {
           ByteCarver measure;
           (void)carve_quant_winograd_scratch(
               measure, cur.c, static_cast<std::size_t>(qm) + r - 1,
@@ -173,8 +148,8 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
           scratch_bytes = measure.used();
         }
         // Spatial/FFT conv steps keep their allocating kernels (the plan
-        // executor materialises an NCHW tensor for them); no planned
-        // scratch.
+        // executor copies the activation into an owning tensor for them);
+        // no planned scratch.
         break;
       }
       case LayerKind::kMaxPool: {
@@ -183,10 +158,6 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
               "build_memory_plan: maxpool input too small");
         }
         out = {1, cur.c, cur.h / 2, cur.w / 2};
-        ByteCarver measure;
-        (void)carve_pool_scratch(measure, cur_layout,
-                                 step_output_layout(step, out));
-        scratch_bytes = measure.used();
         break;
       }
       case LayerKind::kFullyConnected: {
@@ -194,18 +165,13 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
         break;
       }
     }
-    const Layout ol = step_output_layout(step, out);
-    if (li == last && ol.kind != LayoutKind::kNCHW) {
-      throw std::invalid_argument(
-          "build_memory_plan: the final step's output must be NCHW");
-    }
     if (li != last) {
       mp.step_activation.push_back(
           static_cast<std::ptrdiff_t>(mp.buffers.size()));
       mp.buffers.push_back(PlannedBuffer{
           .step_first = li,
           .step_last = li + 1,
-          .per_image_bytes = ol.volume() * sizeof(float),
+          .per_image_bytes = out.volume() * sizeof(float),
           .fixed_bytes = 0});
     } else {
       // The last activation is the caller's output buffer, not slab space.
@@ -221,9 +187,8 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
     } else {
       mp.step_scratch.push_back(-1);
     }
-    mp.act_layout.push_back(ol);
+    mp.act_layout.push_back(Layout::nchw(out));
     cur = out;
-    cur_layout = ol;
   }
 
   return mp;

@@ -3,11 +3,12 @@
 // The execution planner (nn/plan.hpp) decides *what* each layer runs; this
 // header decides *where its bytes live*. A MemoryPlan walks the plan's
 // layer sequence once, records every buffer the executor will need — each
-// activation in its planned Layout, plus per-layer scratch (Winograd tile
-// workspaces, im2col panels, tiled-maxpool column maps) — with its lifetime
-// interval over the step index, and assigns overlap-free offsets into a
-// single slab by classic linear-scan interval reuse: a buffer whose last
-// reader has passed frees its range for the next buffer at the same offset.
+// NCHW activation handed from one layer to the next, plus per-layer
+// scratch (Winograd tile workspaces, im2col panels, int8 operand buffers)
+// — with its lifetime interval over the step index, and assigns
+// overlap-free offsets into a single slab by classic linear-scan interval
+// reuse: a buffer whose last reader has passed frees its range for the
+// next buffer at the same offset.
 //
 // Sizes are split into a per-image part (activations scale with the
 // sub-batch the executor marches through the stack) and a fixed part
@@ -96,7 +97,7 @@ struct PlannedBuffer {
 };
 
 /// The resolved slab assignment of an ExecutionPlan: buffer list in
-/// creation (step_first) order, per-step indices into it, and the planned
+/// creation (step_first) order, per-step indices into it, and the NCHW
 /// Layout of every step's output activation at shape.n == 1.
 struct MemoryPlan {
   std::vector<PlannedBuffer> buffers;
@@ -109,7 +110,8 @@ struct MemoryPlan {
   /// it and hands it to the carve_*_winograd_scratch calls; both go away
   /// with that file (ROADMAP item 1).
   std::vector<std::size_t> step_block_columns;
-  /// Per step: planned Layout of the output activation with shape.n == 1.
+  /// Per step: Layout of the output activation with shape.n == 1. Always
+  /// kNCHW; the executor reads each step's output shape from it.
   std::vector<tensor::Layout> act_layout;
   /// Per-image input shape the walk assumed (n == 1). forward() rebuilds
   /// the plan locally when the live input disagrees (fc-first models
@@ -154,8 +156,8 @@ struct MemoryPlan {
                                            tensor::Shape4 input);
 
 /// Carve (or measure) the scratch of one Winograd conv layer: the data
-/// tile, transform bank, accumulator tiles and the tile-form gather maps
-/// of winograd::conv2d_winograd_layout_into. `n_tile` is the transformer's
+/// tile, transform bank and accumulator tiles of
+/// winograd::conv2d_winograd_layout_into. `n_tile` is the transformer's
 /// m + r - 1 edge. `block_columns` must be 1 (std::invalid_argument
 /// otherwise); it goes away with MemoryPlan::step_block_columns.
 [[nodiscard]] winograd::WinogradScratch carve_winograd_scratch(
@@ -180,8 +182,10 @@ struct MemoryPlan {
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns = 1);
 
-/// Carve (or measure) the tiled-maxpool column maps for an input/output
-/// layout pair (empty spans for NCHW sides).
+/// Column maps of maxpool2x2_packed_into. Pooling reads and writes NCHW,
+/// so there are none: carve_pool_scratch takes no bytes and returns empty
+/// spans. Both stay only because bench/e2e/replay.cpp calls them, and they
+/// leave together with that file (ROADMAP item 1).
 struct PoolScratch {
   std::span<std::size_t> in_col;
   std::span<std::size_t> out_col;

@@ -21,7 +21,6 @@ namespace wino::nn {
 
 using tensor::Layout;
 using tensor::LayoutKind;
-using tensor::PackedActivation;
 using tensor::Shape4;
 using tensor::Tensor4f;
 
@@ -157,10 +156,8 @@ double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
     const winograd::TransformedKernels tk(xf, kernels);
     winograd::WinogradConvOptions wopt;
     wopt.pad = layer.pad;
-    const PackedActivation act = PackedActivation::from_nchw(Tensor4f(input));
     return best_seconds([&] {
-      (void)winograd::conv2d_winograd_layout(act, tk, xf, wopt,
-                                             LayoutKind::kNCHW,
+      (void)winograd::conv2d_winograd_layout(input, tk, xf, wopt,
                                              /*fuse_relu=*/false);
     });
   }
@@ -657,68 +654,22 @@ std::string ExecutionPlan::to_string() const {
         out += "fc";
         break;
     }
-    out += " -> " + tensor::to_string(s.output_kind);
-    if (s.output_kind == LayoutKind::kWinogradTile) {
-      out += "(m=" + std::to_string(s.out_tile_m) + ")";
-    }
     out += "\n";
   }
   return out;
 }
 
-/// The shared layout pass: pick each boundary's handoff form from the
-/// per-layer algorithm decisions and fill the summary counters. Winograd
-/// convs emit their own m's tiles whenever the consumer gathers tile form
-/// (another conv under a Winograd algo — any m, the gather handles
-/// mismatched edges without a repack — or a maxpool); pools emit tiles
-/// sized for the next Winograd conv; FC / non-Winograd conv / the final
-/// output force NCHW.
 void replan_layouts(ExecutionPlan& plan) {
   const auto& layers = plan.layers;
-  plan.boundaries = layers.empty() ? 0 : layers.size() - 1;
-  plan.nchw_boundaries = 0;
-  plan.mixed_m_handoffs = 0;
   plan.int8_layers = 0;
-  const auto wino_conv = [&](std::size_t i) {
-    return layers[i].kind == LayerKind::kConv &&
-           winograd_m(plan.steps[i].algo) > 0;
-  };
-  const auto int8_conv = [&](std::size_t i) {
-    return layers[i].kind == LayerKind::kConv && is_int8(plan.steps[i].algo);
-  };
   for (std::size_t i = 0; i < layers.size(); ++i) {
     LayerPlan& step = plan.steps[i];
-    step.output_kind = LayoutKind::kNCHW;
-    step.out_tile_m = 0;
+    const bool conv = layers[i].kind == LayerKind::kConv;
     // Winograd and int8 convs fold ReLU into their output scatter /
-    // dequantizing store (int8 winograd_m is 0, so int8 layers keep NCHW
-    // boundaries below).
-    step.fused_relu = wino_conv(i) || int8_conv(i);
-    if (int8_conv(i)) ++plan.int8_layers;
-    if (i + 1 >= layers.size()) continue;  // final output is NCHW
-    const bool consumer_conv = wino_conv(i + 1);
-    const bool consumer_pool = layers[i + 1].kind == LayerKind::kMaxPool;
-    if (wino_conv(i) && (consumer_conv || consumer_pool)) {
-      // Conv scatters its own m's tiles; the consumer gathers any edge.
-      step.output_kind = LayoutKind::kWinogradTile;
-      step.out_tile_m =
-          static_cast<std::size_t>(winograd_m(step.algo));
-      if (consumer_conv &&
-          step.out_tile_m !=
-              static_cast<std::size_t>(winograd_m(plan.steps[i + 1].algo))) {
-        ++plan.mixed_m_handoffs;
-      }
-    } else if (layers[i].kind == LayerKind::kMaxPool && consumer_conv) {
-      // The tiled maxpool writes tiles sized for its consumer.
-      step.output_kind = LayoutKind::kWinogradTile;
-      step.out_tile_m =
-          static_cast<std::size_t>(winograd_m(plan.steps[i + 1].algo));
-    }
-  }
-  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
-    if (plan.steps[i].output_kind == LayoutKind::kNCHW) {
-      ++plan.nchw_boundaries;
-    }
+    // dequantizing store.
+    step.fused_relu =
+        conv && (winograd_m(step.algo) > 0 || is_int8(step.algo));
+    if (conv && is_int8(step.algo)) ++plan.int8_layers;
   }
   plan.memory = MemoryPlan{};
   try {
@@ -857,153 +808,51 @@ Tensor4f forward_reference(const ExecutionPlan& plan,
   return act;
 }
 
-PackedActivation maxpool2x2_packed(const PackedActivation& input,
-                                   LayoutKind out_kind,
-                                   std::size_t out_tile_m) {
-  const Layout& il = input.layout;
-  if (il.kind != LayoutKind::kNCHW &&
-      il.kind != LayoutKind::kWinogradTile) {
-    throw std::invalid_argument(
-        "maxpool2x2_packed: input must be NCHW or Winograd-tile form");
-  }
-  if (out_kind != LayoutKind::kNCHW &&
-      out_kind != LayoutKind::kWinogradTile) {
-    throw std::invalid_argument(
-        "maxpool2x2_packed: output must be NCHW or Winograd-tile form");
-  }
-  if (input.data.size() != il.volume()) {
-    throw std::invalid_argument(
-        "maxpool2x2_packed: buffer size != layout volume");
-  }
-  const auto& s = il.shape;
-  if (s.h < 2 || s.w < 2) {
-    throw std::invalid_argument("maxpool2x2_packed: input too small");
-  }
-  const Shape4 os{s.n, s.c, s.h / 2, s.w / 2};
-  const Layout ol = out_kind == LayoutKind::kNCHW
-                        ? Layout::nchw(os)
-                        : Layout::winograd_tile(os, out_tile_m);
-  PackedActivation out{ol, std::vector<float>(ol.volume())};
-  std::vector<std::size_t> in_col(
-      il.kind == LayoutKind::kWinogradTile ? s.w : 0);
-  std::vector<std::size_t> out_col(
-      out_kind == LayoutKind::kWinogradTile ? os.w : 0);
-  maxpool2x2_packed_into(il, input.data, ol, out.data, in_col, out_col);
-  return out;
-}
-
 void maxpool2x2_packed_into(const Layout& il, std::span<const float> in,
                             const Layout& ol, std::span<float> out,
                             std::span<std::size_t> in_col,
                             std::span<std::size_t> out_col) {
-  if (il.kind != LayoutKind::kNCHW &&
-      il.kind != LayoutKind::kWinogradTile) {
+  if (il.kind != LayoutKind::kNCHW || ol.kind != LayoutKind::kNCHW) {
     throw std::invalid_argument(
-        "maxpool2x2_packed: input must be NCHW or Winograd-tile form");
+        "maxpool2x2_packed_into: input and output must be NCHW");
   }
-  const LayoutKind out_kind = ol.kind;
-  if (out_kind != LayoutKind::kNCHW &&
-      out_kind != LayoutKind::kWinogradTile) {
+  if (!in_col.empty() || !out_col.empty()) {
     throw std::invalid_argument(
-        "maxpool2x2_packed: output must be NCHW or Winograd-tile form");
+        "maxpool2x2_packed_into: NCHW pooling takes no column maps");
   }
   if (in.size() != il.volume()) {
     throw std::invalid_argument(
-        "maxpool2x2_packed: buffer size != layout volume");
+        "maxpool2x2_packed_into: buffer size != layout volume");
   }
   const auto& s = il.shape;
   if (s.h < 2 || s.w < 2) {
-    throw std::invalid_argument("maxpool2x2_packed: input too small");
+    throw std::invalid_argument("maxpool2x2_packed_into: input too small");
   }
   const Shape4 os{s.n, s.c, s.h / 2, s.w / 2};
   if (!(ol.shape == os)) {
     throw std::invalid_argument(
-        "maxpool2x2_packed: output layout does not match this pool");
+        "maxpool2x2_packed_into: output layout does not match this pool");
   }
   if (out.size() != ol.volume()) {
     throw std::invalid_argument(
-        "maxpool2x2_packed: output buffer size != layout volume");
+        "maxpool2x2_packed_into: output buffer size != layout volume");
   }
-
-  const bool in_tiled = il.kind == LayoutKind::kWinogradTile;
-  const bool out_tiled = out_kind == LayoutKind::kWinogradTile;
-  const std::size_t sm = in_tiled ? il.tile_m : 0;
-  const std::size_t sth = in_tiled ? il.tiles_h() : 0;
-  const std::size_t stw = in_tiled ? il.tiles_w() : 0;
-  const std::size_t dm = out_tiled ? ol.tile_m : 0;
-  const std::size_t dth = out_tiled ? ol.tiles_h() : 0;
-  const std::size_t dtw = out_tiled ? ol.tiles_w() : 0;
-  if (in_col.size() != (in_tiled ? s.w : 0) ||
-      out_col.size() != (out_tiled ? os.w : 0)) {
-    throw std::invalid_argument(
-        "maxpool2x2_packed: column-map span size mismatch");
-  }
-
-  // Zero-fill first so the tile layout's ragged-fill invariant holds on a
-  // dirty (slab-reused) output buffer; only in-map output pixels are
-  // written below.
-  std::fill(out.begin(), out.end(), 0.0F);
-
-  // Column maps, shared read-only across planes: input column x -> offset
-  // of (·, x) within a tile row block, output column ox likewise. Rows are
-  // resolved per y below, so the inner loop is indexed loads/stores with
-  // no division.
-  for (std::size_t x = 0; x < in_col.size(); ++x) {
-    in_col[x] = (x / sm) * sm * sm + x % sm;
-  }
-  for (std::size_t x = 0; x < out_col.size(); ++x) {
-    out_col[x] = (x / dm) * dm * dm + x % dm;
-  }
-
-  const float* src = in.data();
-  float* dst = out.data();
-  const std::size_t planes = s.n * s.c;
-  runtime::parallel_for(planes, [&](std::size_t begin, std::size_t end) {
+  runtime::parallel_for(s.n * s.c, [&](std::size_t begin, std::size_t end) {
     for (std::size_t plane = begin; plane < end; ++plane) {
-      const float* in_plane =
-          in_tiled ? src + plane * sth * stw * sm * sm
-                   : src + plane * s.h * s.w;
-      float* out_plane = out_tiled ? dst + plane * dth * dtw * dm * dm
-                                   : dst + plane * os.h * os.w;
+      const float* in_plane = in.data() + plane * s.h * s.w;
+      float* out_plane = out.data() + plane * os.h * os.w;
       for (std::size_t oy = 0; oy < os.h; ++oy) {
-        const std::size_t y = 2 * oy;
-        const float* row0 =
-            in_tiled ? in_plane + (y / sm) * stw * sm * sm + (y % sm) * sm
-                     : in_plane + y * s.w;
-        const float* row1 = in_tiled ? in_plane +
-                                           ((y + 1) / sm) * stw * sm * sm +
-                                           ((y + 1) % sm) * sm
-                                     : row0 + s.w;
-        float* orow = out_tiled ? out_plane + (oy / dm) * dtw * dm * dm +
-                                      (oy % dm) * dm
-                                : out_plane + oy * os.w;
+        const float* row0 = in_plane + 2 * oy * s.w;
+        const float* row1 = row0 + s.w;
+        float* orow = out_plane + oy * os.w;
         for (std::size_t ox = 0; ox < os.w; ++ox) {
           const std::size_t x = 2 * ox;
           // Exactly maxpool2x2's maxes in maxpool2x2's order, so the
-          // result is bit-identical to pooling in NCHW (incl. NaN
-          // propagation, which depends on operand order).
-          float a;
-          float b;
-          float c;
-          float d;
-          if (in_tiled) {
-            a = row0[in_col[x]];
-            b = row0[in_col[x + 1]];
-            c = row1[in_col[x]];
-            d = row1[in_col[x + 1]];
-          } else {
-            a = row0[x];
-            b = row0[x + 1];
-            c = row1[x];
-            d = row1[x + 1];
-          }
-          const float m0 = std::max(a, b);
-          const float m1 = std::max(c, d);
-          if (out_tiled) {
-            orow[out_col[ox]] = std::max(m0, m1);
-          } else {
-            orow[ox] = std::max(m0, m1);
-          }
+          // result is bit-identical to it (incl. NaN propagation, which
+          // depends on operand order).
+          const float m0 = std::max(row0[x], row0[x + 1]);
+          const float m1 = std::max(row1[x], row1[x + 1]);
+          orow[ox] = std::max(m0, m1);
         }
       }
     }

@@ -12,23 +12,21 @@
 // ragged-tile counts, which is what makes the best m genuinely
 // layer-dependent on small late-network maps — calibrated against GFLOP/s
 // measured once per process by a microbenchmark probe. The result is an
-// ExecutionPlan: one decision record per layer {algo, output layout,
-// fused ReLU}, executed by the plan-driven nn::forward(ExecutionPlan)
-// overload (src/nn/forward.cpp).
+// ExecutionPlan: one decision record per layer {algo, fused ReLU},
+// executed by the plan-driven nn::forward(ExecutionPlan) overload
+// (src/nn/forward.cpp).
 //
-// The layout pass (replan_layouts) handles mixed m: a W4 layer hands
-// tiles straight to a W2 layer — the consumer's gather reads any producer
-// tile edge, so no repack materialises (the tensor::repack utility exists
-// for consumers that do need re-blocking) —
-// and the tiled maxpool (maxpool2x2_packed) pools 2x2/s2 directly on tile
-// form, so conv -> pool -> conv chains never round-trip through NCHW.
+// Every layer hands its output to the next in NCHW. The Winograd walks tile
+// the image inside each layer (overlapping (m+r-1)^2 windows with stride
+// m, the paper's Fig 7), so a mixed-m plan — a W4 layer feeding a W2 one —
+// needs no re-blocking between them.
 //
 // Determinism contract: forward(plan) is bit-identical to composing the
-// same per-layer algorithms through the always-NCHW reference path
-// (forward_reference), at every batch size and thread count — layouts are
-// pure permutations, the tiled maxpool takes the same maxes in the same
-// order, and fused ReLU is the same formula on the same values. Pinned by
-// tests/nn_plan_test.cpp.
+// same per-layer algorithms through the reference path (forward_reference),
+// at every batch size and thread count — the executor runs the same
+// arithmetic on the same values in the same order, the executor's maxpool
+// takes the same maxes in the same order, and fused ReLU is the same
+// formula on the same values. Pinned by tests/nn_plan_test.cpp.
 #pragma once
 
 #include <cstddef>
@@ -49,11 +47,6 @@ namespace wino::nn {
 struct LayerPlan {
   /// Convolution algorithm (kConv layers only; ignored for pool/FC).
   ConvAlgo algo = ConvAlgo::kIm2col;
-  /// Layout this layer's output is handed to the next layer in.
-  tensor::LayoutKind output_kind = tensor::LayoutKind::kNCHW;
-  /// Tile edge of the output when output_kind == kWinogradTile: the conv's
-  /// own m for Winograd layers, the downstream conv's m for pools.
-  std::size_t out_tile_m = 0;
   /// ReLU folded into the conv output scatter (Winograd and int8 layers).
   bool fused_relu = false;
   /// Cost-model estimate for this layer (conv layers; 0 otherwise).
@@ -74,14 +67,11 @@ struct ExecutionPlan {
   std::vector<LayerSpec> layers;
   std::vector<LayerPlan> steps;  ///< same length as layers
 
-  /// Slab assignment for the plan's buffers, built by the layout pass when
+  /// Slab assignment for the plan's buffers, built by replan_layouts when
   /// the input shape is derivable from the first layer; empty otherwise
   /// (forward() then builds one from the live input shape).
   MemoryPlan memory;
 
-  std::size_t boundaries = 0;        ///< layer -> layer handoffs
-  std::size_t nchw_boundaries = 0;   ///< handoffs that materialise NCHW
-  std::size_t mixed_m_handoffs = 0;  ///< tiled handoffs with differing m
   std::size_t int8_layers = 0;       ///< conv layers running a kInt8* algo
   double predicted_total_ms = 0;     ///< sum of conv predicted_ms
   /// Largest predict_layer_rel_error over the chosen conv algorithms; only
@@ -342,18 +332,15 @@ struct PlannerOptions {
                                       ConvAlgo algo);
 
 /// Score every candidate for every conv layer and assemble the cheapest
-/// per-layer mix, then run the layout pass: Winograd convs emit tile form
-/// whenever the consumer (conv or maxpool) can gather it, pools consume
-/// tile form and emit tiles sized for the next Winograd conv, and every
-/// boundary into FC / non-Winograd conv / the final output is NCHW.
-/// Deterministic: same layers + same calibration -> same plan.
+/// per-layer mix, then run replan_layouts over it. Deterministic: same
+/// layers + same calibration -> same plan.
 [[nodiscard]] ExecutionPlan plan_execution(
     const std::vector<LayerSpec>& layers, const PlannerOptions& options = {});
 
-/// Re-run the layout pass over a plan whose per-layer algorithms were
-/// edited (tests and tools build bespoke mixed plans this way): recomputes
-/// every output_kind / out_tile_m / fused_relu decision and the summary
-/// counters from the current algo assignments.
+/// Re-derive everything a plan computes from its per-layer algorithms —
+/// after an edit to them (tests and tools build bespoke mixed plans this
+/// way): the fused_relu flags (set on Winograd and int8 convs), the
+/// int8_layers count, the memory plan and the batch ceiling.
 void replan_layouts(ExecutionPlan& plan);
 
 /// The plan's cache-derived batch ceiling (see ExecutionPlan::
@@ -365,7 +352,7 @@ void replan_layouts(ExecutionPlan& plan);
 [[nodiscard]] std::size_t plan_batch_ceiling(const ExecutionPlan& plan);
 
 /// The trivial plan the forward(layers, weights, input, algo) overload
-/// wraps: every conv layer runs `algo`, with the same layout pass as
+/// wraps: every conv layer runs `algo`, finished by replan_layouts like
 /// plan_execution.
 [[nodiscard]] ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
                                          ConvAlgo algo);
@@ -409,23 +396,14 @@ tensor::Tensor4f forward_reference(const ExecutionPlan& plan,
                                    const WeightBank& weights,
                                    const tensor::Tensor4f& input);
 
-/// 2x2 stride-2 max pooling on a packed activation: input may be NCHW or
-/// Winograd-tile form (any tile edge), and the output is produced directly
-/// in `out_kind` (kWinogradTile tiles have edge `out_tile_m` and keep the
-/// zero ragged fill). Takes exactly the maxes of maxpool2x2 in the same
-/// order, so the result is bit-identical to unpacking, pooling in NCHW and
-/// repacking — for every odd/even extent and ragged tile edge (pinned by
-/// tests/nn_plan_test.cpp). Plane-parallel on the global ThreadPool;
-/// bit-identical for any thread count.
-[[nodiscard]] tensor::PackedActivation maxpool2x2_packed(
-    const tensor::PackedActivation& input, tensor::LayoutKind out_kind,
-    std::size_t out_tile_m = 0);
-
-/// Allocation-free core of maxpool2x2_packed: same maxes in the same
-/// order, reading/writing caller-provided flat buffers, with the
-/// tile-form column maps in caller-provided spans (sized per
-/// carve_pool_scratch; empty for NCHW sides). The workspace executor runs
-/// every pool step through this; the allocating wrapper delegates here.
+/// 2x2 stride-2 max pooling over flat NCHW buffers: the executor's pool
+/// step. Takes exactly the maxes of maxpool2x2 in the same order, so the
+/// result is bit-identical to it, NaN propagation included (pinned by
+/// tests/nn_plan_test.cpp). Plane-parallel on the global ThreadPool and
+/// bit-identical for any thread count. `il` and `ol` must be kNCHW and
+/// the column maps empty (std::invalid_argument otherwise): the Layout
+/// and column-map parameters stay only because bench/e2e/replay.cpp
+/// passes them, and they leave together with that file (ROADMAP item 1).
 void maxpool2x2_packed_into(const tensor::Layout& il,
                             std::span<const float> in,
                             const tensor::Layout& ol, std::span<float> out,

@@ -146,8 +146,8 @@ void conv2d_im2col_int8_into(const tensor::Tensor4fView& input,
                              const QuantIm2colScratch& scratch);
 
 /// \brief Allocation-free int8 Winograd convolution over an NCHW batch
-/// view (tile edge and r fixed by `xf`; input/output are NCHW — the
-/// quantized path does not participate in tile-form handoffs).
+/// view (tile edge and r fixed by `xf`; input and output are NCHW, like
+/// every activation handed between layers).
 ///
 /// Per output tile: fp32 data transform for every channel, then one scale
 /// per tile position from the observed max across channels (the channel

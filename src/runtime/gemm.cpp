@@ -339,24 +339,6 @@ void sgemm_naive(std::size_t m, std::size_t n, std::size_t k, float alpha,
   }
 }
 
-void sgemm_batched(std::size_t count, std::size_t m, std::size_t n,
-                   std::size_t k, float alpha, const float* a,
-                   std::size_t lda, std::size_t stride_a, const float* b,
-                   std::size_t ldb, std::size_t stride_b, float beta,
-                   float* c, std::size_t ldc, std::size_t stride_c,
-                   GemmKernel kernel) {
-  if (count == 0) return;
-  // Batch members are independent outputs; a nested sgemm runs its own
-  // parallel_for inline, so each member is computed by the same sequential
-  // code path no matter how the batch is split.
-  parallel_for(count, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t e = begin; e < end; ++e) {
-      sgemm(m, n, k, alpha, a + e * stride_a, lda, b + e * stride_b, ldb,
-            beta, c + e * stride_c, ldc, kernel);
-    }
-  });
-}
-
 const char* sgemm_kernel_name() {
 #if defined(__AVX2__)
   return "avx2";

@@ -1,8 +1,7 @@
 // Shared cache-blocked SIMD SGEMM core for every matmul in the repo.
 //
-// One kernel serves the im2col lowering, the (m+r-1)^2 batched transform-
-// domain GEMMs of the Winograd formulation, the hw engine's batched inverse
-// transforms and large common::Matrix<float> products. The design follows
+// One kernel serves the im2col lowering and large common::Matrix<float>
+// products. The design follows
 // the BLIS decomposition: B is packed into NR-wide column panels per
 // (Nc, Kc) block, A is packed into an MR-row panel held in L1, and an
 // MR x NR register-tiled micro-kernel (AVX2 / NEON / portable scalar,
@@ -16,8 +15,8 @@
 //    value is beta*C + alpha*panel_0 + alpha*panel_1 + ... regardless of
 //    shape, thread count or instruction set. For K <= Kc this equals the
 //    naive local-accumulator triple loop bit-for-bit.
-//  * Threads only ever split independent output row-panels (and batch
-//    entries), never the K reduction, so any thread count is bit-identical.
+//  * Threads only ever split independent output row-panels, never the K
+//    reduction, so any thread count is bit-identical.
 //  * The SIMD micro-kernels use mul+add (not fused multiply-add) so the
 //    vector lanes round exactly like the scalar fallback: forcing
 //    GemmKernel::kScalar reproduces the kAuto result bit-for-bit.
@@ -63,24 +62,6 @@ void sgemm(std::size_t m, std::size_t n, std::size_t k, float alpha,
 void sgemm_naive(std::size_t m, std::size_t n, std::size_t k, float alpha,
                  const float* a, std::size_t lda, const float* b,
                  std::size_t ldb, float beta, float* c, std::size_t ldc);
-
-/// \brief `count` independent GEMMs of identical shape at fixed strides
-/// between consecutive A/B/C operands (the Winograd transform-domain
-/// layout).
-///
-/// Parallelises across the batch; each member is bit-identical to a lone
-/// sgemm call on the same operands.
-///
-/// \param count                        number of GEMMs in the batch.
-/// \param stride_a,stride_b,stride_c   element offsets between operand i
-///                                     and operand i+1 of A, B and C.
-/// The remaining parameters match sgemm() and apply to every member.
-void sgemm_batched(std::size_t count, std::size_t m, std::size_t n,
-                   std::size_t k, float alpha, const float* a,
-                   std::size_t lda, std::size_t stride_a, const float* b,
-                   std::size_t ldb, std::size_t stride_b, float beta,
-                   float* c, std::size_t ldc, std::size_t stride_c,
-                   GemmKernel kernel = GemmKernel::kAuto);
 
 /// Name of the micro-kernel kAuto dispatches to: "avx2", "neon" or
 /// "scalar". Fixed at compile time.

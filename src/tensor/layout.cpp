@@ -6,8 +6,6 @@ namespace wino::tensor {
 
 namespace {
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
 /// Conv output extent (input + both pads, kernel r, stride s); throws when
 /// the window never fits. Mirrors conv::conv_out_extent, restated here so
 /// the tensor layer stays at the bottom of the dependency stack.
@@ -27,8 +25,6 @@ std::string to_string(LayoutKind kind) {
   switch (kind) {
     case LayoutKind::kNCHW:
       return "nchw";
-    case LayoutKind::kWinogradTile:
-      return "winograd-tile";
     case LayoutKind::kIm2colPanel:
       return "im2col-panel";
   }
@@ -37,9 +33,7 @@ std::string to_string(LayoutKind kind) {
 
 std::string to_string(const Layout& layout) {
   std::string s = to_string(layout.kind);
-  if (layout.kind == LayoutKind::kWinogradTile) {
-    s += "(m=" + std::to_string(layout.tile_m) + ")";
-  } else if (layout.kind == LayoutKind::kIm2colPanel) {
+  if (layout.kind == LayoutKind::kIm2colPanel) {
     s += "(r=" + std::to_string(layout.patch_r) +
          ",pad=" + std::to_string(layout.pad_h) + "x" +
          std::to_string(layout.pad_w) +
@@ -52,17 +46,6 @@ Layout Layout::nchw(Shape4 shape) {
   Layout l;
   l.kind = LayoutKind::kNCHW;
   l.shape = shape;
-  return l;
-}
-
-Layout Layout::winograd_tile(Shape4 shape, std::size_t m) {
-  if (m == 0) {
-    throw std::invalid_argument("Layout::winograd_tile: m must be > 0");
-  }
-  Layout l;
-  l.kind = LayoutKind::kWinogradTile;
-  l.shape = shape;
-  l.tile_m = m;
   return l;
 }
 
@@ -83,9 +66,6 @@ Layout Layout::im2col_panel(Shape4 shape, std::size_t r, int pad_h,
   return l;
 }
 
-std::size_t Layout::tiles_h() const { return ceil_div(shape.h, tile_m); }
-std::size_t Layout::tiles_w() const { return ceil_div(shape.w, tile_m); }
-
 std::size_t Layout::panel_out_h() const {
   return out_extent(shape.h, patch_r, pad_h, stride);
 }
@@ -97,8 +77,6 @@ std::size_t Layout::volume() const {
   switch (kind) {
     case LayoutKind::kNCHW:
       return shape.volume();
-    case LayoutKind::kWinogradTile:
-      return shape.n * shape.c * tiles_h() * tiles_w() * tile_m * tile_m;
     case LayoutKind::kIm2colPanel:
       return shape.n * shape.c * patch_r * patch_r * panel_out_h() *
              panel_out_w();
@@ -112,60 +90,6 @@ PackedActivation PackedActivation::from_nchw(Tensor4f&& t) {
 }
 
 namespace {
-
-void pack_winograd_tiles(const Tensor4f& src, const Layout& l,
-                         std::vector<float>& dst) {
-  const auto& s = l.shape;
-  const std::size_t m = l.tile_m;
-  const std::size_t th_n = l.tiles_h();
-  const std::size_t tw_n = l.tiles_w();
-  const auto flat = src.flat();
-  std::size_t out = 0;  // dst is walked in exactly layout order
-  for (std::size_t n = 0; n < s.n; ++n) {
-    for (std::size_t c = 0; c < s.c; ++c) {
-      const std::size_t plane = (n * s.c + c) * s.h * s.w;
-      for (std::size_t th = 0; th < th_n; ++th) {
-        for (std::size_t tw = 0; tw < tw_n; ++tw) {
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t y = th * m + i;
-            for (std::size_t j = 0; j < m; ++j) {
-              const std::size_t x = tw * m + j;
-              dst[out++] = (y < s.h && x < s.w)
-                               ? flat[plane + y * s.w + x]
-                               : 0.0F;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void unpack_winograd_tiles(const PackedActivation& src, Tensor4f& dst) {
-  const Layout& l = src.layout;
-  const auto& s = l.shape;
-  const std::size_t m = l.tile_m;
-  const std::size_t th_n = l.tiles_h();
-  const std::size_t tw_n = l.tiles_w();
-  auto flat = dst.flat();
-  std::size_t in = 0;
-  for (std::size_t n = 0; n < s.n; ++n) {
-    for (std::size_t c = 0; c < s.c; ++c) {
-      const std::size_t plane = (n * s.c + c) * s.h * s.w;
-      for (std::size_t th = 0; th < th_n; ++th) {
-        for (std::size_t tw = 0; tw < tw_n; ++tw) {
-          for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t y = th * m + i;
-            for (std::size_t j = 0; j < m; ++j, ++in) {
-              const std::size_t x = tw * m + j;
-              if (y < s.h && x < s.w) flat[plane + y * s.w + x] = src.data[in];
-            }
-          }
-        }
-      }
-    }
-  }
-}
 
 void pack_im2col_panel(const Tensor4f& src, const Layout& l,
                        std::vector<float>& dst) {
@@ -235,9 +159,6 @@ PackedActivation pack(const Tensor4f& nchw, const Layout& target) {
       std::copy(flat.begin(), flat.end(), out.data.begin());
       break;
     }
-    case LayoutKind::kWinogradTile:
-      pack_winograd_tiles(nchw, target, out.data);
-      break;
     case LayoutKind::kIm2colPanel:
       pack_im2col_panel(nchw, target, out.data);
       break;
@@ -252,11 +173,6 @@ Tensor4f unpack(const PackedActivation& packed) {
   switch (packed.layout.kind) {
     case LayoutKind::kNCHW:
       return Tensor4f(packed.layout.shape, std::vector<float>(packed.data));
-    case LayoutKind::kWinogradTile: {
-      Tensor4f out(packed.layout.shape);
-      unpack_winograd_tiles(packed, out);
-      return out;
-    }
     case LayoutKind::kIm2colPanel: {
       Tensor4f out(packed.layout.shape);
       unpack_im2col_panel(packed, out);
@@ -264,52 +180,6 @@ Tensor4f unpack(const PackedActivation& packed) {
     }
   }
   throw std::invalid_argument("unpack: unknown layout kind");
-}
-
-PackedActivation repack(const PackedActivation& src, const Layout& target) {
-  if (!(src.layout.shape == target.shape)) {
-    throw std::invalid_argument("repack: layouts disagree on logical shape");
-  }
-  if (src.data.size() != src.layout.volume()) {
-    throw std::invalid_argument("repack: buffer size != layout volume");
-  }
-  if (src.layout == target) return src;
-  if (src.layout.kind != LayoutKind::kWinogradTile ||
-      target.kind != LayoutKind::kWinogradTile) {
-    return pack(unpack(src), target);
-  }
-  // Direct tile -> tile re-blocking: walk the destination in layout order
-  // and resolve each in-map element to its source tile; ragged positions
-  // keep the layout's zero-fill invariant.
-  const Layout& sl = src.layout;
-  const auto& s = target.shape;
-  const std::size_t sm = sl.tile_m;
-  const std::size_t stw = sl.tiles_w();
-  const std::size_t dm = target.tile_m;
-  const std::size_t dth = target.tiles_h();
-  const std::size_t dtw = target.tiles_w();
-  PackedActivation out{target, std::vector<float>(target.volume())};
-  std::size_t di = 0;
-  for (std::size_t n = 0; n < s.n; ++n) {
-    for (std::size_t c = 0; c < s.c; ++c) {
-      const std::size_t chan = (n * s.c + c) * sl.tiles_h();
-      for (std::size_t th = 0; th < dth; ++th) {
-        for (std::size_t tw = 0; tw < dtw; ++tw) {
-          for (std::size_t i = 0; i < dm; ++i) {
-            const std::size_t y = th * dm + i;
-            for (std::size_t j = 0; j < dm; ++j, ++di) {
-              const std::size_t x = tw * dm + j;
-              if (y >= s.h || x >= s.w) continue;  // stays zero
-              out.data[di] =
-                  src.data[((chan + y / sm) * stw + x / sm) * sm * sm +
-                           (y % sm) * sm + x % sm];
-            }
-          }
-        }
-      }
-    }
-  }
-  return out;
 }
 
 bool im2col_covers_input(const Layout& layout) {

@@ -1,38 +1,21 @@
 // Activation layouts and the pack/unpack conversion kernels between them.
 //
-// Every conv backend in the library has a preferred in-memory form for its
-// input: the spatial/FFT paths read plain NCHW, the im2col GEMM consumes a
-// (C*r*r) x (outH*outW) patch panel, and the Winograd paths walk m x m
-// output tiles. Historically each layer converted NCHW -> its form on
-// entry and back to NCHW on exit, so every layer boundary paid the
-// conversion twice. This header makes the layout an explicit, first-class
-// property of an activation (`Layout` + `PackedActivation`) so the layer
-// planner in nn::forward can hand activations between layers in the packed
-// form and elide the unpack -> repack pair when consecutive layers agree.
-//
-// The three layouts form a tiny lattice with NCHW at the top (every layout
-// packs from and unpacks to NCHW losslessly; packed forms do not convert
-// directly to each other):
-//
-//                  kNCHW
-//               ┌────┴────┐
-//        kWinogradTile  kIm2colPanel
+// Activations pass between layers in NCHW, the interchange layout every
+// conv backend reads. The im2col GEMM additionally consumes a
+// (C*r*r) x (outH*outW) patch panel built from that NCHW activation; the
+// Winograd walks tile the image inside each layer (overlapping
+// (m+r-1)^2 windows gathered straight from NCHW), so no tile form ever
+// leaves a layer. `Layout` + `PackedActivation` make the form explicit:
 //
 //  * kNCHW          dense (n, c, h, w), w fastest — Tensor4f's layout.
-//  * kWinogradTile  m x m spatial blocking: [n][c][th][tw][m*m] with
-//                   tiles_h = ceil(h/m) rows of tiles; ragged edge tiles
-//                   are zero-filled beyond the feature map. A pure
-//                   permutation-plus-padding of NCHW, so pack/unpack are
-//                   exact inverses for every shape.
 //  * kIm2colPanel   the im2col lowering [n][c*r*r][outH*outW] for a given
 //                   (r, pad_h, pad_w, stride). Exact inverse whenever
 //                   every input pixel is sampled by at least one patch
 //                   (always for stride 1; see im2col_covers_input()).
 //
-// All conversions are value-preserving: packing then unpacking returns the
-// original tensor bit-for-bit (tests/tensor_layout_test.cpp sweeps ragged
-// edges, stride > 1 and asymmetric padding), which is what lets the layout
-// planner elide conversions without touching the numerics contract.
+// Both conversions are value-preserving: packing then unpacking returns
+// the original tensor bit-for-bit wherever the panel covers the input
+// (tests/tensor_layout_test.cpp sweeps stride > 1 and asymmetric padding).
 #pragma once
 
 #include <cstddef>
@@ -44,9 +27,8 @@
 namespace wino::tensor {
 
 enum class LayoutKind {
-  kNCHW,          ///< dense (n, c, h, w) — the interchange layout
-  kWinogradTile,  ///< m x m spatial tiles: [n][c][th][tw][m*m]
-  kIm2colPanel,   ///< im2col patch panel: [n][c*r*r][outH*outW]
+  kNCHW,         ///< dense (n, c, h, w) — the interchange layout
+  kIm2colPanel,  ///< im2col patch panel: [n][c*r*r][outH*outW]
 };
 
 [[nodiscard]] std::string to_string(LayoutKind kind);
@@ -57,28 +39,21 @@ struct Layout {
   LayoutKind kind = LayoutKind::kNCHW;
   Shape4 shape{};          ///< logical NCHW shape of the activation
 
-  std::size_t tile_m = 0;  ///< kWinogradTile: tile edge m
-
   std::size_t patch_r = 0; ///< kIm2colPanel: kernel size r
   int pad_h = 0;           ///< kIm2colPanel: vertical padding
   int pad_w = 0;           ///< kIm2colPanel: horizontal padding
   int stride = 1;          ///< kIm2colPanel: spatial stride
 
   [[nodiscard]] static Layout nchw(Shape4 shape);
-  [[nodiscard]] static Layout winograd_tile(Shape4 shape, std::size_t m);
   [[nodiscard]] static Layout im2col_panel(Shape4 shape, std::size_t r,
                                            int pad_h, int pad_w, int stride);
-
-  /// kWinogradTile: tile grid extents, ceil(h/m) x ceil(w/m).
-  [[nodiscard]] std::size_t tiles_h() const;
-  [[nodiscard]] std::size_t tiles_w() const;
 
   /// kIm2colPanel: the conv output extents the panel columns enumerate.
   [[nodiscard]] std::size_t panel_out_h() const;
   [[nodiscard]] std::size_t panel_out_w() const;
 
   /// Physical floats of storage this layout occupies (>= shape.volume()
-  /// for kWinogradTile ragged padding and im2col patch overlap).
+  /// for im2col patch overlap).
   [[nodiscard]] std::size_t volume() const;
 
   friend bool operator==(const Layout&, const Layout&) = default;
@@ -102,41 +77,17 @@ struct PackedActivation {
 [[nodiscard]] PackedActivation pack(const Tensor4f& nchw,
                                     const Layout& target);
 
-/// Convert back to NCHW. Exact inverse of pack() for kNCHW and
-/// kWinogradTile always, and for kIm2colPanel whenever the panel samples
-/// every input pixel (see im2col_covers_input); unsampled pixels — only
-/// possible with stride > 1 — come back as zero.
+/// Convert back to NCHW. Exact inverse of pack() for kNCHW always, and
+/// for kIm2colPanel whenever the panel samples every input pixel (see
+/// im2col_covers_input); unsampled pixels — only possible with stride > 1
+/// — come back as zero.
 [[nodiscard]] Tensor4f unpack(const PackedActivation& packed);
-
-/// Convert a packed activation directly into another layout over the same
-/// logical shape. kWinogradTile -> kWinogradTile (e.g. a W4 producer's
-/// m = 4 tiles re-blocked to a consumer's m = 2 edge) runs as a single
-/// direct permutation without materialising the NCHW intermediate; every
-/// other pair routes through unpack -> pack. Value-preserving for every
-/// pair whose unpack is exact (see unpack()), so tile(m_a) -> tile(m_b) ->
-/// tile(m_a) round-trips bit-for-bit including the zero ragged fill
-/// (pinned by tests/nn_plan_test.cpp). Note the mixed-m *executor* usually
-/// doesn't need this: conv2d_winograd_layout and the tiled maxpool gather
-/// from any producer tile edge directly.
-[[nodiscard]] PackedActivation repack(const PackedActivation& src,
-                                      const Layout& target);
 
 /// True when every input pixel of `layout.shape` appears in at least one
 /// im2col patch, i.e. pack -> unpack through kIm2colPanel is the identity.
 /// Always true for stride 1; with stride s > 1 the trailing edge can fall
 /// between patch windows when (extent + pads - r) is not a multiple of s.
 [[nodiscard]] bool im2col_covers_input(const Layout& layout);
-
-/// Flat offset of tile (n, c, th, tw) in a kWinogradTile buffer; the tile
-/// body is tile_m * tile_m floats, row-major within the tile.
-[[nodiscard]] inline std::size_t winograd_tile_offset(const Layout& l,
-                                                      std::size_t n,
-                                                      std::size_t c,
-                                                      std::size_t th,
-                                                      std::size_t tw) {
-  return (((n * l.shape.c + c) * l.tiles_h() + th) * l.tiles_w() + tw) *
-         l.tile_m * l.tile_m;
-}
 
 /// Lower one patch row — a fixed (c, u, v) = (row / r², (row / r) % r,
 /// row % r) — of one image into out_row[outH * outW]. The single source

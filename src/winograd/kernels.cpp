@@ -256,23 +256,19 @@ Tensor4f conv2d_winograd(const Tensor4f& input, const TransformedKernels& tk,
 
 namespace {
 
-/// Geometry and buffer pointers shared by the layout-aware executors; one
-/// instance per conv2d_winograd_layout[_into] call, immutable during the
-/// column walk.
+/// Geometry and buffer pointers of one conv2d_winograd_layout[_into]
+/// call, immutable during the column walk.
 struct LayoutConv {
   const float* src = nullptr;
   float* dst = nullptr;
   const TransformedKernels* tk = nullptr;
   const TileTransformer* xf = nullptr;
-  tensor::Layout ol;
   bool fuse_relu = false;
   int pad = 0;
   std::size_t channels = 0, kernel_count = 0;
   std::size_t in_n = 0, in_h = 0, in_w = 0, out_h = 0, out_w = 0;
   std::size_t mm = 0, n = 0, nsq = 0;
   std::size_t tiles_h = 0, tiles_w = 0;
-  bool in_tiled = false, out_tiled = false;
-  std::size_t in_tm = 0, in_th_n = 0, in_tw_n = 0, in_tmsq = 0;
 
   /// Flattened tile-column count: (img, th, tw) in lexicographic order.
   [[nodiscard]] std::size_t columns() const {
@@ -301,103 +297,44 @@ Window make_window(const LayoutConv& g, std::size_t th, std::size_t tw) {
   return w;
 }
 
-/// Gather maps for the tile-form input: window row i / column j of the
-/// current tile position resolves to a (source tile, offset within tile)
-/// pair, so the per-element gather is a single indexed load — no division,
-/// no validity branch (validity is the contiguous [lo, hi) span instead).
-void build_gather_maps(const LayoutConv& g, const WinogradScratch& s,
-                       const Window& w) {
-  for (std::size_t i = w.i_lo; i < w.i_hi; ++i) {
-    const auto gy =
-        static_cast<std::size_t>(w.y0 + static_cast<std::ptrdiff_t>(i));
-    s.row_tile[i] = gy / g.in_tm;
-    s.row_in[i] = (gy % g.in_tm) * g.in_tm;
-  }
-  for (std::size_t j = w.j_lo; j < w.j_hi; ++j) {
-    const auto gx =
-        static_cast<std::size_t>(w.x0 + static_cast<std::ptrdiff_t>(j));
-    s.col_off[j] = (gx / g.in_tm) * g.in_tmsq + gx % g.in_tm;
-  }
-}
-
-/// Fill s.d with channel c of the gather window at (img, w).
-void gather_channel(const LayoutConv& g, const WinogradScratch& s,
-                    const Window& w, std::size_t img, std::size_t c) {
-  const std::span<float> d = s.d;
+/// Fill d with channel c of the gather window at (img, w).
+void gather_channel(const LayoutConv& g, std::span<float> d, const Window& w,
+                    std::size_t img, std::size_t c) {
   if (w.padded) std::fill(d.begin(), d.end(), 0.0F);
-  if (!g.in_tiled) {
-    const float* plane = g.src + (img * g.channels + c) * g.in_h * g.in_w;
-    for (std::size_t i = w.i_lo; i < w.i_hi; ++i) {
-      const float* rowp =
-          plane +
-          static_cast<std::size_t>(w.y0 + static_cast<std::ptrdiff_t>(i)) *
-              g.in_w +
-          static_cast<std::size_t>(w.x0 +
-                                   static_cast<std::ptrdiff_t>(w.j_lo));
-      float* drow = d.data() + i * g.n;
-      // Plain loop, not std::copy: the span is a handful of floats, and a
-      // memmove call per tile row costs more than the loads it performs.
-      for (std::size_t j = w.j_lo; j < w.j_hi; ++j) {
-        drow[j] = rowp[j - w.j_lo];
-      }
-    }
-  } else {
-    const std::size_t chan_base = (img * g.channels + c) * g.in_th_n;
-    for (std::size_t i = w.i_lo; i < w.i_hi; ++i) {
-      const float* row_ptr =
-          g.src + (chan_base + s.row_tile[i]) * g.in_tw_n * g.in_tmsq +
-          s.row_in[i];
-      float* drow = d.data() + i * g.n;
-      for (std::size_t j = w.j_lo; j < w.j_hi; ++j) {
-        drow[j] = row_ptr[s.col_off[j]];
-      }
+  const float* plane = g.src + (img * g.channels + c) * g.in_h * g.in_w;
+  for (std::size_t i = w.i_lo; i < w.i_hi; ++i) {
+    const float* rowp =
+        plane +
+        static_cast<std::size_t>(w.y0 + static_cast<std::ptrdiff_t>(i)) *
+            g.in_w +
+        static_cast<std::size_t>(w.x0 + static_cast<std::ptrdiff_t>(w.j_lo));
+    float* drow = d.data() + i * g.n;
+    // Plain loop, not std::copy: the span is a handful of floats, and a
+    // memmove call per tile row costs more than the loads it performs.
+    for (std::size_t j = w.j_lo; j < w.j_hi; ++j) {
+      drow[j] = rowp[j - w.j_lo];
     }
   }
 }
 
-/// Scatter acc_y (m*m) for kernel k at tile (img, th, tw) into the
-/// requested output layout, clipping the ragged right/bottom edge.
+/// Scatter acc_y (m*m) for kernel k at tile (img, th, tw) into the NCHW
+/// output, clipping the ragged right/bottom edge.
 void scatter_tile(const LayoutConv& g, std::span<const float> acc_y,
                   std::size_t img, std::size_t k, std::size_t th,
                   std::size_t tw) {
   const std::size_t mm = g.mm;
   const std::size_t ie = std::min(mm, g.out_h - th * mm);
   const std::size_t je = std::min(mm, g.out_w - tw * mm);
-  if (!g.out_tiled) {
-    float* out_plane =
-        g.dst + (img * g.kernel_count + k) * g.out_h * g.out_w;
-    for (std::size_t i = 0; i < ie; ++i) {
-      float* orow = out_plane + (th * mm + i) * g.out_w + tw * mm;
-      const float* ay = acc_y.data() + i * mm;
-      if (g.fuse_relu) {
-        for (std::size_t j = 0; j < je; ++j) {
-          orow[j] = ay[j] > 0.0F ? ay[j] : 0.0F;
-        }
-      } else {
-        for (std::size_t j = 0; j < je; ++j) orow[j] = ay[j];
-      }
-    }
-  } else {
-    // Tile-form scatter: one contiguous m*m block per (k, tile);
-    // positions past the feature map edge hold zero, preserving the
-    // layout's ragged-tile invariant (ReLU keeps 0 at 0).
-    float* block = g.dst + tensor::winograd_tile_offset(g.ol, img, k, th, tw);
-    if (ie == mm && je == mm) {
-      if (g.fuse_relu) {
-        for (std::size_t i = 0; i < mm * mm; ++i) {
-          block[i] = acc_y[i] > 0.0F ? acc_y[i] : 0.0F;
-        }
-      } else {
-        for (std::size_t i = 0; i < mm * mm; ++i) block[i] = acc_y[i];
+  float* out_plane = g.dst + (img * g.kernel_count + k) * g.out_h * g.out_w;
+  for (std::size_t i = 0; i < ie; ++i) {
+    float* orow = out_plane + (th * mm + i) * g.out_w + tw * mm;
+    const float* ay = acc_y.data() + i * mm;
+    if (g.fuse_relu) {
+      for (std::size_t j = 0; j < je; ++j) {
+        orow[j] = ay[j] > 0.0F ? ay[j] : 0.0F;
       }
     } else {
-      std::fill(block, block + mm * mm, 0.0F);
-      for (std::size_t i = 0; i < ie; ++i) {
-        for (std::size_t j = 0; j < je; ++j) {
-          const float v = acc_y[i * mm + j];
-          block[i * mm + j] = g.fuse_relu ? (v > 0.0F ? v : 0.0F) : v;
-        }
-      }
+      for (std::size_t j = 0; j < je; ++j) orow[j] = ay[j];
     }
   }
 }
@@ -427,10 +364,9 @@ void run_columns(const LayoutConv& g, const WinogradScratch& s,
     std::size_t img = 0, th = 0, tw = 0;
     decode_column(g, col, img, th, tw);
     const Window w = make_window(g, th, tw);
-    if (g.in_tiled) build_gather_maps(g, s, w);
 
     for (std::size_t c = 0; c < g.channels; ++c) {
-      gather_channel(g, s, w, img, c);
+      gather_channel(g, s.d, w, img, c);
       xf.transform_data(s.d, {u_all + c * nsq, nsq});
     }
 
@@ -451,13 +387,9 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
                             const tensor::Layout& ol, std::span<float> out,
                             bool fuse_relu) {
   using tensor::LayoutKind;
-  if (il.kind != LayoutKind::kNCHW && il.kind != LayoutKind::kWinogradTile) {
+  if (il.kind != LayoutKind::kNCHW || ol.kind != LayoutKind::kNCHW) {
     throw std::invalid_argument(
-        "conv2d_winograd_layout: input must be NCHW or Winograd-tile form");
-  }
-  if (ol.kind != LayoutKind::kNCHW && ol.kind != LayoutKind::kWinogradTile) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: output must be NCHW or Winograd-tile form");
+        "conv2d_winograd_layout: input and output must be NCHW");
   }
   if (in.size() != il.volume()) {
     throw std::invalid_argument(
@@ -493,7 +425,6 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
   g.dst = out.data();
   g.tk = &tk;
   g.xf = &xf;
-  g.ol = ol;
   g.fuse_relu = fuse_relu;
   g.pad = pad;
   g.channels = is.c;
@@ -508,15 +439,9 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
   g.nsq = tile * tile;
   g.tiles_h = (g.out_h + g.mm - 1) / g.mm;
   g.tiles_w = (g.out_w + g.mm - 1) / g.mm;
-  g.in_tiled = il.kind == LayoutKind::kWinogradTile;
-  g.out_tiled = ol.kind == LayoutKind::kWinogradTile;
-  g.in_tm = g.in_tiled ? il.tile_m : 1;  // unused for NCHW
-  g.in_th_n = g.in_tiled ? il.tiles_h() : 0;
-  g.in_tw_n = g.in_tiled ? il.tiles_w() : 0;
-  g.in_tmsq = g.in_tm * g.in_tm;
 
   const tensor::Shape4 out_shape{is.n, g.kernel_count, g.out_h, g.out_w};
-  if (!(ol.shape == out_shape) || (g.out_tiled && ol.tile_m != g.mm)) {
+  if (!(ol.shape == out_shape)) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: output layout does not match this conv");
   }
@@ -531,9 +456,7 @@ LayoutConv make_layout_conv(const tensor::Layout& il,
 void validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
   const std::size_t nsq = g.nsq;
   if (s.d.size() != nsq || s.u_all.size() != g.channels * nsq ||
-      s.acc_m.size() != nsq || s.acc_y.size() != g.mm * g.mm ||
-      s.row_tile.size() != g.n || s.row_in.size() != g.n ||
-      s.col_off.size() != g.n) {
+      s.acc_m.size() != nsq || s.acc_y.size() != g.mm * g.mm) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: scratch size mismatch");
   }
@@ -542,7 +465,6 @@ void validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
 /// Heap-backed scratch for the allocating wrapper (one per worker chunk).
 struct OwnedScratch {
   std::vector<float> f;
-  std::vector<std::size_t> idx;
   WinogradScratch s;
 };
 
@@ -551,7 +473,6 @@ OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
   const std::size_t nsq = n * n;
   OwnedScratch o;
   o.f.resize(nsq + channels * nsq + nsq + mm * mm);
-  o.idx.resize(3 * n);
   float* f = o.f.data();
   o.s.d = {f, nsq};
   f += nsq;
@@ -560,9 +481,6 @@ OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
   o.s.acc_m = {f, nsq};
   f += nsq;
   o.s.acc_y = {f, mm * mm};
-  o.s.row_tile = {o.idx.data(), n};
-  o.s.row_in = {o.idx.data() + n, n};
-  o.s.col_off = {o.idx.data() + 2 * n, n};
   return o;
 }
 
@@ -582,18 +500,13 @@ void conv2d_winograd_layout_into(const tensor::Layout& il,
   run_columns(g, scratch, 0, g.columns());
 }
 
-tensor::PackedActivation conv2d_winograd_layout(
-    const tensor::PackedActivation& input, const TransformedKernels& tk,
-    const TileTransformer& xf, const WinogradConvOptions& opt,
-    tensor::LayoutKind out_kind, bool fuse_relu) {
+Tensor4f conv2d_winograd_layout(const Tensor4f& input,
+                                const TransformedKernels& tk,
+                                const TileTransformer& xf,
+                                const WinogradConvOptions& opt,
+                                bool fuse_relu) {
   using tensor::Layout;
-  using tensor::LayoutKind;
-  if (out_kind != LayoutKind::kNCHW &&
-      out_kind != LayoutKind::kWinogradTile) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: output must be NCHW or Winograd-tile form");
-  }
-  const Layout& il = input.layout;
+  const Layout il = Layout::nchw(input.shape());
   const auto& is = il.shape;
   const auto r = static_cast<std::size_t>(xf.r());
   const int pad = opt.pad;
@@ -605,24 +518,17 @@ tensor::PackedActivation conv2d_winograd_layout(
     throw std::invalid_argument(
         "conv2d_winograd_layout: output would be empty");
   }
-  const auto mm = static_cast<std::size_t>(xf.m());
-  const tensor::Shape4 out_shape{is.n, tk.kernel_count(),
-                                 static_cast<std::size_t>(oh),
-                                 static_cast<std::size_t>(ow)};
-  const Layout ol = out_kind == LayoutKind::kNCHW
-                        ? Layout::nchw(out_shape)
-                        : Layout::winograd_tile(out_shape, mm);
-  tensor::PackedActivation out{ol, std::vector<float>(ol.volume())};
-
+  Tensor4f out(is.n, tk.kernel_count(), static_cast<std::size_t>(oh),
+               static_cast<std::size_t>(ow));
   const LayoutConv g =
-      make_layout_conv(il, input.data, tk, xf, opt, ol, out.data, fuse_relu);
-  const auto n = static_cast<std::size_t>(xf.tile());
+      make_layout_conv(il, input.flat(), tk, xf, opt,
+                       Layout::nchw(out.shape()), out.flat(), fuse_relu);
 
   // Every worker chunk owns a private scratch and a contiguous column
   // range; per-column arithmetic is independent of the chunking, so any
   // thread count produces the same bytes.
   runtime::parallel_for(g.columns(), [&](std::size_t begin, std::size_t end) {
-    const OwnedScratch o = make_owned_scratch(is.c, n, mm);
+    const OwnedScratch o = make_owned_scratch(is.c, g.n, g.mm);
     run_columns(g, o.s, begin, end);
   });
   return out;

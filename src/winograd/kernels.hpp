@@ -8,8 +8,10 @@
 // accumulates channels either in the transform domain (software-optimal,
 // one inverse per output tile) or after the inverse transform (matching
 // the hardware's accumulation buffers); their equivalence is a linearity
-// property the test suite checks. The layout-aware executor
-// (conv2d_winograd_layout[_into]) runs the transform-domain order only.
+// property the test suite checks. The executor's walk
+// (conv2d_winograd_layout[_into]) runs the transform-domain order only,
+// gathering its tiles from an NCHW activation and scattering NCHW: the
+// tiles live inside one layer and never cross a layer boundary.
 #pragma once
 
 #include <span>
@@ -143,20 +145,15 @@ tensor::Tensor4f conv2d_winograd(const tensor::Tensor4f& input,
                                  const TileTransformer& xf,
                                  const WinogradConvOptions& opt = {});
 
-/// Layout-aware layer convolution for the nn pipeline: the input may be
-/// NCHW or Winograd-tile form (any producer tile edge), and the output is
-/// produced directly in `out_kind` (kNCHW, or kWinogradTile with tile edge
-/// m) — chains of Winograd layers hand activations tile-to-tile without
-/// ever materialising the NCHW intermediate. `fuse_relu` folds the
-/// elementwise max(x, 0) into the output scatter, replacing the separate
-/// full-tensor ReLU pass.
+/// The executor's layer convolution, allocating its NCHW output.
+/// `fuse_relu` folds the elementwise max(x, 0) into the output scatter,
+/// replacing the separate full-tensor ReLU pass.
 ///
 /// Every output element is computed by exactly the arithmetic of
 /// conv2d_winograd(input, tk, xf, opt) — the gather reads the same values,
 /// the transform/accumulation order is untouched, and ReLU is the same
-/// formula applied to the same result — so this path is bit-identical to
-/// the always-NCHW path at every element, whatever mix of layouts carries
-/// the activations (pinned by tests/nn_plan_test.cpp and
+/// formula applied to the same result — so the two are bit-identical at
+/// every element (pinned by tests/winograd_fused_test.cpp and
 /// tests/tensor_layout_test.cpp).
 ///
 /// The walk visits one tile column (image, tile row, tile column) at a
@@ -167,41 +164,42 @@ tensor::Tensor4f conv2d_winograd(const tensor::Tensor4f& input,
 /// splits the columns across the deterministic ThreadPool — each worker
 /// owns a private scratch and a contiguous column range — and since every
 /// accumulator chain is confined to one column, any thread count produces
-/// the same bytes (pinned by tests/winograd_fused_test.cpp).
+/// the same bytes.
 ///
 /// Transform-domain accumulation only: any other opt.accumulation throws
 /// std::invalid_argument (the post-inverse order lives in the reference
 /// walk, conv2d_winograd).
-tensor::PackedActivation conv2d_winograd_layout(
-    const tensor::PackedActivation& input, const TransformedKernels& tk,
-    const TileTransformer& xf, const WinogradConvOptions& opt,
-    tensor::LayoutKind out_kind, bool fuse_relu);
+tensor::Tensor4f conv2d_winograd_layout(const tensor::Tensor4f& input,
+                                        const TransformedKernels& tk,
+                                        const TileTransformer& xf,
+                                        const WinogradConvOptions& opt,
+                                        bool fuse_relu);
 
 /// Caller-provided scratch for conv2d_winograd_layout_into: the data tile
-/// d, the column's transform bank, the accumulation tiles and the tile-form
-/// gather maps. Carved out of a workspace slab by
-/// nn::carve_winograd_scratch, which is also the single definition of each
-/// span's extent. acc_m is the accumulator of the runtime-n fallback; the
-/// specialised n*n in {16, 25, 36} reductions accumulate in registers and
-/// only stage their result there for the inverse transform.
+/// d, the column's transform bank and the accumulation tiles. Carved out
+/// of a workspace slab by nn::carve_winograd_scratch, which is also the
+/// single definition of each span's extent. acc_m is the accumulator of
+/// the runtime-n fallback; the specialised n*n in {16, 25, 36} reductions
+/// accumulate in registers and only stage their result there for the
+/// inverse transform.
 struct WinogradScratch {
-  std::span<float> d;        ///< n*n gathered input tile
-  std::span<float> u_all;    ///< C * n*n transformed data tiles
-  std::span<float> acc_m;    ///< n*n transform-domain accumulator
-  std::span<float> acc_y;    ///< m*m inverse-transformed output tile
-  std::span<std::size_t> row_tile;  ///< tile-form gather: source tile row
-  std::span<std::size_t> row_in;    ///< row-within-tile * tile_m
-  std::span<std::size_t> col_off;   ///< tile-col * tile_m^2 + col-within
+  std::span<float> d;      ///< n*n gathered input tile
+  std::span<float> u_all;  ///< C * n*n transformed data tiles
+  std::span<float> acc_m;  ///< n*n transform-domain accumulator
+  std::span<float> acc_y;  ///< m*m inverse-transformed output tile
 };
 
 /// Allocation-free core of conv2d_winograd_layout: identical arithmetic in
-/// the identical order, reading the input from `in` (described by `il`),
-/// writing the output into `out` (described by `ol` — kNCHW or
-/// kWinogradTile with the transformer's own m), with every intermediate in
-/// caller-provided scratch. The plan executor in nn/forward.cpp runs every
-/// Winograd conv layer through this against its per-thread workspace;
-/// the allocating conv2d_winograd_layout wrapper delegates to the same
-/// column walk, so the two entry points cannot diverge numerically.
+/// the identical order, reading the NCHW input from `in` (described by
+/// `il`), writing the NCHW output into `out` (described by `ol`), with
+/// every intermediate in caller-provided scratch. The plan executor in
+/// nn/forward.cpp runs every Winograd conv layer through this against its
+/// per-thread workspace; the allocating conv2d_winograd_layout wrapper
+/// delegates to the same column walk, so the two entry points cannot
+/// diverge numerically. `il` and `ol` must be kNCHW (std::invalid_argument
+/// otherwise): the Layout parameters stay only because
+/// bench/e2e/replay.cpp passes the plan's act_layout through them, and
+/// they leave together with that file (ROADMAP item 1).
 ///
 /// Walks every column sequentially. It deliberately does not spawn its own
 /// parallel_for — the hot caller (nn/forward.cpp) already fans out across

@@ -140,12 +140,12 @@ TEST(MemoryPlanTest, UniformWinogradSlabPeaksArePinned) {
     std::size_t peak8;
   };
   const Pin pins[] = {
-      {14, ConvAlgo::kWinograd2, 17280, 131968},
-      {14, ConvAlgo::kWinograd4, 18176, 132864},
-      {7, ConvAlgo::kWinograd2, 66432, 525184},
-      {7, ConvAlgo::kWinograd4, 67328, 526080},
-      {28, ConvAlgo::kWinograd2, 6528, 33664},
-      {28, ConvAlgo::kWinograd4, 18048, 75392},
+      {14, ConvAlgo::kWinograd2, 17088, 131776},
+      {14, ConvAlgo::kWinograd4, 17984, 132672},
+      {7, ConvAlgo::kWinograd2, 66240, 524992},
+      {7, ConvAlgo::kWinograd4, 67136, 525888},
+      {28, ConvAlgo::kWinograd2, 4800, 33472},
+      {28, ConvAlgo::kWinograd4, 10176, 34368},
   };
   for (const Pin& p : pins) {
     const ExecutionPlan plan =

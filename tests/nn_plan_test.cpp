@@ -1,16 +1,18 @@
-// Tests for the per-layer execution planner (nn/plan.hpp): the tiled
-// maxpool's bit-identity to NCHW pooling across every layout/thread
-// combination, the cost model's complexity-driven ordering, plan
-// determinism, mixed-m tile handoffs and repacks, the plan executor's
-// memcmp contract against the per-layer reference composition, the
-// planned serving session, and the hw engine's per-layer m hook.
+// Tests for the per-layer execution planner (nn/plan.hpp): the executor's
+// maxpool's bit-identity to maxpool2x2 (odd extents, NaN operands, thread
+// counts), the cost model's complexity-driven ordering, plan determinism,
+// the plan executor's memcmp contract against the per-layer reference
+// composition (mixed m included), the planned serving session, and the hw
+// engine's per-layer m hook.
 #include "nn/plan.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -32,7 +34,6 @@ namespace {
 
 using common::Rng;
 using tensor::Layout;
-using tensor::LayoutKind;
 using tensor::PackedActivation;
 using tensor::Tensor4f;
 
@@ -76,60 +77,83 @@ TEST(WinogradM, TiledFormPredicate) {
   EXPECT_EQ(winograd_m(ConvAlgo::kFft), 0);
 }
 
-// The satellite's exhaustive sweep: every odd/even extent (ragged tile
-// edges on both sides), every in/out layout pairing incl. mismatched tile
-// edges, at 1/2/7 threads — all memcmp-identical to NCHW maxpool2x2.
-TEST(TiledMaxpool, BitIdenticalToNchwAcrossLayoutsAndThreads) {
+// The executor's pool step against the maxpool2x2 oracle, memcmp: odd
+// extents (the trailing row/column is dropped), NaN operands, 1 and 3
+// threads. std::max(a, b) returns a NaN only from its first operand, so
+// NaN propagation exposes the operand order in the bytes.
+TEST(MaxpoolInto, BitIdenticalToMaxpool2x2) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // One pinned window pair: a NaN in the first operand propagates, one in
+  // the second is dropped.
+  Tensor4f pinned(1, 1, 2, 4);
+  const float rows[] = {nan, 1.0F, 2.0F, nan, 0.0F, 0.0F, 0.0F, 0.0F};
+  std::copy(std::begin(rows), std::end(rows), pinned.flat().begin());
+  const Tensor4f pinned_out = maxpool2x2(pinned);
+  ASSERT_TRUE(std::isnan(pinned_out(0, 0, 0, 0)));
+  ASSERT_EQ(pinned_out(0, 0, 0, 1), 2.0F);
+
+  std::vector<Tensor4f> inputs{pinned};
   Rng rng(321);
-  const std::vector<std::size_t> in_tiles = {0, 2, 3, 4};   // 0 = NCHW
-  const std::vector<std::size_t> out_tiles = {0, 2, 4};
   for (const std::size_t h : {2u, 3u, 5u, 8u, 9u}) {
     for (const std::size_t w : {2u, 4u, 7u, 9u}) {
-      Tensor4f nchw(2, 3, h, w);
-      rng.fill_uniform(nchw.flat(), -1.0F, 1.0F);
-      const Tensor4f expect = maxpool2x2(nchw);
-      for (const std::size_t in_m : in_tiles) {
-        const PackedActivation in =
-            in_m == 0 ? tensor::pack(nchw, Layout::nchw(nchw.shape()))
-                      : tensor::pack(
-                            nchw, Layout::winograd_tile(nchw.shape(), in_m));
-        for (const std::size_t out_m : out_tiles) {
-          const LayoutKind out_kind =
-              out_m == 0 ? LayoutKind::kNCHW : LayoutKind::kWinogradTile;
-          std::vector<std::vector<float>> per_thread;
-          for (const std::size_t threads : {1u, 2u, 7u}) {
-            runtime::ThreadPool::set_global_threads(threads);
-            const PackedActivation got =
-                maxpool2x2_packed(in, out_kind, out_m);
-            ASSERT_TRUE(same_bits(tensor::unpack(got), expect))
-                << "h=" << h << " w=" << w << " in_m=" << in_m
-                << " out_m=" << out_m << " threads=" << threads;
-            per_thread.push_back(got.data);
-          }
-          // The packed buffer itself (incl. ragged zero fill) must not
-          // depend on the thread count either.
-          EXPECT_EQ(per_thread[0], per_thread[1]);
-          EXPECT_EQ(per_thread[0], per_thread[2]);
-        }
-      }
+      Tensor4f t(2, 3, h, w);
+      rng.fill_uniform(t.flat(), -1.0F, 1.0F);
+      // Every 7th element: lands on each position of the 2x2 window.
+      for (std::size_t i = 0; i < t.size(); i += 7) t.flat()[i] = nan;
+      inputs.push_back(std::move(t));
+    }
+  }
+  for (const Tensor4f& in : inputs) {
+    const Tensor4f want = maxpool2x2(in);
+    const Layout il = Layout::nchw(in.shape());
+    const Layout ol = Layout::nchw(want.shape());
+    for (const std::size_t threads : {1u, 3u}) {
+      runtime::ThreadPool::set_global_threads(threads);
+      std::vector<float> got(ol.volume(), -1.0F);
+      maxpool2x2_packed_into(il, in.flat(), ol, got, {}, {});
+      ASSERT_EQ(std::memcmp(got.data(), want.flat().data(),
+                            got.size() * sizeof(float)),
+                0)
+          << "h=" << in.shape().h << " w=" << in.shape().w
+          << " threads=" << threads;
     }
   }
   runtime::ThreadPool::set_global_threads(
       std::max(1u, std::thread::hardware_concurrency()));
 }
 
-TEST(TiledMaxpool, RejectsBadInputs) {
-  Tensor4f tiny(1, 1, 1, 4);
-  EXPECT_THROW(maxpool2x2_packed(PackedActivation::from_nchw(std::move(tiny)),
-                                 LayoutKind::kNCHW),
+TEST(MaxpoolInto, RejectsColumnMapsAndBadInputs) {
+  const Tensor4f in(1, 1, 4, 4);
+  const Layout il = Layout::nchw(in.shape());
+  const Layout ol = Layout::nchw({1, 1, 2, 2});
+  std::vector<float> out(ol.volume());
+  std::vector<std::size_t> cols(4);
+  EXPECT_THROW(maxpool2x2_packed_into(il, in.flat(), ol, out, cols, {}),
                std::invalid_argument);
-  Tensor4f ok(1, 1, 4, 4);
+  EXPECT_THROW(maxpool2x2_packed_into(il, in.flat(), ol, out, {},
+                                      std::span(cols).first(2)),
+               std::invalid_argument);
+  // carve_pool_scratch hands out exactly the empty maps it takes.
+  ByteCarver measure;
+  const PoolScratch ps = carve_pool_scratch(measure, il, ol);
+  EXPECT_TRUE(ps.in_col.empty());
+  EXPECT_TRUE(ps.out_col.empty());
+  EXPECT_EQ(measure.used(), 0u);
+  EXPECT_NO_THROW(
+      maxpool2x2_packed_into(il, in.flat(), ol, out, ps.in_col, ps.out_col));
+
   const auto panel = tensor::pack(
-      ok, Layout::im2col_panel(ok.shape(), 3, 1, 1, 1));
-  EXPECT_THROW(maxpool2x2_packed(panel, LayoutKind::kNCHW),
+      in, Layout::im2col_panel(in.shape(), 3, 1, 1, 1));
+  EXPECT_THROW(maxpool2x2_packed_into(panel.layout, panel.data, ol, out, {},
+                                      {}),
                std::invalid_argument);
-  EXPECT_THROW(maxpool2x2_packed(PackedActivation::from_nchw(std::move(ok)),
-                                 LayoutKind::kIm2colPanel),
+  const Tensor4f tiny(1, 1, 1, 4);
+  EXPECT_THROW(maxpool2x2_packed_into(Layout::nchw(tiny.shape()), tiny.flat(),
+                                      Layout::nchw({1, 1, 0, 2}), {}, {}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(maxpool2x2_packed_into(il, in.flat(),
+                                      Layout::nchw({1, 1, 2, 1}), out, {},
+                                      {}),
                std::invalid_argument);
 }
 
@@ -177,7 +201,6 @@ TEST(Planner, DeterministicPlansAndUniformFallback) {
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
     EXPECT_EQ(a.steps[i], b.steps[i]) << "layer " << i;
   }
-  EXPECT_EQ(a.nchw_boundaries, b.nchw_boundaries);
   // A single candidate degenerates to the uniform plan's decisions.
   PlannerOptions only_w2;
   only_w2.candidates = {ConvAlgo::kWinograd2};
@@ -187,8 +210,7 @@ TEST(Planner, DeterministicPlansAndUniformFallback) {
   EXPECT_TRUE(w2.uniform());
   for (std::size_t i = 0; i < w2.steps.size(); ++i) {
     EXPECT_EQ(w2.steps[i].algo, uni.steps[i].algo);
-    EXPECT_EQ(w2.steps[i].output_kind, uni.steps[i].output_kind);
-    EXPECT_EQ(w2.steps[i].out_tile_m, uni.steps[i].out_tile_m);
+    EXPECT_EQ(w2.steps[i].fused_relu, uni.steps[i].fused_relu);
   }
   EXPECT_THROW(plan_execution(layers, PlannerOptions{.candidates = {}}),
                std::invalid_argument);
@@ -325,81 +347,17 @@ TEST(Planner, MeasuredCalibrationIsCachedAndPositive) {
   }
 }
 
-TEST(Planner, TiledLayoutsCloseEveryPoolBoundary) {
-  // All-Winograd candidates: every conv -> conv, conv -> pool and
-  // pool -> conv boundary stays in tile form; only the last pool -> FC
-  // handoff (and the final output) materialises NCHW. This is the
-  // structural "conv -> pool -> conv chains execute with zero NCHW
-  // round-trips" acceptance check.
-  const auto layers = vgg16_d_scaled(7, 16);
-  PlannerOptions opts;
-  opts.candidates = {ConvAlgo::kWinograd2, ConvAlgo::kWinograd4};
-  opts.calibration = default_calibration();
-  const ExecutionPlan plan = plan_execution(layers, opts);
-  EXPECT_EQ(plan.boundaries, layers.size() - 1);
-  EXPECT_EQ(plan.nchw_boundaries, 1u);  // pool5 -> fc only
-  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
-    const LayerPlan& step = plan.steps[i];
-    if (layers[i].kind == LayerKind::kMaxPool &&
-        layers[i + 1].kind == LayerKind::kConv) {
-      // Pools emit tiles sized for their consumer.
-      ASSERT_EQ(step.output_kind, LayoutKind::kWinogradTile);
-      EXPECT_EQ(step.out_tile_m, static_cast<std::size_t>(winograd_m(
-                                     plan.steps[i + 1].algo)));
-    }
-    if (layers[i].kind == LayerKind::kConv) {
-      // Winograd convs emit their own m.
-      ASSERT_EQ(step.output_kind, LayoutKind::kWinogradTile);
-      EXPECT_EQ(step.out_tile_m,
-                static_cast<std::size_t>(winograd_m(step.algo)));
-      EXPECT_TRUE(step.fused_relu);
-    }
-  }
-  EXPECT_EQ(plan.steps.back().output_kind, LayoutKind::kNCHW);
-}
-
-TEST(Repack, MixedMTileRoundTripIsExact) {
-  Rng rng(99);
-  for (const std::size_t h : {4u, 5u, 7u, 8u}) {
-    for (const std::size_t w : {4u, 6u, 9u}) {
-      Tensor4f nchw(2, 3, h, w);
-      rng.fill_uniform(nchw.flat(), -1.0F, 1.0F);
-      const Layout t4 = Layout::winograd_tile(nchw.shape(), 4);
-      const Layout t2 = Layout::winograd_tile(nchw.shape(), 2);
-      const PackedActivation w4 = tensor::pack(nchw, t4);
-      // W4 -> W2 -> W4: the producer-side repack a consumer that insisted
-      // on its own tile edge would trigger, round-tripped. Bit-exact
-      // including the zero ragged fill.
-      const PackedActivation back =
-          tensor::repack(tensor::repack(w4, t2), t4);
-      EXPECT_EQ(w4.data, back.data) << "h=" << h << " w=" << w;
-      // Repacking into NCHW is exactly unpack.
-      const PackedActivation as_nchw =
-          tensor::repack(w4, Layout::nchw(nchw.shape()));
-      EXPECT_TRUE(same_bits(Tensor4f(nchw.shape(),
-                                     std::vector<float>(as_nchw.data)),
-                            nchw));
-    }
-  }
-  Tensor4f a(1, 1, 4, 4);
-  const auto packed = tensor::pack(a, Layout::winograd_tile(a.shape(), 2));
-  EXPECT_THROW(
-      tensor::repack(packed, Layout::winograd_tile({1, 1, 6, 6}, 2)),
-      std::invalid_argument);
-}
-
 // The acceptance pin: a mixed-m plan (different Winograd m per layer plus
-// an im2col layer, tiled pools in between) is memcmp-identical to
-// composing the same per-layer algorithms through the always-NCHW
-// reference path — at every batch size and thread count.
+// an im2col layer, pools in between) is memcmp-identical to composing the
+// same per-layer algorithms through the reference path — at every batch
+// size and thread count.
 TEST(ForwardPlan, MixedMBitIdenticalToReferenceComposition) {
   const auto layers = vgg16_d_scaled(/*scale=*/14, /*channel_div=*/16);
   const WeightBank weights = random_weights(layers, 77);
   ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kWinograd4);
   // Force a mixed assignment: cycle W4 -> W2 -> W3 -> im2col over the
-  // conv layers, so the walk crosses W4->W2 and W2->W3 tile handoffs,
-  // pool boundaries inside Winograd chains, and a tile -> NCHW -> panel
-  // transition into the im2col layer.
+  // conv layers, so the walk crosses W4->W2 and W2->W3 handoffs, pool
+  // boundaries inside Winograd chains, and a Winograd -> im2col handoff.
   const ConvAlgo cycle[4] = {ConvAlgo::kWinograd4, ConvAlgo::kWinograd2,
                              ConvAlgo::kWinograd3, ConvAlgo::kIm2col};
   std::size_t conv_idx = 0;
@@ -410,7 +368,6 @@ TEST(ForwardPlan, MixedMBitIdenticalToReferenceComposition) {
   }
   replan_layouts(plan);
   EXPECT_FALSE(plan.uniform());
-  EXPECT_GT(plan.mixed_m_handoffs, 0u);
 
   Rng rng(79);
   for (const std::size_t batch : {1u, 5u}) {
@@ -429,9 +386,9 @@ TEST(ForwardPlan, MixedMBitIdenticalToReferenceComposition) {
 }
 
 TEST(ForwardPlan, UniformWrapperMatchesPlanExecutor) {
-  // The uniform-algo entry runs the one executor (tile-form handoffs,
-  // fused ReLU, packed im2col panels) and must reproduce the always-NCHW
-  // oracle bit-for-bit — per algorithm, per batch size, per thread count.
+  // The uniform-algo entry runs the one executor (fused ReLU, slab-carved
+  // im2col panels) and must reproduce the reference composition
+  // bit-for-bit — per algorithm, per batch size, per thread count.
   const auto layers = vgg16_d_scaled(14, 16);
   const WeightBank weights = random_weights(layers, 77);
   Rng rng(79);
@@ -449,6 +406,43 @@ TEST(ForwardPlan, UniformWrapperMatchesPlanExecutor) {
             << to_string(algo) << " batch=" << batch
             << " threads=" << threads;
       }
+    }
+  }
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// fp32 inputs carrying NaN, +Inf and -Inf: every fp32 plan form runs the
+// reference composition's arithmetic on the same values, including the
+// non-finite intermediates and the ReLU that maps NaN to 0, so the output
+// matches it byte for byte.
+TEST(ForwardPlan, NonFiniteInputsBitIdenticalToReference) {
+  const auto layers = vgg16_d_scaled(14, 16);
+  const WeightBank weights = random_weights(layers, 81);
+  Rng rng(83);
+  Tensor4f input(3, 3, 16, 16);
+  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  for (std::size_t i = 0; i < input.size(); i += 37) {
+    input.flat()[i] = specials[(i / 37) % 3];
+  }
+  for (const ConvAlgo algo : {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3,
+                              ConvAlgo::kWinograd4, ConvAlgo::kIm2col}) {
+    // The specials reach the arithmetic: the first conv's pre-ReLU output
+    // is non-finite somewhere (ReLU then maps NaN and -Inf to 0).
+    const Tensor4f first = run_conv(algo, input, weights.conv_kernels[0],
+                                    layers[0].conv.pad);
+    ASSERT_TRUE(std::any_of(first.flat().begin(), first.flat().end(),
+                            [](float v) { return !std::isfinite(v); }))
+        << to_string(algo);
+    const ExecutionPlan plan = uniform_plan(layers, algo);
+    const Tensor4f reference = forward_reference(plan, weights, input);
+    for (const std::size_t threads : {1u, 3u}) {
+      runtime::ThreadPool::set_global_threads(threads);
+      EXPECT_TRUE(same_bits(forward(plan, weights, input), reference))
+          << to_string(algo) << " threads=" << threads;
     }
   }
   runtime::ThreadPool::set_global_threads(

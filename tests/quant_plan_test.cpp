@@ -64,7 +64,7 @@ TEST(Int8Algos, PredicatesAndNames) {
   for (const ConvAlgo algo : {ConvAlgo::kInt8Im2col, ConvAlgo::kInt8Winograd2,
                               ConvAlgo::kInt8Winograd4}) {
     EXPECT_TRUE(is_int8(algo));
-    EXPECT_EQ(winograd_m(algo), 0);  // never participates in tile handoffs
+    EXPECT_EQ(winograd_m(algo), 0);  // runs its own quantized walk
     EXPECT_EQ(parse_conv_algo(to_string(algo)), algo);
   }
   EXPECT_FALSE(is_int8(ConvAlgo::kIm2col));
@@ -533,19 +533,17 @@ TEST(Planner, BudgetWithoutCalibrationNeverPicksInt8) {
   }
 }
 
-TEST(Planner, UniformInt8PlanKeepsNchwBoundariesAndFusesRelu) {
+TEST(Planner, UniformInt8PlanFusesRelu) {
   const auto layers = vgg16_d_scaled(28, 16);
   const ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kInt8Im2col);
   std::size_t conv_count = 0;
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    EXPECT_EQ(plan.steps[i].output_kind, tensor::LayoutKind::kNCHW);
     if (layers[i].kind == LayerKind::kConv) {
       EXPECT_TRUE(plan.steps[i].fused_relu);
       ++conv_count;
     }
   }
   EXPECT_EQ(plan.int8_layers, conv_count);
-  EXPECT_EQ(plan.nchw_boundaries, plan.boundaries);
 }
 
 // The tentpole acceptance pin: a quantized mixed-precision plan executes

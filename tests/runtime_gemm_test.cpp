@@ -197,25 +197,6 @@ TEST_F(RuntimeGemm, ThreadCountInvariantIncludingMultiPanel) {
   }
 }
 
-TEST_F(RuntimeGemm, BatchedMatchesPerMemberCalls) {
-  Rng rng(108);
-  const std::size_t count = 9;
-  const std::size_t m = 7;
-  const std::size_t n = 31;
-  const std::size_t k = 12;
-  const auto a = random_vec(count * m * k, rng);
-  const auto b = random_vec(count * k * n, rng);
-  std::vector<float> got(count * m * n);
-  std::vector<float> want(count * m * n);
-  sgemm_batched(count, m, n, k, 1.0F, a.data(), k, m * k, b.data(), n, k * n,
-                0.0F, got.data(), n, m * n);
-  for (std::size_t e = 0; e < count; ++e) {
-    sgemm(m, n, k, 1.0F, a.data() + e * m * k, k, b.data() + e * k * n, n,
-          0.0F, want.data() + e * m * n, n);
-  }
-  expect_bitwise_equal(got, want, "batched");
-}
-
 TEST_F(RuntimeGemm, NestedInsideParallelForStaysCorrect) {
   // Consumers call sgemm from inside parallel_for bodies (per-image conv,
   // per-tile hw engine); the nested call runs inline and must still equal

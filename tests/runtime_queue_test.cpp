@@ -104,26 +104,38 @@ TEST(BoundedQueueStressTest, CloseWakesBlockedProducersAndConsumers) {
 
   constexpr std::size_t kBlocked = 4;
   std::atomic<int> push_failures{0};
-  std::atomic<int> pop_values{0};
-  std::vector<std::thread> threads;
+  std::vector<std::thread> producers;
   for (std::size_t i = 0; i < kBlocked; ++i) {
-    threads.emplace_back([&] {
+    producers.emplace_back([&] {
       if (!q.push(1)) ++push_failures;  // blocked full -> woken by close
     });
   }
-  // One consumer takes the only item; the rest of the pops happen after
-  // close and must observe drained-empty, not hang.
-  threads.emplace_back([&] {
+  // A consumer parked on a second, empty queue: only close() wakes it.
+  BoundedQueue<int> empty(1);
+  std::atomic<bool> consumer_got_item{false};
+  std::thread parked([&] {
+    if (empty.pop()) consumer_got_item = true;
+  });
+  // Close q before its consumer starts, so no pop can free a slot that a
+  // blocked producer would then win.
+  q.close();
+  for (auto& t : producers) t.join();
+  empty.close();
+  parked.join();
+  // The consumer drains the one pre-close item, then observes
+  // drained-empty instead of hanging.
+  std::atomic<int> pop_values{0};
+  std::thread consumer([&] {
     while (auto v = q.pop()) ++pop_values;
   });
-  q.close();
-  for (auto& t : threads) t.join();
+  consumer.join();
 
   // Every blocked producer was woken and reported failure (close() rejects
   // pushes, even those already parked); the consumer drained exactly the
   // one pre-close item (capacity was 1, all post-close pushes failed).
   EXPECT_EQ(push_failures.load(), static_cast<int>(kBlocked));
   EXPECT_EQ(pop_values.load(), 1);
+  EXPECT_FALSE(consumer_got_item.load());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-// Layout descriptor + pack/unpack conversion kernels: exhaustive
-// round-trip identity sweeps (ragged tile edges, stride > 1, asymmetric
-// padding), cross-checks against the conv-layer im2col, and the
-// layout-aware Winograd conv's bit-identity to the NCHW path.
+// Layout descriptor + pack/unpack conversion kernels: round-trip identity
+// sweeps (stride > 1, asymmetric padding), cross-checks against the
+// conv-layer im2col, and the executor's Winograd conv's bit-identity to
+// the reference walk.
 #include "tensor/layout.hpp"
 
 #include <gtest/gtest.h>
@@ -35,23 +35,11 @@ bool bit_identical(const Tensor4f& a, const Tensor4f& b) {
 TEST(Layout, DescribesItself) {
   const Shape4 s{1, 3, 8, 8};
   EXPECT_EQ(to_string(Layout::nchw(s)), "nchw");
-  EXPECT_EQ(to_string(Layout::winograd_tile(s, 4)), "winograd-tile(m=4)");
   EXPECT_EQ(to_string(Layout::im2col_panel(s, 3, 1, 2, 1)),
             "im2col-panel(r=3,pad=1x2,stride=1)");
 }
 
-TEST(Layout, VolumeAccountsForRaggedTiles) {
-  // 7x5 map with m = 4: 2x2 tiles of 16 floats each per (n, c) plane.
-  const Layout l = Layout::winograd_tile({2, 3, 7, 5}, 4);
-  EXPECT_EQ(l.tiles_h(), 2u);
-  EXPECT_EQ(l.tiles_w(), 2u);
-  EXPECT_EQ(l.volume(), 2u * 3u * 2u * 2u * 16u);
-  EXPECT_GE(l.volume(), l.shape.volume());
-}
-
 TEST(Layout, RejectsBadParameters) {
-  EXPECT_THROW((void)Layout::winograd_tile({1, 1, 4, 4}, 0),
-               std::invalid_argument);
   EXPECT_THROW((void)Layout::im2col_panel({1, 1, 4, 4}, 0, 0, 0, 1),
                std::invalid_argument);
   EXPECT_THROW((void)Layout::im2col_panel({1, 1, 4, 4}, 3, -1, 0, 1),
@@ -59,36 +47,6 @@ TEST(Layout, RejectsBadParameters) {
   // Window never fits: r = 5 on a 2-pixel extent without padding.
   EXPECT_THROW((void)Layout::im2col_panel({1, 1, 2, 2}, 5, 0, 0, 1),
                std::invalid_argument);
-}
-
-TEST(WinogradTileLayout, RoundTripIsIdentityAcrossShapes) {
-  // Exhaustive small sweep: every (h, w) from exact multiples to maximally
-  // ragged edges, several tile sizes, multi-image multi-channel.
-  std::uint64_t seed = 1;
-  for (const std::size_t m : {2u, 3u, 4u}) {
-    for (std::size_t h = 1; h <= 9; ++h) {
-      for (std::size_t w = 1; w <= 9; ++w) {
-        const Shape4 s{2, 3, h, w};
-        const Tensor4f t = random_tensor(s, seed++);
-        const PackedActivation packed = pack(t, Layout::winograd_tile(s, m));
-        EXPECT_EQ(packed.data.size(), packed.layout.volume());
-        const Tensor4f back = unpack(packed);
-        ASSERT_TRUE(bit_identical(t, back))
-            << "m=" << m << " h=" << h << " w=" << w;
-      }
-    }
-  }
-}
-
-TEST(WinogradTileLayout, RaggedTilePositionsHoldZero) {
-  const Shape4 s{1, 1, 3, 3};
-  const Tensor4f t = random_tensor(s, 7);
-  const Layout l = Layout::winograd_tile(s, 2);
-  const PackedActivation packed = pack(t, l);
-  // Tile (1, 1) covers rows/cols {2, 3}; position (3, 3) is outside the
-  // 3x3 map and must be zero-filled.
-  const std::size_t off = winograd_tile_offset(l, 0, 0, 1, 1);
-  EXPECT_FLOAT_EQ(packed.data[off + 3], 0.0F);  // (i=1, j=1) of the tile
 }
 
 TEST(Im2colPanelLayout, RoundTripIsIdentityWherePanelsCoverInput) {
@@ -188,7 +146,7 @@ TEST(Im2colPanelLayout, PanelConvRejectsMismatchedOptions) {
 
 TEST(Pack, RejectsShapeMismatch) {
   const Tensor4f t = random_tensor({1, 2, 4, 4}, 23);
-  EXPECT_THROW(pack(t, Layout::winograd_tile({1, 2, 5, 4}, 2)),
+  EXPECT_THROW(pack(t, Layout::nchw({1, 2, 5, 4})),
                std::invalid_argument);
 }
 
@@ -196,7 +154,7 @@ TEST(Pack, RejectsShapeMismatch) {
 
 class WinogradLayoutConv : public ::testing::TestWithParam<int> {};
 
-TEST_P(WinogradLayoutConv, AllLayoutCombinationsBitIdenticalToNCHWPath) {
+TEST_P(WinogradLayoutConv, BitIdenticalToReferenceWalk) {
   const int m = GetParam();
   // Shapes chosen so the tile grid has ragged right/bottom edges for at
   // least one of the m values.
@@ -211,34 +169,17 @@ TEST_P(WinogradLayoutConv, AllLayoutCombinationsBitIdenticalToNCHWPath) {
   winograd::WinogradConvOptions opt;
   opt.pad = 1;
 
-  Tensor4f reference = winograd::conv2d_winograd(input, tk, xf, opt);
-  const PackedActivation nchw_in =
-      pack(input, Layout::nchw(s));
-  const PackedActivation tiled_in =
-      pack(input, Layout::winograd_tile(s, static_cast<std::size_t>(m)));
+  const Tensor4f reference = winograd::conv2d_winograd(input, tk, xf, opt);
+  ASSERT_TRUE(bit_identical(
+      reference, winograd::conv2d_winograd_layout(input, tk, xf, opt,
+                                                  /*fuse_relu=*/false)));
 
-  for (const auto* in : {&nchw_in, &tiled_in}) {
-    for (const LayoutKind out_kind :
-         {LayoutKind::kNCHW, LayoutKind::kWinogradTile}) {
-      const PackedActivation out = winograd::conv2d_winograd_layout(
-          *in, tk, xf, opt, out_kind, /*fuse_relu=*/false);
-      EXPECT_EQ(out.layout.kind, out_kind);
-      ASSERT_TRUE(bit_identical(reference, unpack(out)))
-          << "in=" << to_string(in->layout)
-          << " out=" << to_string(Layout{out_kind});
-    }
-  }
-
-  // Fused ReLU == separate ReLU pass, on both output layouts.
+  // Fused ReLU == separate ReLU pass.
   Tensor4f relued = reference;
   for (float& v : relued.flat()) v = v > 0.0F ? v : 0.0F;
-  for (const LayoutKind out_kind :
-       {LayoutKind::kNCHW, LayoutKind::kWinogradTile}) {
-    const PackedActivation out = winograd::conv2d_winograd_layout(
-        tiled_in, tk, xf, opt, out_kind, /*fuse_relu=*/true);
-    ASSERT_TRUE(bit_identical(relued, unpack(out)))
-        << "out=" << to_string(Layout{out_kind});
-  }
+  ASSERT_TRUE(bit_identical(
+      relued, winograd::conv2d_winograd_layout(input, tk, xf, opt,
+                                               /*fuse_relu=*/true)));
 }
 
 INSTANTIATE_TEST_SUITE_P(TileSizes, WinogradLayoutConv,
@@ -254,17 +195,19 @@ TEST(WinogradLayoutConvGuards, RejectsPanelInputAndChannelMismatch) {
   const winograd::TransformedKernels tk(xf, kernels);
   const winograd::WinogradConvOptions opt;
 
+  // The allocation-free entry takes NCHW only; the layout check runs
+  // before the scratch is read.
   const PackedActivation panel =
       pack(input, Layout::im2col_panel(s, 3, 1, 1, 1));
-  EXPECT_THROW(winograd::conv2d_winograd_layout(
-                   panel, tk, xf, opt, LayoutKind::kNCHW, false),
+  const Layout out_layout = Layout::nchw({1, 2, 4, 4});
+  std::vector<float> out(out_layout.volume());
+  EXPECT_THROW(winograd::conv2d_winograd_layout_into(
+                   panel.layout, panel.data, tk, xf, opt, out_layout, out,
+                   false, winograd::WinogradScratch{}),
                std::invalid_argument);
 
   const Tensor4f wrong_c = random_tensor({1, 3, 6, 6}, 43);
-  const PackedActivation wrong =
-      pack(wrong_c, Layout::nchw(wrong_c.shape()));
-  EXPECT_THROW(winograd::conv2d_winograd_layout(
-                   wrong, tk, xf, opt, LayoutKind::kNCHW, false),
+  EXPECT_THROW(winograd::conv2d_winograd_layout(wrong_c, tk, xf, opt, false),
                std::invalid_argument);
 }
 
@@ -280,8 +223,8 @@ TEST(HwEngineLayoutEntry, PackedInputMatchesNCHWEntry) {
   cfg.parallel_pes = 2;
   const hw::WinogradEngine engine(cfg);
   const Tensor4f direct = engine.run_layer(input, kernels, 1).output;
-  const PackedActivation tiled = pack(input, Layout::winograd_tile(s, 2));
-  const Tensor4f via_layout = engine.run_layer(tiled, kernels, 1).output;
+  const PackedActivation packed = pack(input, Layout::nchw(s));
+  const Tensor4f via_layout = engine.run_layer(packed, kernels, 1).output;
   EXPECT_TRUE(bit_identical(direct, via_layout));
 }
 

@@ -4,7 +4,7 @@
 // inverse-transform and scatter — and must stay BIT-identical to the
 // reference walk conv2d_winograd(..., kTransformDomain) for every F(m, r)
 // (the specialised n*n in {16, 25, 36} and the runtime-n fallback), pad,
-// ragged extent, channel count, input layout and thread count. Also pins
+// ragged extent, channel count and thread count. Also pins
 // the planned forward against forward_reference and the per-model batch
 // ceiling the serving layer clamps assembly to.
 #include <gtest/gtest.h>
@@ -33,8 +33,6 @@ using wino::common::Rng;
 using wino::runtime::ManualClock;
 using wino::runtime::ThreadPool;
 using wino::tensor::Layout;
-using wino::tensor::LayoutKind;
-using wino::tensor::PackedActivation;
 using wino::tensor::Tensor4f;
 using wino::winograd::AccumulationOrder;
 using wino::winograd::conv2d_winograd;
@@ -94,25 +92,12 @@ TEST_P(TileWalk, BitIdenticalToReferenceWalk) {
             ") pad=" + std::to_string(pad) + " " + std::to_string(hw[0]) +
             "x" + std::to_string(hw[1]) + " C=" + std::to_string(c);
 
-        // NCHW and tile-form input (a producer edge other than this m),
-        // NCHW and tile-form output, through the threaded wrapper.
-        const PackedActivation nchw_in =
-            PackedActivation::from_nchw(Tensor4f(input));
-        const PackedActivation tiled_in = wino::tensor::pack(
-            input, Layout::winograd_tile(input.shape(), 3));
-        for (const PackedActivation* in : {&nchw_in, &tiled_in}) {
-          for (const LayoutKind out_kind :
-               {LayoutKind::kNCHW, LayoutKind::kWinogradTile}) {
-            for (const std::size_t threads : {1u, 3u}) {
-              ThreadPool::set_global_threads(threads);
-              const Tensor4f got = wino::tensor::unpack(
-                  conv2d_winograd_layout(*in, tk, xf, opt, out_kind, false));
-              EXPECT_TRUE(bit_identical(got, want))
-                  << where << " tiled_in=" << (in == &tiled_in)
-                  << " tiled_out=" << (out_kind != LayoutKind::kNCHW)
-                  << " threads=" << threads;
-            }
-          }
+        // The threaded wrapper.
+        for (const std::size_t threads : {1u, 3u}) {
+          ThreadPool::set_global_threads(threads);
+          EXPECT_TRUE(bit_identical(
+              conv2d_winograd_layout(input, tk, xf, opt, false), want))
+              << where << " threads=" << threads;
         }
 
         // The allocation-free entry point against slab-carved scratch.
@@ -123,8 +108,9 @@ TEST_P(TileWalk, BitIdenticalToReferenceWalk) {
         const auto scratch =
             wino::nn::carve_winograd_scratch(carver, c, n, mm);
         std::vector<float> got(want.size(), -1.0F);
-        conv2d_winograd_layout_into(tiled_in.layout, tiled_in.data, tk, xf,
-                                    opt, Layout::nchw(os), got,
+        conv2d_winograd_layout_into(Layout::nchw(input.shape()),
+                                    input.flat(), tk, xf, opt,
+                                    Layout::nchw(os), got,
                                     /*fuse_relu=*/false, scratch);
         EXPECT_EQ(std::memcmp(got.data(), want.flat().data(),
                               got.size() * sizeof(float)),
@@ -158,13 +144,8 @@ TEST(TileWalkContract, FusedReluIsMaxZeroOfTheReference) {
   opt.pad = 1;
   Tensor4f want = conv2d_winograd(input, tk, xf, opt);
   for (float& v : want.flat()) v = v > 0.0F ? v : 0.0F;
-  for (const LayoutKind out_kind :
-       {LayoutKind::kNCHW, LayoutKind::kWinogradTile}) {
-    const Tensor4f got = wino::tensor::unpack(conv2d_winograd_layout(
-        PackedActivation::from_nchw(Tensor4f(input)), tk, xf, opt, out_kind,
-        /*fuse_relu=*/true));
-    EXPECT_TRUE(bit_identical(got, want));
-  }
+  EXPECT_TRUE(bit_identical(
+      conv2d_winograd_layout(input, tk, xf, opt, /*fuse_relu=*/true), want));
 }
 
 TEST(TileWalkContract, RejectsPostInverseAccumulationAndBlockedScratch) {
@@ -190,9 +171,7 @@ TEST(TileWalkContract, RejectsPostInverseAccumulationAndBlockedScratch) {
                                            input.flat(), tk, xf, opt, ol, out,
                                            false, scratch),
                std::invalid_argument);
-  EXPECT_THROW((void)conv2d_winograd_layout(
-                   PackedActivation::from_nchw(Tensor4f(input)), tk, xf, opt,
-                   LayoutKind::kNCHW, false),
+  EXPECT_THROW((void)conv2d_winograd_layout(input, tk, xf, opt, false),
                std::invalid_argument);
   // There is no blocked scratch to carve.
   wino::nn::ByteCarver probe;

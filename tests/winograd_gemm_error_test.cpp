@@ -1,78 +1,18 @@
-// The batched-GEMM Winograd formulation and the analytic error model.
+// The analytic Winograd error model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "common/random.hpp"
-#include "conv/spatial.hpp"
 #include "winograd/error_model.hpp"
-#include "winograd/gemm_form.hpp"
+#include "winograd/kernels.hpp"
 
 namespace wino::winograd {
 namespace {
 
 using common::Rng;
-using tensor::Tensor4f;
-
-Tensor4f random_tensor(std::size_t n, std::size_t c, std::size_t h,
-                       std::size_t w, Rng& rng) {
-  Tensor4f t(n, c, h, w);
-  rng.fill_uniform(t.flat());
-  return t;
-}
-
-struct GemmCase {
-  int m;
-  std::size_t n, c, h, w, k;
-  int pad;
-};
-
-class GemmForm : public ::testing::TestWithParam<GemmCase> {};
-
-TEST_P(GemmForm, MatchesSpatialAndTiledWinograd) {
-  const auto p = GetParam();
-  Rng rng(p.m * 7 + p.k);
-  const Tensor4f input = random_tensor(p.n, p.c, p.h, p.w, rng);
-  const Tensor4f kernels = random_tensor(p.k, p.c, 3, 3, rng);
-
-  const Tensor4f ref =
-      conv::conv2d_spatial(input, kernels, {.pad = p.pad, .stride = 1});
-  WinogradConvOptions opt;
-  opt.pad = p.pad;
-  const Tensor4f tiled = conv2d_winograd(input, kernels, p.m, opt);
-  const Tensor4f gemm = conv2d_winograd_gemm(input, kernels, p.m, opt);
-
-  ASSERT_EQ(gemm.shape(), ref.shape());
-  const float scale = std::max(1.0F, tensor::max_abs(ref));
-  EXPECT_LE(tensor::max_abs_diff(gemm, ref) / scale, 5e-4F);
-  // Same math as the tiled path up to accumulation order.
-  EXPECT_LE(tensor::max_abs_diff(gemm, tiled) / scale, 5e-4F);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GemmForm,
-    ::testing::Values(GemmCase{2, 1, 3, 8, 8, 4, 1},
-                      GemmCase{2, 2, 2, 7, 9, 3, 1},
-                      GemmCase{3, 1, 4, 9, 9, 2, 1},
-                      GemmCase{4, 1, 2, 10, 6, 5, 1},
-                      GemmCase{4, 1, 1, 8, 8, 1, 0}),
-    [](const auto& info) {
-      const auto& p = info.param;
-      std::string name = "m";
-      name += std::to_string(p.m);
-      name += "_c";
-      name += std::to_string(p.c);
-      name += "k";
-      name += std::to_string(p.k);
-      name += "pad";
-      name += std::to_string(p.pad);
-      return name;
-    });
-
-TEST(GemmForm, RejectsChannelMismatch) {
-  const Tensor4f input(1, 3, 8, 8);
-  const Tensor4f kernels(2, 4, 3, 3);
-  EXPECT_THROW(conv2d_winograd_gemm(input, kernels, 2),
-               std::invalid_argument);
-}
 
 TEST(ErrorModel, InfNormExact) {
   const RMatrix m{{1, -2, 3}, {{1, 2}, {1, 2}, {0, 1}}};
