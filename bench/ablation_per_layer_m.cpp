@@ -1,8 +1,9 @@
 // Ablation C — per-layer algorithm selection, now executed for real.
 //
 // The paper deploys ONE engine (one m) for the whole network; ROADMAP
-// queued per-layer mixed-m selection. This bench drives nn::plan_execution (the cost-model planner calibrated by
-// the one-shot microbenchmark probe) over the scaled VGG16-D stack and
+// queued per-layer mixed-m selection. This bench drives nn::plan_execution
+// (the planner, timing every candidate at each layer's own geometry) over
+// the scaled VGG16-D stack and
 // measures what the planned per-layer mix buys over the best *uniform*
 // algorithm — same executor, same transform cache, interleaved paired
 // reps so drift cancels. The planned run must also be bit-identical to
@@ -15,15 +16,17 @@
 //
 // Usage: ablation_per_layer_m [--quick] [--algo <name>]
 //                             [--cal-cache <path>] [--out <path>]
-//   --algo       restrict the uniform comparison to one algorithm
-//                (default: im2col and Winograd m in {2, 3, 4}); parsed by
-//                nn::parse_conv_algo, e.g. "w4" or "winograd-F(4x4,3x3)".
+//   --algo       restrict the uniform comparison to one plannable
+//                algorithm (default: im2col and Winograd m in {2, 3, 4});
+//                parsed by nn::parse_conv_algo, e.g. "w4" or
+//                "winograd-F(4x4,3x3)". Spatial and FFT are rejected: the
+//                executor has no step for them.
 //   --cal-cache  winocal measurement cache (default: winocal.cache next
 //                to the JSON artifact). When the file is warm — present
 //                and keyed to this machine + build — the planner scores
 //                from it and NO layer microbenchmark re-runs; when cold,
-//                the probe measurements are persisted there for the next
-//                run. The header line states which mode this run used.
+//                the layer timings are persisted there for the next run.
+//                The header line states which mode this run used.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -104,6 +107,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", err.what());
       return 2;
     }
+    if (!wino::nn::is_plannable(uniform_algos.back())) {
+      std::fprintf(stderr, "error: --algo %s is not plannable\n",
+                   algo_flag.c_str());
+      return 2;
+    }
   } else {
     uniform_algos = {
         wino::nn::ConvAlgo::kIm2col, wino::nn::ConvAlgo::kWinograd2,
@@ -131,14 +139,11 @@ int main(int argc, char** argv) {
   const bool cal_warm = wino::nn::load_measured_state(cal_cache);
   std::printf("calibration source: %s (%s)\n",
               cal_warm ? "warm winocal cache — no microbenchmarks re-run"
-                       : "cold probe — measuring every layer candidate",
+                       : "cold — measuring every layer candidate",
               cal_cache.c_str());
 
   // Plan in the default measured mode: each candidate is timed at each
-  // layer's exact geometry (cached per process). The two-anchor
-  // calibration below does NOT drive these decisions — it is the analytic
-  // model's probe, reported for context alongside the plan.
-  const wino::nn::Calibration& cal = wino::nn::measured_calibration();
+  // layer's exact geometry (cached per process).
   wino::nn::PlannerOptions opts;
   opts.batch = batch;
   const wino::nn::ExecutionPlan plan =
@@ -149,18 +154,9 @@ int main(int argc, char** argv) {
 
   std::printf("ablation_per_layer_m — cost-model planner vs best uniform "
               "algorithm\nscaled VGG16-D (%zux%zu input, batch %zu), %d "
-              "interleaved reps, %zu threads\n",
+              "interleaved reps, %zu threads\n\n",
               hw, hw, batch, reps,
               wino::runtime::ThreadPool::global().threads());
-  std::printf("calibration (GFLOP/s big/small probe): spatial %.2f/%.2f, "
-              "im2col %.2f/%.2f, fft %.2f/%.2f,\n  winograd m=2 %.2f/%.2f, "
-              "m=3 %.2f/%.2f, m=4 %.2f/%.2f\n\n",
-              cal.spatial.gflops_big, cal.spatial.gflops_small,
-              cal.im2col.gflops_big, cal.im2col.gflops_small,
-              cal.fft.gflops_big, cal.fft.gflops_small,
-              cal.winograd2.gflops_big, cal.winograd2.gflops_small,
-              cal.winograd3.gflops_big, cal.winograd3.gflops_small,
-              cal.winograd4.gflops_big, cal.winograd4.gflops_small);
 
   // Per-layer decisions.
   wino::common::TextTable plan_table;
@@ -289,23 +285,9 @@ int main(int argc, char** argv) {
   std::fprintf(json,
                "{\n  \"bench\": \"plan\",\n  \"quick\": %s,\n"
                "  \"model\": \"vgg16-d-scaled-%zu\",\n  \"batch\": %zu,\n"
-               "  \"reps\": %d,\n  \"calibration_warm\": %s,\n"
-               "  \"calibration_gflops_big\": {\"spatial\": %.3f, "
-               "\"im2col\": %.3f, \"fft\": %.3f,\n"
-               "    \"winograd2\": %.3f, \"winograd3\": %.3f, "
-               "\"winograd4\": %.3f},\n"
-               "  \"calibration_gflops_small\": {\"spatial\": %.3f, "
-               "\"im2col\": %.3f, \"fft\": %.3f,\n"
-               "    \"winograd2\": %.3f, \"winograd3\": %.3f, "
-               "\"winograd4\": %.3f},\n",
+               "  \"reps\": %d,\n  \"calibration_warm\": %s,\n",
                quick ? "true" : "false", scale, batch, reps,
-               cal_warm ? "true" : "false",
-               cal.spatial.gflops_big, cal.im2col.gflops_big,
-               cal.fft.gflops_big, cal.winograd2.gflops_big,
-               cal.winograd3.gflops_big, cal.winograd4.gflops_big,
-               cal.spatial.gflops_small, cal.im2col.gflops_small,
-               cal.fft.gflops_small, cal.winograd2.gflops_small,
-               cal.winograd3.gflops_small, cal.winograd4.gflops_small);
+               cal_warm ? "true" : "false");
   std::fprintf(json,
                "  \"plan\": {\"mixed\": %s,\n"
                "    \"predicted_total_ms\": %.4f,\n    \"layers\": [\n",

@@ -25,7 +25,8 @@ using wino::tensor::Tensor4f;
 
 // Usage: ./examples/serve_vgg16 [algo]
 //   algo  convolution algorithm for the served session, parsed by
-//         nn::parse_conv_algo (e.g. "w4", "im2col"); the special name
+//         nn::parse_conv_algo (e.g. "w4", "im2col"; spatial and FFT are
+//         not plannable, so not servable); the special name
 //         "planned" registers the session through the cost-model planner
 //         (per-layer mixed algorithms). Default: winograd2.
 int main(int argc, char** argv) {
@@ -33,16 +34,6 @@ int main(int argc, char** argv) {
   auto weights = wino::nn::random_weights(layers, 42);
 
   const std::string algo_name = argc > 1 ? argv[1] : "w2";
-  wino::nn::ExecutionPlan plan;
-  try {
-    plan = algo_name == "planned"
-               ? wino::nn::plan_execution(layers)
-               : wino::nn::uniform_plan(
-                     layers, wino::nn::parse_conv_algo(algo_name));
-  } catch (const std::invalid_argument& err) {
-    std::fprintf(stderr, "%s\n", err.what());
-    return 1;
-  }
 
   wino::serve::ServerConfig cfg;
   cfg.max_batch = 8;
@@ -51,9 +42,21 @@ int main(int argc, char** argv) {
   cfg.backpressure = wino::serve::BackpressurePolicy::kBlock;
 
   wino::serve::InferenceServer server(cfg);
-  const auto vgg = server.add_model("vgg16-d/7", plan, weights);
+  wino::serve::ModelId vgg = 0;
+  try {
+    vgg = server.add_model(
+        "vgg16-d/7",
+        algo_name == "planned"
+            ? wino::nn::plan_execution(layers)
+            : wino::nn::uniform_plan(layers,
+                                     wino::nn::parse_conv_algo(algo_name)),
+        weights);
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "%s\n", err.what());
+    return 1;
+  }
   std::printf("session plan (%s):\n%s\n",
-              plan.uniform() ? "uniform" : "mixed",
+              server.model_plan(vgg).uniform() ? "uniform" : "mixed",
               server.model_plan(vgg).to_string().c_str());
 
   // Four clients, 16 requests each, submitted concurrently.

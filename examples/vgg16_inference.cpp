@@ -5,6 +5,8 @@
 // finishes in seconds) with every convolution algorithm in the library,
 // verifying that the logits agree and reporting wall-clock time per
 // algorithm — the software analogue of the paper's engine comparison.
+// Spatial and FFT have no plan-executor step, so their rows run the
+// per-layer reference composition (nn::forward_reference).
 //
 // Usage: ./examples/vgg16_inference [scale] [channel_div] [threads] [algo]
 //   scale       divides the 224x224 input (default 7 -> 32x32)
@@ -65,7 +67,10 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
   const auto run = [&](wino::nn::ConvAlgo algo) {
     const auto t0 = Clock::now();
-    auto out = wino::nn::forward(layers, weights, input, algo);
+    const auto plan = wino::nn::uniform_plan(layers, algo);
+    auto out = wino::nn::is_plannable(algo)
+                   ? wino::nn::forward(plan, weights, input)
+                   : wino::nn::forward_reference(plan, weights, input);
     const auto dt = std::chrono::duration<double, std::milli>(
         Clock::now() - t0);
     return std::pair{std::move(out), dt.count()};
@@ -94,7 +99,7 @@ int main(int argc, char** argv) {
   }
   if (!only) {
     // The execution planner's per-layer mix (measured microbenchmark
-    // scoring; probes are cached per process).
+    // scoring; timings are cached per process).
     const auto plan = wino::nn::plan_execution(layers);
     const auto t0 = Clock::now();
     const auto out = wino::nn::forward(plan, weights, input);

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace wino::nn {
 
@@ -72,17 +71,6 @@ bool parse_size(const std::string& token, std::size_t& out) {
   return true;
 }
 
-/// The six calibration entries in their fixed serialisation order.
-std::vector<AlgoCalibration*> entry_order(Calibration& cal) {
-  return {&cal.spatial,   &cal.im2col,    &cal.fft,
-          &cal.winograd2, &cal.winograd3, &cal.winograd4};
-}
-
-bool plausible(const AlgoCalibration& c) {
-  return c.gflops_small > 0 && c.gflops_big > 0 && c.ops_small > 0 &&
-         c.ops_big > c.ops_small;
-}
-
 }  // namespace
 
 std::string calibration_cpu_signature() {
@@ -93,8 +81,8 @@ std::string calibration_cpu_signature() {
 }
 
 std::string calibration_code_hash() {
-  // "planner-v2": bump when probe shapes / timing methodology / cost-model
-  // semantics change (v2: int8 algos entered the layer-time key space).
+  // "planner-v2": bump when timing methodology / cost-model semantics
+  // change (v2: int8 algos entered the layer-time key space).
   // __VERSION__ folds the compiler in — different codegen, different
   // measured rates.
   return std::string("planner-v2 | ") + __VERSION__;
@@ -106,18 +94,9 @@ bool save_measured_state(const std::string& path) {
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) return false;
-    out << "winocal 1\n";
+    out << "winocal 2\n";
     out << "cpu " << calibration_cpu_signature() << '\n';
     out << "code " << calibration_code_hash() << '\n';
-    if (state.calibration) {
-      Calibration cal = *state.calibration;
-      out << "cal";
-      for (const AlgoCalibration* e : entry_order(cal)) {
-        out << ' ' << hexfloat(e->ops_small) << ' ' << hexfloat(e->gflops_small)
-            << ' ' << hexfloat(e->ops_big) << ' ' << hexfloat(e->gflops_big);
-      }
-      out << '\n';
-    }
     for (const MeasuredLayerTime& t : state.layer_times) {
       out << "layer " << t.h << ' ' << t.w << ' ' << t.c << ' ' << t.k << ' '
           << t.r << ' ' << t.pad << ' ' << static_cast<int>(t.algo) << ' '
@@ -142,7 +121,7 @@ bool load_measured_state(const std::string& path) {
   if (!in) return false;
 
   std::string line;
-  if (!std::getline(in, line) || line != "winocal 1") return false;
+  if (!std::getline(in, line) || line != "winocal 2") return false;
   if (!std::getline(in, line) ||
       line != "cpu " + calibration_cpu_signature()) {
     return false;
@@ -163,21 +142,7 @@ bool load_measured_state(const std::string& path) {
     std::istringstream fields(line);
     std::string kind;
     fields >> kind;
-    if (kind == "cal") {
-      Calibration cal;
-      for (AlgoCalibration* e : entry_order(cal)) {
-        std::string t1, t2, t3, t4;
-        if (!(fields >> t1 >> t2 >> t3 >> t4)) return false;
-        if (!parse_double(t1, e->ops_small) ||
-            !parse_double(t2, e->gflops_small) ||
-            !parse_double(t3, e->ops_big) ||
-            !parse_double(t4, e->gflops_big)) {
-          return false;
-        }
-        if (!plausible(*e)) return false;
-      }
-      state.calibration = cal;
-    } else if (kind == "layer") {
+    if (kind == "layer") {
       MeasuredLayerTime t;
       std::string sh, sw, sc, sk, sr, spad, salgo, ssecs;
       if (!(fields >> sh >> sw >> sc >> sk >> sr >> spad >> salgo >> ssecs)) {
@@ -194,9 +159,9 @@ bool load_measured_state(const std::string& path) {
       if (algo > static_cast<std::size_t>(ConvAlgo::kInt8Winograd4)) {
         return false;
       }
-      if (!(t.seconds > 0)) return false;
-      t.pad = static_cast<int>(pad);
       t.algo = static_cast<ConvAlgo>(algo);
+      if (!is_plannable(t.algo) || !(t.seconds > 0)) return false;
+      t.pad = static_cast<int>(pad);
       state.layer_times.push_back(t);
     } else {
       return false;

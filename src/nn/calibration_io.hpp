@@ -1,23 +1,24 @@
-// On-disk persistence for the measured half of the cost model: the probe
-// Calibration plus the per-layer timing cache (nn::MeasuredState). A
-// server that persisted its measurements can restart, load them back, and
-// register planned sessions without running a single microbenchmark —
-// add_model_planned() drops from seconds to near-instant.
+// On-disk persistence for the measured half of the cost model: the
+// per-layer timing cache (nn::MeasuredState). A server that persisted its
+// measurements can restart, load them back, and register planned sessions
+// without running a single microbenchmark — add_model_planned() drops from
+// seconds to near-instant.
 //
 // Timings only transfer between identical machines running identical
 // code, so the file is keyed: it embeds a CPU signature (model name +
 // core count + ISA tag) and a code hash (planner revision + compiler
 // version), and load_measured_state() refuses a file whose key does not
 // match the running process. Stale or foreign measurements silently fall
-// back to a fresh probe — never to wrong plans.
+// back to fresh measurement — never to wrong plans.
 //
-// File format ("winocal", version 1) — line-oriented text:
-//   winocal 1
+// File format ("winocal", version 2) — line-oriented text:
+//   winocal 2
 //   cpu <cpu signature>
 //   code <code hash>
-//   cal <6 entries x 4 hexfloat fields>   (omitted when no calibration)
 //   layer <h> <w> <c> <k> <r> <pad> <algo> <hexfloat seconds>  (0..n lines)
 //   end
+// <algo> is the ConvAlgo's integer value and must be plannable
+// (is_plannable). A file of any other version is rejected, never misread.
 // Doubles are printed as C hexfloats (%a): exact bit round-trip, no
 // locale or precision surprises. The trailing "end" sentinel rejects
 // truncated files. Writes go through a .tmp sibling + atomic rename so a
@@ -35,9 +36,9 @@ namespace wino::nn {
 [[nodiscard]] std::string calibration_cpu_signature();
 
 /// Identity of this build's measurement semantics: bump the embedded
-/// revision whenever the probe shapes, the timing methodology or the cost
-/// model change meaning; the compiler version rides along since codegen
-/// changes move the measured rates.
+/// revision whenever the timing methodology or the cost model change
+/// meaning; the compiler version rides along since codegen changes move
+/// the measured rates.
 [[nodiscard]] std::string calibration_code_hash();
 
 /// Serialise the current nn::export_measured_state() to `path` (atomic
@@ -47,7 +48,7 @@ bool save_measured_state(const std::string& path);
 /// Load `path` and import it via nn::import_measured_state(). Missing
 /// file, key mismatch (CPU signature / code hash / format version) and
 /// corruption all \return false and import nothing — the caller's next
-/// planning call probes fresh. Never throws.
+/// planning call measures fresh. Never throws.
 bool load_measured_state(const std::string& path);
 
 }  // namespace wino::nn

@@ -47,6 +47,11 @@ bool is_int8(ConvAlgo algo) {
   }
 }
 
+bool is_plannable(ConvAlgo algo) {
+  // Exactly the steps forward_plan_ws dispatches on.
+  return winograd_m(algo) > 0 || algo == ConvAlgo::kIm2col || is_int8(algo);
+}
+
 int int8_winograd_m(ConvAlgo algo) {
   switch (algo) {
     case ConvAlgo::kInt8Winograd2:
@@ -377,23 +382,6 @@ Workspace& thread_workspace() {
   return ws;
 }
 
-/// Copy the current NCHW activation into an owning tensor — the bridge
-/// into the allocating spatial/FFT conv kernels.
-Tensor4f materialize_nchw(const tensor::Layout& cur_layout,
-                          std::span<const float> cur) {
-  return Tensor4f(cur_layout.shape, std::vector<float>(cur.begin(), cur.end()));
-}
-
-/// Copy an owning tensor into the planned NCHW output buffer.
-void store_activation(const Tensor4f& t, const tensor::Layout& ol,
-                      std::span<float> obuf) {
-  if (!(t.shape() == ol.shape)) {
-    throw std::invalid_argument("forward: plan layer geometry mismatch");
-  }
-  const auto src = t.flat();
-  std::copy(src.begin(), src.end(), obuf.begin());
-}
-
 /// Plan-driven data flow over one contiguous sub-batch, executing against
 /// a prepared per-thread Workspace: each layer's algorithm and ReLU fusion
 /// come from its LayerPlan, the NCHW activations and the scratch live at
@@ -401,11 +389,9 @@ void store_activation(const Tensor4f& t, const tensor::Layout& ol,
 /// output span directly. Winograd conv layers tile the activation inside
 /// the layer and scatter NCHW; im2col layers lower into a slab-carved
 /// panel and GEMM straight into the output activation; the int8 layers
-/// run their allocation-free cores; spatial/FFT convs keep their
-/// allocating kernels behind a copy in and a copy out. Bit-identical to
-/// forward_reference (the per-layer composition through run_conv): all
-/// arithmetic runs in the same order on the same values (pinned by
-/// tests/nn_plan_test.cpp).
+/// run their allocation-free cores. Bit-identical to forward_reference
+/// (the per-layer composition through run_conv): all arithmetic runs in
+/// the same order on the same values (pinned by tests/nn_plan_test.cpp).
 void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                      const WeightBank& weights, std::size_t images,
                      std::span<const float> in, std::span<float> out,
@@ -484,7 +470,7 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                        kcount, inner, cols);
           }
           for (float& v : obuf) v = v > 0.0F ? v : 0.0F;
-        } else if (is_int8(step.algo)) {
+        } else {
           // Quantized fast path: the int8 banks come from the cross-call
           // quant cache (weights quantized once per frozen model), the
           // int8 cores read the slab-backed NCHW activation through a
@@ -520,12 +506,6 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
                                              /*fuse_relu=*/true, obuf,
                                              scratch);
           }
-        } else {
-          const Tensor4f in_t = materialize_nchw(cur_layout, cur);
-          Tensor4f out_t =
-              run_conv(step.algo, in_t, kern, l.conv.pad, step.act_scale);
-          relu_inplace(out_t);
-          store_activation(out_t, ol, obuf);
         }
         ++conv_idx;
         break;
@@ -569,10 +549,11 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
   }
 }
 
-/// The weight-bank check at the API boundary: one K x C x r x r kernel
+/// The plan and weight-bank check at the API boundary: every conv step
+/// runs a plannable algorithm, and the bank holds one K x C x r x r kernel
 /// bank per conv layer and one fc_in x fc_out weight + fc_out bias pair
-/// per FC layer, in stack order and nothing more. A bank built for another
-/// stack fails here, naming the layer, instead of deep inside a kernel on
+/// per FC layer, in stack order and nothing more. A mismatch fails here on
+/// the caller thread, naming the layer, instead of deep inside a kernel on
 /// a worker thread.
 void check_weights(const ExecutionPlan& plan, const WeightBank& weights) {
   const auto mismatch = [](std::size_t li, const char* what) {
@@ -584,6 +565,12 @@ void check_weights(const ExecutionPlan& plan, const WeightBank& weights) {
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {
     const LayerSpec& l = plan.layers[li];
     if (l.kind == LayerKind::kConv) {
+      if (!is_plannable(plan.steps[li].algo)) {
+        throw std::invalid_argument(
+            "forward: layer " + std::to_string(li) + " runs " +
+            to_string(plan.steps[li].algo) +
+            ", which has no plan step (run it through forward_reference)");
+      }
       if (conv_idx >= weights.conv_kernels.size()) {
         throw mismatch(li, "missing conv kernels");
       }
@@ -664,14 +651,6 @@ std::size_t winograd_layer_bytes(const ConvLayerSpec& l, int m) {
 /// range stays one chunk per thread — `batch` (the full range) comes back
 /// rather than an unbounded sentinel, keeping the caller's `i += cap`
 /// chunk walk overflow-free.
-///
-/// Known trade-off: in a plan mixing Winograd with an FFT layer, the
-/// Winograd cache budget wins and the FFT layer re-derives its per-call
-/// kernel FFTs once per sub-batch rather than once per thread chunk.
-/// Deliberate: the measured planner picks kFft only where FFT actually
-/// wins the layer (rare at r = 3), while every Winograd layer in the plan
-/// benefits from cache-resident chunks on every batch. Cross-call FFT
-/// kernel caching would dissolve the tension if such plans become common.
 std::size_t plan_subbatch(const ExecutionPlan& plan, std::size_t batch) {
   std::size_t worst_bytes = 0;
   for (std::size_t li = 0; li < plan.layers.size(); ++li) {

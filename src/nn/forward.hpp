@@ -1,12 +1,14 @@
 // Numerical forward pass with a pluggable convolution algorithm.
 //
 // Lets the examples and tests run (scaled) CNN inference where every conv
-// layer is computed by spatial / im2col / FFT / Winograd-F(m) and the
+// layer is computed by im2col / Winograd-F(m) / their int8 forms and the
 // results are cross-checked — the software analogue of swapping the
 // paper's convolution engine in and out of the datapath. Every forward
 // runs on one executor, the plan-driven forward(ExecutionPlan) in
 // nn/plan.hpp, whose memcmp oracle is forward_reference; the uniform-algo
-// overload here only builds the trivial plan.
+// overload here only builds the trivial plan. Spatial and FFT are
+// run_conv-only cross-check backends: whole-network runs under them go
+// through forward_reference(uniform_plan(...)).
 #pragma once
 
 #include <cstdint>
@@ -54,6 +56,13 @@ enum class ConvAlgo {
 
 /// True for the quantized (kInt8*) algorithms.
 [[nodiscard]] bool is_int8(ConvAlgo algo);
+
+/// True for the algorithms the plan executor has a step for: Winograd
+/// m in {2, 3, 4}, im2col and the three int8 forms. plan_execution,
+/// measure_layer_ms, forward(plan) and prewarm_workspaces reject the rest
+/// (kSpatial, kFft) with std::invalid_argument; those stay run_conv
+/// backends, reachable whole-network through forward_reference.
+[[nodiscard]] bool is_plannable(ConvAlgo algo);
 
 /// F(m) output-tile edge of the int8 Winograd algos; 0 for every other
 /// algorithm (including kInt8Im2col).
@@ -109,9 +118,10 @@ WeightBank random_weights(const std::vector<LayerSpec>& layers,
 
 /// Run the layer stack with every conv layer under `algo`: a one-line
 /// wrapper over the plan executor, forward(uniform_plan(layers, algo), ...)
-/// (see nn/plan.hpp). Input must match the first layer's (c, h, w);
-/// returns the final activation tensor. The cost-model planner
-/// (plan_execution) produces mixed per-layer plans for the same executor.
+/// (see nn/plan.hpp), so `algo` must be plannable (is_plannable). Input
+/// must match the first layer's (c, h, w); returns the final activation
+/// tensor. The cost-model planner (plan_execution) produces mixed
+/// per-layer plans for the same executor.
 ///
 /// Batches run image-parallel on the runtime's global ThreadPool; every
 /// layer treats images independently, so the result is bit-identical for

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "nn/plan.hpp"
 
@@ -105,8 +106,19 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
     const ConvAlgo algo = plan.steps[li].algo;
     Shape4 out{};
     std::size_t scratch_bytes = 0;
+    // The live input reaches every kernel through this walk, so a shape
+    // the stack cannot take fails here, on the caller thread, naming the
+    // layer — not inside a kernel on a pool worker.
+    const auto mismatch = [li](const std::string& what) {
+      return std::invalid_argument("build_memory_plan: layer " +
+                                   std::to_string(li) + " " + what);
+    };
     switch (l.kind) {
       case LayerKind::kConv: {
+        if (cur.c != l.conv.c) {
+          throw mismatch("expects " + std::to_string(l.conv.c) +
+                         " input channels, got " + std::to_string(cur.c));
+        }
         const std::size_t r = l.conv.r;
         const int pad = l.conv.pad;
         const std::ptrdiff_t oh = static_cast<std::ptrdiff_t>(cur.h) +
@@ -147,9 +159,6 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
               static_cast<std::size_t>(qm));
           scratch_bytes = measure.used();
         }
-        // Spatial/FFT conv steps keep their allocating kernels (the plan
-        // executor copies the activation into an owning tensor for them);
-        // no planned scratch.
         break;
       }
       case LayerKind::kMaxPool: {
@@ -161,6 +170,12 @@ MemoryPlan build_memory_plan(const ExecutionPlan& plan, Shape4 input) {
         break;
       }
       case LayerKind::kFullyConnected: {
+        // Any factorisation of fc_in is legal: FC reads the flat volume.
+        if (cur.volume() != l.fc_in) {
+          throw mismatch("expects an input volume of " +
+                         std::to_string(l.fc_in) + ", got " +
+                         std::to_string(cur.volume()));
+        }
         out = {1, l.fc_out, 1, 1};
         break;
       }

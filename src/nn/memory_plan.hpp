@@ -152,6 +152,10 @@ struct MemoryPlan {
 
 /// As above with an explicit per-image input shape (n is forced to 1) —
 /// the runtime fallback for inputs the plan-time walk could not assume.
+/// This walk is forward()'s input-shape check: it throws
+/// std::invalid_argument, naming the layer, when a conv layer's input
+/// channels differ from its spec's c or an FC layer's input volume differs
+/// from fc_in (any factorisation of fc_in is accepted).
 [[nodiscard]] MemoryPlan build_memory_plan(const ExecutionPlan& plan,
                                            tensor::Shape4 input);
 

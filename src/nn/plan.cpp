@@ -50,42 +50,23 @@ ConvAlgo fp32_family(ConvAlgo algo) {
 /// (measured) scoring times the int8 kernels directly and ignores this.
 constexpr double kInt8AnalyticSpeedup = 2.0;
 
-/// Modelled op count of one conv layer under `algo` (the numerator the
-/// calibrated GFLOP/s divides). Winograd: Eq 4 + Eq 5 data/inverse with
-/// exact ragged tiles, filter transforms excluded (cross-call cache).
-/// Spatial/im2col: delivered spatial multiply+add ops. FFT: padded-grid
-/// transform + complex pointwise model matching conv::conv2d_fft's shape
-/// (fft_size = next_pow2(max(H, W) + r - 1)). Int8 algos share their fp32
-/// family's counts (same dataflow, cheaper multiplies).
-double modelled_ops(const ConvLayerSpec& layer, ConvAlgo algo,
-                    std::size_t batch) {
+/// Modelled per-image op count of one conv layer under `algo` (the
+/// numerator the calibrated GFLOP/s divides). Winograd: Eq 4 + Eq 5
+/// data/inverse with exact ragged tiles, filter transforms excluded
+/// (cross-call cache). im2col: delivered spatial multiply+add ops. Int8
+/// algos share their fp32 family's counts (same dataflow, cheaper
+/// multiplies).
+double modelled_ops(const ConvLayerSpec& layer, ConvAlgo algo) {
   algo = fp32_family(algo);
   const int m = winograd_m(algo);
   if (m > 0) {
     const auto costs = dse::TransformCosts::from_generated(
         m, static_cast<int>(layer.r));
-    const auto t = dse::transform_complexity_tiled(layer, m, costs, batch);
-    return 2.0 * static_cast<double>(
-                     dse::mult_complexity_tiled(layer, m, batch)) +
+    const auto t = dse::transform_complexity_tiled(layer, m, costs);
+    return 2.0 * static_cast<double>(dse::mult_complexity_tiled(layer, m)) +
            t.data + t.inverse;
   }
-  if (algo == ConvAlgo::kFft) {
-    std::size_t fft_size = 1;
-    while (fft_size < std::max(layer.h, layer.w) + layer.r - 1) {
-      fft_size <<= 1;
-    }
-    const double grid = static_cast<double>(fft_size * fft_size);
-    // One 2-D FFT = 2 * L length-L line FFTs at ~5 L log2 L real ops.
-    const double f2d = 10.0 * grid * std::log2(static_cast<double>(fft_size));
-    const double n = static_cast<double>(batch);
-    const double c = static_cast<double>(layer.c);
-    const double k = static_cast<double>(layer.k);
-    return c * k * f2d           // kernel transforms (per call)
-           + n * c * f2d         // data transforms
-           + n * k * f2d         // inverse transforms
-           + n * c * k * grid * 8.0;  // complex pointwise multiply-accumulate
-  }
-  return static_cast<double>(layer.spatial_ops(batch));
+  return static_cast<double>(layer.spatial_ops());
 }
 
 /// Best-of-3 wall clock of `fn` after one warm-up run, in seconds.
@@ -102,17 +83,6 @@ double best_seconds(Fn&& fn) {
   }
   return std::max(best, 1e-9);
 }
-
-/// One probe layer's measurement for every backend class.
-struct ProbePoint {
-  ConvLayerSpec layer;
-  double ops[6];     // modelled ops, indexed as `kProbeAlgos`
-  double gflops[6];  // delivered rate
-};
-
-constexpr ConvAlgo kProbeAlgos[6] = {
-    ConvAlgo::kSpatial,   ConvAlgo::kIm2col,    ConvAlgo::kFft,
-    ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4};
 
 /// Fill `out` with a fixed pattern spread over [-amplitude, amplitude):
 /// one 32-bit LCG step per element (Numerical Recipes constants), whose
@@ -141,11 +111,12 @@ struct LayerOperands {
   }
 };
 
-/// Time one conv layer under `algo` the way forward() executes it: the
-/// Winograd backends get precomputed filter transforms (the executor
-/// reads them from the cross-call cache and the op model excludes them)
-/// and run the layout-aware kernel the plan walk dispatches; everything
-/// else runs through run_conv. One warm-up, best of 3, single image.
+/// Time one conv layer under a plannable `algo` the way forward()
+/// executes it: the Winograd backends get precomputed filter transforms
+/// (the executor reads them from the cross-call cache and the op model
+/// excludes them) and run the layout-aware kernel the plan walk
+/// dispatches; im2col runs through run_conv. One warm-up, best of 3,
+/// single image.
 double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
                              const LayerOperands& operands) {
   const Tensor4f& input = operands.input;
@@ -305,142 +276,20 @@ LayerTimeCache& layer_time_cache() {
   return cache;
 }
 
-ProbePoint probe_point(std::size_t hw, std::size_t channels) {
-  ProbePoint p;
-  p.layer.h = hw;
-  p.layer.w = hw;
-  p.layer.c = channels;
-  p.layer.k = channels;
-  p.layer.r = 3;
-  p.layer.pad = 1;
-  const std::vector<double> secs =
-      layer_time_cache().seconds(p.layer, kProbeAlgos);
-  for (int a = 0; a < 6; ++a) {
-    p.ops[a] = modelled_ops(p.layer, kProbeAlgos[a], 1);
-    p.gflops[a] = p.ops[a] / secs[a] / 1e9;
+void require_plannable(const char* where, ConvAlgo algo) {
+  if (!is_plannable(algo)) {
+    throw std::invalid_argument(std::string(where) + ": " + to_string(algo) +
+                                " is not plannable (run_conv-only backend)");
   }
-  return p;
-}
-
-Calibration probe_calibration() {
-  // Big anchor: a mid-network-ish layer where every backend is compute
-  // bound. Small anchor: a late-network tiny map where per-call overheads
-  // (panel packing, tile setup, tiny GEMMs) dominate — the regime where a
-  // big-map rate would wildly overrate the GEMM backends.
-  const ProbePoint big = probe_point(/*hw=*/16, /*channels=*/32);
-  const ProbePoint small = probe_point(/*hw=*/2, /*channels=*/64);
-
-  Calibration cal;
-  AlgoCalibration* entries[6] = {&cal.spatial,   &cal.im2col,
-                                 &cal.fft,       &cal.winograd2,
-                                 &cal.winograd3, &cal.winograd4};
-  for (int a = 0; a < 6; ++a) {
-    entries[a]->ops_big = big.ops[a];
-    entries[a]->gflops_big = big.gflops[a];
-    entries[a]->ops_small = small.ops[a];
-    entries[a]->gflops_small = small.gflops[a];
-  }
-  return cal;
-}
-
-bool degenerate(const AlgoCalibration& c) {
-  return !(c.gflops_small > 0) || !(c.gflops_big > 0) ||
-         !(c.ops_small > 0) || !(c.ops_big > c.ops_small);
-}
-
-/// Owns the process's resident Calibration. Replaces the old
-/// function-local static so a persisted calibration can be imported
-/// (preempting the probe — the warm-server-start path) and tests can
-/// clear it to force cold behaviour. `probes()` counts actual probe runs.
-class CalibrationStore {
- public:
-  const Calibration& get() {
-    std::lock_guard lock(mutex_);
-    if (!have_) {
-      // Probe under the lock: concurrent first callers block instead of
-      // racing duplicate probes; the probe only touches layer_time_cache's
-      // own mutex, so there is no ordering cycle.
-      cal_ = sanitized_probe();
-      have_ = true;
-      ++probes_;
-    }
-    // The reference stays valid for the process lifetime (cal_ is a
-    // member of a leaked-singleton store); an import() after this returns
-    // changes the referenced values, matching "latest resident
-    // calibration" semantics.
-    return cal_;
-  }
-
-  void import(const Calibration& cal) {
-    std::lock_guard lock(mutex_);
-    cal_ = cal;
-    have_ = true;
-  }
-
-  void clear() {
-    std::lock_guard lock(mutex_);
-    have_ = false;
-  }
-
-  [[nodiscard]] bool loaded() const {
-    std::lock_guard lock(mutex_);
-    return have_;
-  }
-
-  [[nodiscard]] std::optional<Calibration> snapshot() const {
-    std::lock_guard lock(mutex_);
-    if (!have_) return std::nullopt;
-    return cal_;
-  }
-
-  [[nodiscard]] std::uint64_t probes() const {
-    std::lock_guard lock(mutex_);
-    return probes_;
-  }
-
- private:
-  static Calibration sanitized_probe() {
-    Calibration c = probe_calibration();
-    // A degenerate probe point (clock glitch returning a zero or negative
-    // rate) would make a candidate look free; fall back to the
-    // deterministic default for that family instead.
-    const Calibration fallback = default_calibration();
-    if (degenerate(c.spatial)) c.spatial = fallback.spatial;
-    if (degenerate(c.im2col)) c.im2col = fallback.im2col;
-    if (degenerate(c.fft)) c.fft = fallback.fft;
-    if (degenerate(c.winograd2)) c.winograd2 = fallback.winograd2;
-    if (degenerate(c.winograd3)) c.winograd3 = fallback.winograd3;
-    if (degenerate(c.winograd4)) c.winograd4 = fallback.winograd4;
-    return c;
-  }
-
-  mutable std::mutex mutex_;
-  Calibration cal_;
-  bool have_ = false;
-  std::uint64_t probes_ = 0;
-};
-
-CalibrationStore& calibration_store() {
-  static CalibrationStore store;
-  return store;
 }
 
 }  // namespace
 
-double AlgoCalibration::gflops_at(double ops) const {
-  if (ops <= ops_small) return gflops_small;
-  if (ops >= ops_big) return gflops_big;
-  const double t = (std::log(ops) - std::log(ops_small)) /
-                   (std::log(ops_big) - std::log(ops_small));
-  return gflops_small + t * (gflops_big - gflops_small);
-}
-
-const AlgoCalibration& Calibration::entry(ConvAlgo algo) const {
-  // Int8 algos share their fp32 family's entry: the probe set (and the
-  // "winocal 1" persistence format) stays six entries, and the analytic
-  // model layers kInt8AnalyticSpeedup on top in predict_layer_ms.
-  algo = fp32_family(algo);
-  switch (winograd_m(algo)) {
+double Calibration::gflops(ConvAlgo algo) const {
+  // Int8 algos share their fp32 family's rate; the analytic model layers
+  // kInt8AnalyticSpeedup on top in predict_layer_ms.
+  require_plannable("Calibration::gflops", algo);
+  switch (winograd_m(fp32_family(algo))) {
     case 2:
       return winograd2;
     case 3:
@@ -448,76 +297,36 @@ const AlgoCalibration& Calibration::entry(ConvAlgo algo) const {
     case 4:
       return winograd4;
     default:
-      break;
-  }
-  switch (algo) {
-    case ConvAlgo::kSpatial:
-      return spatial;
-    case ConvAlgo::kIm2col:
       return im2col;
-    case ConvAlgo::kFft:
-      return fft;
-    default:
-      return spatial;
   }
 }
 
-Calibration default_calibration() {
-  Calibration cal;
-  const auto flat = [](double gflops) {
-    AlgoCalibration c;
-    c.gflops_small = gflops;
-    c.gflops_big = gflops;
-    return c;
-  };
-  cal.spatial = flat(1.0);
-  cal.im2col = flat(8.0);
-  cal.fft = flat(1.0);
-  cal.winograd2 = flat(4.0);
-  cal.winograd3 = flat(4.0);
-  cal.winograd4 = flat(4.0);
-  return cal;
-}
-
-const Calibration& measured_calibration() { return calibration_store().get(); }
+Calibration default_calibration() { return {}; }
 
 PlanCacheStats plan_cache_stats() {
-  PlanCacheStats s;
-  s.calibration_probes = calibration_store().probes();
-  s.layer_measurements = layer_time_cache().measurements();
-  s.layer_entries = layer_time_cache().entries();
-  s.calibration_loaded = calibration_store().loaded();
-  return s;
+  return {layer_time_cache().measurements(), layer_time_cache().entries()};
 }
 
 MeasuredState export_measured_state() {
-  MeasuredState state;
-  state.calibration = calibration_store().snapshot();
-  state.layer_times = layer_time_cache().export_entries();
-  return state;
+  return {layer_time_cache().export_entries()};
 }
 
 void import_measured_state(const MeasuredState& state) {
-  if (state.calibration) calibration_store().import(*state.calibration);
   layer_time_cache().import_entries(state.layer_times);
 }
 
-void clear_measured_state() {
-  calibration_store().clear();
-  layer_time_cache().clear();
-}
+void clear_measured_state() { layer_time_cache().clear(); }
 
 double measure_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo) {
+  require_plannable("measure_layer_ms", algo);
   return layer_time_cache().seconds(layer, {&algo, 1}).front() * 1e3;
 }
 
 double predict_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo,
                         const Calibration& cal, std::size_t batch) {
-  // The rate anchor is selected on per-image work (sub-batches walk the
-  // stack one cache-budgeted chunk at a time, so per-call work scales with
-  // the layer, not the whole batch); the charged time scales with batch.
-  const double per_image = modelled_ops(layer, algo, 1);
-  double rate = cal.entry(algo).gflops_at(per_image);
+  // Ops are counted per image and the charged time scales with batch.
+  const double per_image = modelled_ops(layer, algo);
+  double rate = cal.gflops(algo);
   if (is_int8(algo)) rate *= kInt8AnalyticSpeedup;
   return per_image * static_cast<double>(batch) / (rate * 1e9) * 1e3;
 }
@@ -685,6 +494,9 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
                              const PlannerOptions& options) {
   if (options.candidates.empty()) {
     throw std::invalid_argument("plan_execution: no candidate algorithms");
+  }
+  for (const ConvAlgo algo : options.candidates) {
+    require_plannable("plan_execution", algo);
   }
   ExecutionPlan plan;
   plan.layers = layers;

@@ -6,15 +6,17 @@
 // *per layer*: the balance shifts with each layer's H/W/C/K, so one m for
 // the whole network leaves performance behind. This header turns that
 // observation into the runtime's execution model. A planner scores the
-// candidate algorithms (by default im2col / Winograd m in {2, 3, 4};
-// spatial and FFT on request, see PlannerOptions::candidates) for every
-// conv layer with the dse:: complexity equations — evaluated with exact
+// candidate algorithms (by default im2col / Winograd m in {2, 3, 4}; the
+// int8 forms on request) for every conv layer, either by timing each
+// candidate at the layer's own geometry (the default, cached per process)
+// or with the dse:: complexity equations — evaluated with exact
 // ragged-tile counts, which is what makes the best m genuinely
-// layer-dependent on small late-network maps — calibrated against GFLOP/s
-// measured once per process by a microbenchmark probe. The result is an
-// ExecutionPlan: one decision record per layer {algo, fused ReLU},
-// executed by the plan-driven nn::forward(ExecutionPlan) overload
-// (src/nn/forward.cpp).
+// layer-dependent on small late-network maps — divided by an injected
+// per-family GFLOP/s Calibration. The result is an ExecutionPlan: one
+// decision record per layer {algo, fused ReLU}, executed by the
+// plan-driven nn::forward(ExecutionPlan) overload (src/nn/forward.cpp).
+// Only the algorithms that executor has a step for are plannable
+// (is_plannable); spatial and FFT are run_conv-only cross-check backends.
 //
 // Every layer hands its output to the next in NCHW. The Winograd walks tile
 // the image inside each layer (overlapping (m+r-1)^2 windows with stride
@@ -93,107 +95,67 @@ struct ExecutionPlan {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Measured delivered rate of one backend class at two probe scales. A
-/// backend's effective GFLOP/s (against the dse:: op counts — packing /
-/// lowering / transform overheads folded in) is strongly work-size
-/// dependent: the GEMM behind im2col runs near peak on a big feature map
-/// and collapses on a 2x2 one, Winograd tiles amortise differently, and a
-/// single rate per family makes the planner extrapolate tiny late-network
-/// layers from big-map behaviour. Two anchors — a compute-bound "big"
-/// probe and an overhead-bound "small" one — with log-work interpolation
-/// in between keep the prediction exact at both probe shapes and honest
-/// between them.
-struct AlgoCalibration {
-  double ops_small = 1e5;      ///< modelled ops of the small probe layer
-  double gflops_small = 1.0;   ///< delivered rate there
-  double ops_big = 5e6;        ///< modelled ops of the big probe layer
-  double gflops_big = 1.0;     ///< delivered rate there
-
-  /// Rate for a layer of `ops` modelled ops: log-linear between the two
-  /// anchors, clamped outside them.
-  [[nodiscard]] double gflops_at(double ops) const;
-
-  friend bool operator==(const AlgoCalibration&,
-                         const AlgoCalibration&) = default;
-};
-
-/// The measured half of the cost model: one AlgoCalibration per backend
-/// class. Winograd is calibrated per tile edge — the m's differ in
-/// measured efficiency (bigger tiles pay denser transform sandwiches per
-/// delivered op), so a shared rate would let the op-count model alone
-/// pick m and mispredict.
+/// The rate half of the analytic cost model: delivered GFLOP/s (against
+/// the dse:: op counts — packing / lowering / transform overheads folded
+/// in) per plannable fp32 family; the int8 forms share their family's
+/// rate. Winograd has one rate per tile edge — the m's differ in
+/// efficiency (bigger tiles pay denser transform sandwiches per delivered
+/// op), so a shared rate would let the op-count model alone pick m.
 struct Calibration {
-  AlgoCalibration spatial;
-  AlgoCalibration im2col;
-  AlgoCalibration fft;
-  AlgoCalibration winograd2;
-  AlgoCalibration winograd3;
-  AlgoCalibration winograd4;
+  double im2col = 8.0;
+  double winograd2 = 4.0;
+  double winograd3 = 4.0;
+  double winograd4 = 4.0;
 
-  /// The calibration entry for `algo` (winograd selected by its m).
-  [[nodiscard]] const AlgoCalibration& entry(ConvAlgo algo) const;
+  /// The rate for `algo` (Winograd selected by its m, int8 by its fp32
+  /// family). Throws std::invalid_argument for a non-plannable algo.
+  [[nodiscard]] double gflops(ConvAlgo algo) const;
 
   friend bool operator==(const Calibration&, const Calibration&) = default;
 };
 
-/// Deterministic fallback rates (also the documentation of the ratios the
-/// planner assumes when no probe has run): GEMM-backed im2col well above
-/// spatial, Winograd between them per delivered op, flat across work
-/// sizes (gflops_small == gflops_big).
+/// The deterministic rates the analytic planner assumes (a default
+/// Calibration): GEMM-backed im2col at twice Winograd's rate per
+/// delivered op.
 [[nodiscard]] Calibration default_calibration();
-
-/// Measure the calibration with a one-shot microbenchmark probe: each
-/// backend runs two small conv layers (a compute-bound big-map shape and
-/// an overhead-bound tiny-map shape) a few times and the best wall-clocks
-/// turn into the two delivered-GFLOP/s anchors. The probe runs once per
-/// process and the result is cached (so repeated planning — the serving
-/// registration path — is cheap and deterministic within a process). A
-/// calibration injected via import_measured_state() (e.g. loaded from the
-/// on-disk cache, nn/calibration_io.hpp) preempts the probe entirely.
-[[nodiscard]] const Calibration& measured_calibration();
 
 /// One cached per-layer timing — the export/import unit of the
 /// measure_layer_ms cache (keys mirror its geometry key).
 struct MeasuredLayerTime {
   std::size_t h = 0, w = 0, c = 0, k = 0, r = 0;
   int pad = 0;
-  ConvAlgo algo = ConvAlgo::kSpatial;
+  ConvAlgo algo = ConvAlgo::kIm2col;
   double seconds = 0.0;
 
   friend bool operator==(const MeasuredLayerTime&,
                          const MeasuredLayerTime&) = default;
 };
 
-/// Everything the measuring paths have learned this process: the probe
-/// calibration (if any resident) and the per-layer timing cache. The
-/// serialisable snapshot behind calibration persistence.
+/// Everything the measuring path has learned this process: the per-layer
+/// timing cache. The serialisable snapshot behind calibration persistence.
 struct MeasuredState {
-  std::optional<Calibration> calibration;
   /// Sorted by (h, w, c, k, r, pad, algo) for deterministic output.
   std::vector<MeasuredLayerTime> layer_times;
 };
 
-/// Introspection counters for the measured-state caches; tests pin
-/// "warm start skips the probe" with these.
+/// Introspection counters for the layer timing cache; tests pin "a warm
+/// start measures nothing" with these.
 struct PlanCacheStats {
-  std::uint64_t calibration_probes = 0;  ///< full probe runs this process
   std::uint64_t layer_measurements = 0;  ///< individual layer timings run
   std::size_t layer_entries = 0;         ///< timings currently cached
-  bool calibration_loaded = false;       ///< a calibration is resident
 };
 [[nodiscard]] PlanCacheStats plan_cache_stats();
 
-/// Snapshot the measured caches (thread-safe, non-destructive).
+/// Snapshot the timing cache (thread-safe, non-destructive).
 [[nodiscard]] MeasuredState export_measured_state();
 
-/// Seed the measured caches: the calibration (when present) preempts the
-/// probe in measured_calibration(), and every layer timing preempts its
-/// measure_layer_ms measurement. Existing layer entries with the same key
-/// are overwritten; others are kept.
+/// Seed the timing cache: every imported layer timing preempts its
+/// measure_layer_ms measurement. Existing entries with the same key are
+/// overwritten; others are kept.
 void import_measured_state(const MeasuredState& state);
 
-/// Drop both caches — the next measured_calibration() probes again and
-/// every measure_layer_ms re-measures. Test hook for cold-cache paths.
+/// Drop the timing cache — every measure_layer_ms re-measures. Test hook
+/// for cold-cache paths.
 void clear_measured_state();
 
 /// Accuracy constraints the planner enforces per conv layer.
@@ -274,18 +236,17 @@ struct QuantCalibration {
 /// Planner knobs.
 struct PlannerOptions {
   /// Candidate algorithms, tried in order; ties keep the earliest listed.
-  /// kFft and kSpatial are not in the default set: measured on every
-  /// distinct conv shape of vgg16_d_scaled(7|14|28, 8), FFT ran 10-40x
-  /// and spatial 1.1-8x slower than the best Winograd, so neither was ever
-  /// picked, yet timing FFT was most of a cold plan. Both remain valid
-  /// candidates: list them here to have them measured and scored again.
+  /// Every one must be plannable (is_plannable): plan_execution throws
+  /// std::invalid_argument on kSpatial or kFft, which measured 1.1-8x and
+  /// 10-40x slower than the best Winograd on every distinct conv shape of
+  /// vgg16_d_scaled(7|14|28, 8) and were never picked.
   std::vector<ConvAlgo> candidates = {ConvAlgo::kWinograd2,
                                       ConvAlgo::kWinograd3,
                                       ConvAlgo::kWinograd4, ConvAlgo::kIm2col};
   /// How candidates are scored. nullopt (the default): every candidate is
-  /// *measured* at each conv layer's own geometry by the microbenchmark
-  /// probe (measure_layer_ms — cached per process, so planning many
-  /// sessions over the same architecture re-measures nothing). With a
+  /// *measured* at each conv layer's own geometry (measure_layer_ms —
+  /// cached per process, so planning many sessions over the same
+  /// architecture re-measures nothing). With a
   /// Calibration injected, scoring is the pure analytic model
   /// (predict_layer_ms) — deterministic and timing-free, which is what
   /// the cost-model unit tests pin.
@@ -307,10 +268,11 @@ struct PlannerOptions {
 /// Cost model: predicted milliseconds for one conv layer under `algo`.
 /// Winograd candidates charge 2 * dse::mult_complexity_tiled plus the
 /// data + inverse transform ops of dse::transform_complexity_tiled (filter
-/// transforms come from the cross-call cache and are excluded); spatial /
-/// im2col charge the delivered spatial op count; FFT charges a padded
-/// pointwise + FFT op model. All divided by the calibrated rate of the
-/// backend's class.
+/// transforms come from the cross-call cache and are excluded); im2col
+/// charges the delivered spatial op count. Both are divided by the
+/// calibrated rate of the backend's family (int8 forms at
+/// kInt8AnalyticSpeedup times it). Throws std::invalid_argument for a
+/// non-plannable algo.
 [[nodiscard]] double predict_layer_ms(const ConvLayerSpec& layer,
                                       ConvAlgo algo, const Calibration& cal,
                                       std::size_t batch = 1);
@@ -318,10 +280,10 @@ struct PlannerOptions {
 /// Measured per-image milliseconds of one conv layer under `algo`, the
 /// planner's default scoring source: the backend runs the layer's exact
 /// geometry the way forward() executes it (Winograd with precomputed
-/// filter transforms through the layout-aware kernel; im2col/spatial/FFT
-/// through run_conv) and the best of a few reps is kept. Any ConvAlgo can
-/// be measured, including kFft and kSpatial, which the default candidate
-/// set leaves out. Results are cached per process keyed by (H, W, C, K, r,
+/// filter transforms through the layout-aware kernel, the int8 forms
+/// against prequantized banks, im2col through run_conv) and the best of a
+/// few reps is kept. Throws std::invalid_argument for a non-plannable
+/// algo. Results are cached per process keyed by (H, W, C, K, r,
 /// pad, algo), so planning re-measures nothing for repeated shapes — VGG's
 /// towers of identical layers, or many sessions over the same
 /// architecture. plan_execution times all of a layer's uncached
@@ -333,7 +295,8 @@ struct PlannerOptions {
 
 /// Score every candidate for every conv layer and assemble the cheapest
 /// per-layer mix, then run replan_layouts over it. Deterministic: same
-/// layers + same calibration -> same plan.
+/// layers + same calibration -> same plan. Throws std::invalid_argument
+/// when the candidate list is empty or holds a non-plannable algo.
 [[nodiscard]] ExecutionPlan plan_execution(
     const std::vector<LayerSpec>& layers, const PlannerOptions& options = {});
 
@@ -353,7 +316,9 @@ void replan_layouts(ExecutionPlan& plan);
 
 /// The trivial plan the forward(layers, weights, input, algo) overload
 /// wraps: every conv layer runs `algo`, finished by replan_layouts like
-/// plan_execution.
+/// plan_execution. Accepts every algo, so forward_reference can run the
+/// whole stack under spatial or FFT; forward() executes only plannable
+/// ones.
 [[nodiscard]] ExecutionPlan uniform_plan(const std::vector<LayerSpec>& layers,
                                          ConvAlgo algo);
 
@@ -362,9 +327,11 @@ void replan_layouts(ExecutionPlan& plan);
 /// sub-batches (bit-identical for any thread count / chunking); Winograd
 /// layers read filter transforms from the cross-call cache, prewarmed per
 /// plan so worker chunks never serialise on a cold cache. Throws
-/// std::invalid_argument, naming the layer, when `weights` was not built
-/// for the plan's layer stack (one K x C x r x r bank per conv layer, one
-/// fc_in x fc_out weight + fc_out bias pair per FC layer).
+/// std::invalid_argument, naming the layer, on the caller thread before
+/// any worker runs when a conv step is not plannable, when `weights` was
+/// not built for the plan's layer stack (one K x C x r x r bank per conv
+/// layer, one fc_in x fc_out weight + fc_out bias pair per FC layer), or
+/// when `input` does not fit the stack (see build_memory_plan).
 tensor::Tensor4f forward(const ExecutionPlan& plan, const WeightBank& weights,
                          const tensor::Tensor4f& input);
 
@@ -380,7 +347,7 @@ void forward(const ExecutionPlan& plan, const WeightBank& weights,
 /// worker's (plus the caller's) thread-local workspace slab sized for
 /// chunks of up to `max_images`. serve::InferenceServer calls this at
 /// model registration, making per-request memory a planned constant.
-/// Checks `weights` against the plan exactly like forward().
+/// Checks the plan's algorithms and `weights` exactly like forward().
 void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
                         std::size_t max_images);
 
@@ -391,7 +358,8 @@ void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
 /// The memcmp oracle for forward(plan), and the only NCHW one: compose the
 /// same per-layer algorithms through the always-NCHW data flow (run_conv +
 /// separate ReLU pass + NCHW maxpool), one layer at a time. Slow; exists
-/// for tests and the bit-identity verdicts in the benches.
+/// for tests, the bit-identity verdicts in the benches and whole-network
+/// runs under the run_conv-only backends (spatial, FFT).
 tensor::Tensor4f forward_reference(const ExecutionPlan& plan,
                                    const WeightBank& weights,
                                    const tensor::Tensor4f& input);

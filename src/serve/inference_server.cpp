@@ -35,9 +35,9 @@ InferenceServer::InferenceServer(ServerConfig config)
       batch_queue_(config_.max_inflight),
       stats_(config_.max_batch, clock_) {
   if (!config_.calibration_cache_path.empty()) {
-    // Warm nn's measured-calibration + layer-timing caches before any
-    // planning happens; a stale/corrupt/foreign file simply loads nothing
-    // and the first add_model_planned() probes as usual.
+    // Warm nn's per-layer timing cache before any planning happens; a
+    // stale/corrupt/foreign file simply loads nothing and the first
+    // add_model_planned() times its layers as usual.
     nn::load_measured_state(config_.calibration_cache_path);
   }
   // The batcher's deadline waits (pop_until) are driven by this hook when
@@ -93,9 +93,9 @@ ModelId InferenceServer::add_model_planned(std::string name,
                                nn::plan_execution(layers, options),
                                std::move(weights));
   if (!config_.calibration_cache_path.empty()) {
-    // Persist whatever planning just measured (calibration probe anchors +
-    // per-layer timings) so the next server process skips the probe and
-    // registers this architecture near-instantly.
+    // Persist the per-layer timings planning just measured, so the next
+    // server process re-times none of them and registers this
+    // architecture near-instantly.
     nn::save_measured_state(config_.calibration_cache_path);
   }
   return id;

@@ -171,12 +171,12 @@ struct ServerConfig {
   /// runtime::ManualClock to script time. Must outlive the server.
   runtime::ClockSource* clock = nullptr;
 
-  /// Calibration/plan-cache persistence: when non-empty, the constructor
-  /// warms nn's measured-calibration and per-layer timing caches from
-  /// this file (if it exists and matches the local CPU signature + code
-  /// hash), and add_model_planned() persists the updated caches back
-  /// after planning. A restarted server therefore skips the
-  /// microbenchmark probe entirely. See nn/calibration_io.hpp.
+  /// Planner-measurement persistence: when non-empty, the constructor
+  /// warms nn's per-layer timing cache from this file (if it exists and
+  /// matches the local CPU signature + code hash), and add_model_planned()
+  /// persists the updated timings back after planning. A restarted server
+  /// therefore re-times no layer it has timed before. See
+  /// nn/calibration_io.hpp.
   std::string calibration_cache_path;
 
   /// Threads executing batches. Each worker runs nn::forward, which
@@ -245,8 +245,9 @@ class InferenceServer {
   /// \param weights weights for the stack; the WeightBank's version keys
   ///                the process-wide transformed-kernel cache, giving this
   ///                session its own cached transforms.
-  /// \param algo    convolution algorithm (Winograd variants engage the
-  ///                transform cache).
+  /// \param algo    convolution algorithm; must be plannable
+  ///                (nn::is_plannable). Winograd variants engage the
+  ///                transform cache.
   /// \return handle to pass to submit().
   ModelId add_model(std::string name, std::vector<nn::LayerSpec> layers,
                     nn::WeightBank weights,
@@ -261,11 +262,11 @@ class InferenceServer {
   ModelId add_model(std::string name, nn::ExecutionPlan plan,
                     nn::WeightBank weights);
 
-  /// Register a planned session: score the stack with the cost model
-  /// (nn::plan_execution, one-shot calibration probe cached per process)
-  /// and serve the resulting per-layer mix. With
-  /// ServerConfig::calibration_cache_path set and warm, the scoring
-  /// measurements come from the persisted cache and this is near-instant.
+  /// Register a planned session: score the stack with nn::plan_execution
+  /// (by default each candidate is timed at each layer's geometry, cached
+  /// per process) and serve the resulting per-layer mix. With
+  /// ServerConfig::calibration_cache_path set and warm, those per-layer
+  /// timings come from the persisted cache and this is near-instant.
   ModelId add_model_planned(std::string name,
                             std::vector<nn::LayerSpec> layers,
                             nn::WeightBank weights,

@@ -1,8 +1,9 @@
 // Calibration-persistence contract (nn/calibration_io.*): exact round-trip
-// of the measured state through the versioned on-disk format, refusal of
-// files keyed to a different CPU signature / code hash / format version,
-// graceful fallback on corruption (load fails, nothing half-imported,
-// never crashes) — and the acceptance-critical pin that a warm cache lets
+// of the per-layer timings through the versioned on-disk format, refusal
+// of files keyed to a different CPU signature / code hash / format
+// version or naming a non-plannable algorithm, graceful fallback on
+// corruption (load fails, nothing half-imported, never crashes) — and the
+// acceptance-critical pin that a warm cache lets
 // a server register a planned model without running a single
 // microbenchmark measurement.
 #include <gtest/gtest.h>
@@ -20,8 +21,6 @@
 
 namespace {
 
-using wino::nn::AlgoCalibration;
-using wino::nn::Calibration;
 using wino::nn::ConvAlgo;
 using wino::nn::MeasuredLayerTime;
 using wino::nn::MeasuredState;
@@ -51,22 +50,11 @@ class CalibrationIoTest : public ::testing::Test {
 /// serialisation must round-trip bit-for-bit.
 MeasuredState synthetic_state() {
   MeasuredState state;
-  Calibration cal;
-  AlgoCalibration* entries[] = {&cal.spatial,   &cal.im2col,    &cal.fft,
-                                &cal.winograd2, &cal.winograd3, &cal.winograd4};
-  double base = 1.0 / 3.0;
-  for (AlgoCalibration* e : entries) {
-    e->ops_small = 1e5 * base;
-    e->gflops_small = base;
-    e->ops_big = 5e6 * base;
-    e->gflops_big = 7.0 * base;
-    base *= 1.1;
-  }
-  state.calibration = cal;
   state.layer_times = {
       {8, 8, 3, 4, 3, 1, ConvAlgo::kIm2col, 1.0 / 7.0},
       {8, 8, 3, 4, 3, 1, ConvAlgo::kWinograd2, 2.5e-4},
-      {16, 16, 32, 32, 3, 1, ConvAlgo::kFft, 9.87654321e-3},
+      {16, 16, 32, 32, 3, 1, ConvAlgo::kWinograd4, 9.87654321e-3},
+      {16, 16, 32, 32, 3, 1, ConvAlgo::kInt8Winograd2, 1.1 / 3.0 * 1e-3},
   };
   return state;
 }
@@ -98,8 +86,6 @@ TEST_F(CalibrationIoTest, RoundTripIsBitExact) {
 
   const MeasuredState loaded = wino::nn::export_measured_state();
   const MeasuredState expect = synthetic_state();
-  ASSERT_TRUE(loaded.calibration.has_value());
-  EXPECT_EQ(*loaded.calibration, *expect.calibration);  // bit-exact doubles
   ASSERT_EQ(loaded.layer_times.size(), expect.layer_times.size());
   // export_measured_state sorts by key; compare as sets via sorted copies.
   auto sorted = expect.layer_times;
@@ -109,7 +95,7 @@ TEST_F(CalibrationIoTest, RoundTripIsBitExact) {
                      std::tie(b.h, b.w, b.c, b.k, b.r, b.pad, b.algo);
             });
   for (std::size_t i = 0; i < sorted.size(); ++i) {
-    EXPECT_EQ(loaded.layer_times[i], sorted[i]);
+    EXPECT_EQ(loaded.layer_times[i], sorted[i]);  // bit-exact doubles
   }
 }
 
@@ -120,7 +106,6 @@ TEST_F(CalibrationIoTest, RejectsMismatchedCpuSignature) {
 
   wino::nn::clear_measured_state();
   EXPECT_FALSE(wino::nn::load_measured_state(path_));
-  EXPECT_FALSE(wino::nn::plan_cache_stats().calibration_loaded);
   EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
 }
 
@@ -131,16 +116,17 @@ TEST_F(CalibrationIoTest, RejectsMismatchedCodeHash) {
 
   wino::nn::clear_measured_state();
   EXPECT_FALSE(wino::nn::load_measured_state(path_));
-  EXPECT_FALSE(wino::nn::plan_cache_stats().calibration_loaded);
+  EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
 }
 
 TEST_F(CalibrationIoTest, RejectsMismatchedFormatVersion) {
   wino::nn::import_measured_state(synthetic_state());
   ASSERT_TRUE(wino::nn::save_measured_state(path_));
-  rewrite_line(path_, "winocal ", "winocal 2");
+  rewrite_line(path_, "winocal ", "winocal 1");
 
   wino::nn::clear_measured_state();
   EXPECT_FALSE(wino::nn::load_measured_state(path_));
+  EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
 }
 
 TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {
@@ -167,6 +153,15 @@ TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {
       const auto pos = damaged.find("layer ");
       const auto eol = damaged.find('\n', pos);
       damaged.replace(pos, eol - pos, "layer 8 8 3 4 3 1 99 0x1p-4");
+    } else if (mutation == "spatial_algo" || mutation == "fft_algo") {
+      // Valid algo numbers, but not plannable: no planner reads them.
+      const ConvAlgo algo =
+          mutation == "fft_algo" ? ConvAlgo::kFft : ConvAlgo::kSpatial;
+      damaged = text;
+      const auto pos = damaged.rfind("end");
+      damaged.insert(pos, "layer 8 8 3 4 3 1 " +
+                              std::to_string(static_cast<int>(algo)) +
+                              " 0x1p-4\n");
     } else {  // negative seconds
       damaged = text;
       const auto pos = damaged.find("layer ");
@@ -179,7 +174,6 @@ TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {
 
     wino::nn::clear_measured_state();
     EXPECT_FALSE(wino::nn::load_measured_state(path_)) << mutation;
-    EXPECT_FALSE(wino::nn::plan_cache_stats().calibration_loaded) << mutation;
     EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u) << mutation;
 
     // Restore the pristine file for the next mutation.
@@ -189,24 +183,14 @@ TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {
   corrupt_and_check("truncate");
   corrupt_and_check("garbage_line");
   corrupt_and_check("bad_algo");
+  corrupt_and_check("spatial_algo");
+  corrupt_and_check("fft_algo");
   corrupt_and_check("negative_seconds");
 }
 
 TEST_F(CalibrationIoTest, MissingFileLoadsNothing) {
   EXPECT_FALSE(wino::nn::load_measured_state("no_such_file.winocal"));
-  EXPECT_FALSE(wino::nn::plan_cache_stats().calibration_loaded);
-}
-
-TEST_F(CalibrationIoTest, ImportedCalibrationPreemptsProbe) {
-  MeasuredState state = synthetic_state();
-  wino::nn::import_measured_state(state);
-  const auto before = wino::nn::plan_cache_stats();
-  // The resident calibration answers without probing.
-  const Calibration& cal = wino::nn::measured_calibration();
-  EXPECT_EQ(cal, *state.calibration);
-  const auto after = wino::nn::plan_cache_stats();
-  EXPECT_EQ(after.calibration_probes, before.calibration_probes);
-  EXPECT_TRUE(after.calibration_loaded);
+  EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
 }
 
 /// The acceptance pin: a server restarted onto a warm calibration cache
@@ -214,9 +198,7 @@ TEST_F(CalibrationIoTest, ImportedCalibrationPreemptsProbe) {
 /// add_model_planned is near-instant.
 TEST_F(CalibrationIoTest, WarmServerStartSkipsEveryMeasurement) {
   // One tiny conv layer; its four default candidate timings (W2, W3, W4,
-  // im2col — spatial and FFT measured slower on every VGG shape and are
-  // opt-in via PlannerOptions::candidates) are the entire measured
-  // surface plan_execution touches.
+  // im2col) are the entire measured surface plan_execution touches.
   wino::nn::LayerSpec l;
   l.kind = wino::nn::LayerKind::kConv;
   l.conv.name = "tiny";
@@ -253,7 +235,6 @@ TEST_F(CalibrationIoTest, WarmServerStartSkipsEveryMeasurement) {
     const auto warm_after = wino::nn::plan_cache_stats();
     // The acceptance criterion: zero new measurements on the warm path.
     EXPECT_EQ(warm_after.layer_measurements, warm_before.layer_measurements);
-    EXPECT_EQ(warm_after.calibration_probes, warm_before.calibration_probes);
     server.shutdown();
   }
 }

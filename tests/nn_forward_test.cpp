@@ -71,19 +71,24 @@ TEST(FullyConnected, SizeMismatchThrows) {
 
 TEST(Forward, AllAlgorithmsAgreeOnScaledVgg) {
   // End-to-end inference on a scaled-down VGG16-D: all conv algorithms
-  // must produce (numerically) the same logits.
+  // must produce (numerically) the same logits. Spatial and FFT have no
+  // plan step, so the reference composition runs them.
   const auto layers = vgg16_d_scaled(/*scale=*/7, /*channel_div=*/16);
   const WeightBank weights = random_weights(layers, 42);
   Tensor4f input(1, 3, 32, 32);
   Rng rng(17);
   rng.fill_uniform(input.flat());
 
-  const Tensor4f ref = forward(layers, weights, input, ConvAlgo::kSpatial);
+  const Tensor4f ref = forward_reference(
+      uniform_plan(layers, ConvAlgo::kSpatial), weights, input);
   ASSERT_GT(tensor::max_abs(ref), 0.0F);
   for (const ConvAlgo algo :
        {ConvAlgo::kIm2col, ConvAlgo::kFft, ConvAlgo::kWinograd2,
         ConvAlgo::kWinograd3, ConvAlgo::kWinograd4}) {
-    const Tensor4f got = forward(layers, weights, input, algo);
+    const Tensor4f got =
+        algo == ConvAlgo::kFft
+            ? forward_reference(uniform_plan(layers, algo), weights, input)
+            : forward(layers, weights, input, algo);
     ASSERT_EQ(got.shape(), ref.shape()) << to_string(algo);
     const float rel = tensor::max_abs_diff(got, ref) /
                       std::max(1.0F, tensor::max_abs(ref));
@@ -95,8 +100,8 @@ TEST(Forward, ScaledVggShapeInference) {
   const auto layers = vgg16_d_scaled(7, 16);
   const WeightBank weights = random_weights(layers);
   Tensor4f input(1, 3, 32, 32, 0.1F);
-  const Tensor4f out =
-      forward(layers, weights, input, ConvAlgo::kSpatial);
+  const Tensor4f out = forward_reference(
+      uniform_plan(layers, ConvAlgo::kSpatial), weights, input);
   EXPECT_EQ(out.shape().c, 10u);  // classifier head
   EXPECT_EQ(out.shape().h, 1u);
 }
@@ -105,7 +110,7 @@ TEST(Forward, MissingWeightsThrow) {
   const auto layers = vgg16_d_scaled(7, 16);
   const WeightBank empty;
   const Tensor4f input(1, 3, 32, 32);
-  EXPECT_THROW(forward(layers, empty, input, ConvAlgo::kSpatial),
+  EXPECT_THROW(forward(layers, empty, input, ConvAlgo::kIm2col),
                std::invalid_argument);
 }
 

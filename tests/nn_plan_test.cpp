@@ -171,24 +171,16 @@ TEST(CostModel, OrderingFollowsComplexity) {
   const ConvLayerSpec tiny = conv_spec(2, 64, 64);
   EXPECT_LT(predict_layer_ms(tiny, ConvAlgo::kWinograd2, cal),
             predict_layer_ms(tiny, ConvAlgo::kWinograd4, cal));
-  // Same op count, different calibrated rate: im2col (8 GFLOP/s default)
-  // beats spatial (1 GFLOP/s default).
-  EXPECT_LT(predict_layer_ms(big, ConvAlgo::kIm2col, cal),
-            predict_layer_ms(big, ConvAlgo::kSpatial, cal));
+  // Same op count, different calibrated rate: doubling a family's rate
+  // halves its prediction.
+  Calibration fast = cal;
+  fast.im2col *= 2;
+  EXPECT_DOUBLE_EQ(2 * predict_layer_ms(big, ConvAlgo::kIm2col, fast),
+                   predict_layer_ms(big, ConvAlgo::kIm2col, cal));
   // Batch scales every prediction linearly.
   EXPECT_NEAR(predict_layer_ms(big, ConvAlgo::kWinograd4, cal, 4),
               4 * predict_layer_ms(big, ConvAlgo::kWinograd4, cal, 1),
               1e-9);
-  // The work-size interpolation clamps at the anchors and moves
-  // monotonically between them.
-  AlgoCalibration interp;
-  interp.ops_small = 1e4;
-  interp.gflops_small = 1.0;
-  interp.ops_big = 1e6;
-  interp.gflops_big = 3.0;
-  EXPECT_DOUBLE_EQ(interp.gflops_at(1e3), 1.0);
-  EXPECT_DOUBLE_EQ(interp.gflops_at(1e7), 3.0);
-  EXPECT_DOUBLE_EQ(interp.gflops_at(1e5), 2.0);  // log midpoint
 }
 
 TEST(Planner, DeterministicPlansAndUniformFallback) {
@@ -217,9 +209,9 @@ TEST(Planner, DeterministicPlansAndUniformFallback) {
 }
 
 TEST(Planner, MeasuredModeIsCachedAndDeterministic) {
-  // The measured path probes each (layer geometry, algo) once per process
+  // The measured path times each (layer geometry, algo) once per process
   // and re-reads the cache afterwards, so re-planning is identical.
-  const auto layers = vgg16_d_scaled(28, 16);  // 8x8 input, tiny probe cost
+  const auto layers = vgg16_d_scaled(28, 16);  // 8x8 input, tiny timing cost
   PlannerOptions opts;
   opts.candidates = {ConvAlgo::kWinograd2, ConvAlgo::kWinograd4,
                      ConvAlgo::kIm2col};
@@ -262,8 +254,8 @@ void expect_plan_matches_reference(const ExecutionPlan& plan,
 }
 
 // A cold default plan times exactly the four default candidates once per
-// distinct conv shape, never picks spatial or FFT, and executes
-// bit-identically to its reference composition.
+// distinct conv shape and executes bit-identically to its reference
+// composition.
 TEST(Planner, ColdDefaultPlanMeasuresFourCandidatesPerShape) {
   const auto layers = vgg16_d_scaled(7, 8);  // 32x32 input
   clear_measured_state();
@@ -274,77 +266,85 @@ TEST(Planner, ColdDefaultPlanMeasuresFourCandidatesPerShape) {
   const auto after = plan_cache_stats();
   EXPECT_EQ(after.layer_measurements - before.layer_measurements,
             distinct_conv_shapes(layers) * 4);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (layers[i].kind != LayerKind::kConv) continue;
-    EXPECT_NE(plan.steps[i].algo, ConvAlgo::kFft) << "layer " << i;
-    EXPECT_NE(plan.steps[i].algo, ConvAlgo::kSpatial) << "layer " << i;
-  }
   expect_plan_matches_reference(plan, 32);
 }
 
-// Spatial and FFT left the default candidate set only: listed explicitly
-// they are measured, scored and executed as before.
-TEST(Planner, SpatialAndFftStayExplicitCandidates) {
+// Spatial and FFT are run_conv-only backends: every planning and
+// executing entry rejects them with std::invalid_argument — the executor
+// paths on the caller thread, naming the layer — while uniform_plan and
+// forward_reference still run whole stacks under them.
+TEST(Planner, SpatialAndFftAreNotPlannable) {
   const auto layers = vgg16_d_scaled(28, 16);  // 8x8 input
-  clear_measured_state();
-  const auto before = plan_cache_stats();
-  PlannerOptions opts;
-  opts.candidates = {ConvAlgo::kFft, ConvAlgo::kSpatial,
-                     ConvAlgo::kWinograd2};
-  const ExecutionPlan mixed = plan_execution(layers, opts);
-  EXPECT_EQ(plan_cache_stats().layer_measurements -
-                before.layer_measurements,
-            distinct_conv_shapes(layers) * 3);
-  expect_plan_matches_reference(mixed, 8);
-  // Without a Winograd candidate one of the two must win every layer,
-  // which runs the executor's spatial/FFT steps.
-  opts.candidates = {ConvAlgo::kFft, ConvAlgo::kSpatial};
-  const ExecutionPlan direct = plan_execution(layers, opts);
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (layers[i].kind != LayerKind::kConv) continue;
-    EXPECT_TRUE(direct.steps[i].algo == ConvAlgo::kFft ||
-                direct.steps[i].algo == ConvAlgo::kSpatial);
+  const WeightBank weights = random_weights(layers, 5);
+  const Tensor4f input(1, 3, 8, 8, 0.5F);
+  const ConvLayerSpec l = conv_spec(4, 8, 8);
+  std::size_t second_conv = 0;
+  for (std::size_t i = 0, seen = 0; i < layers.size(); ++i) {
+    if (layers[i].kind == LayerKind::kConv && seen++ == 1) second_conv = i;
   }
-  expect_plan_matches_reference(direct, 8);
+  for (const ConvAlgo algo : {ConvAlgo::kSpatial, ConvAlgo::kFft}) {
+    EXPECT_FALSE(is_plannable(algo));
+    PlannerOptions opts;
+    opts.candidates = {ConvAlgo::kWinograd2, algo};
+    opts.calibration = default_calibration();
+    EXPECT_THROW((void)plan_execution(layers, opts), std::invalid_argument);
+    EXPECT_THROW((void)measure_layer_ms(l, algo), std::invalid_argument);
+    EXPECT_THROW((void)predict_layer_ms(l, algo, default_calibration()),
+                 std::invalid_argument);
 
-  // measure_layer_ms alone fills the cache for an FFT timing.
+    // One non-plannable step in an otherwise W2 plan.
+    ExecutionPlan plan = uniform_plan(layers, ConvAlgo::kWinograd2);
+    plan.steps[second_conv].algo = algo;
+    replan_layouts(plan);
+    const std::string names = "layer " + std::to_string(second_conv) + " ";
+    const auto expect_rejected = [&](const char* entry, const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << entry << " accepted " << to_string(algo);
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+            << entry << ": " << e.what();
+      }
+    };
+    expect_rejected("forward", [&] { (void)forward(plan, weights, input); });
+    expect_rejected("prewarm_workspaces",
+                    [&] { prewarm_workspaces(plan, weights, 1); });
+    expect_rejected("add_model", [&] {
+      serve::InferenceServer server(serve::ServerConfig{});
+      (void)server.add_model("backend", plan, weights);
+    });
+
+    // The reference composition still runs the whole stack under it.
+    const Tensor4f ref =
+        forward_reference(uniform_plan(layers, algo), weights, input);
+    EXPECT_EQ(ref.shape().c, 10u);
+  }
+}
+
+// measure_layer_ms fills the timing cache once per (shape, algo), and a
+// winocal file round-trips the timing so it preempts measurement.
+TEST(Planner, LayerTimingIsCachedAndPersisted) {
   clear_measured_state();
   const ConvLayerSpec l = conv_spec(4, 8, 8);
   const auto cold = plan_cache_stats();
-  const double fft_ms = measure_layer_ms(l, ConvAlgo::kFft);
-  EXPECT_GT(fft_ms, 0.0);
+  const double w2_ms = measure_layer_ms(l, ConvAlgo::kWinograd2);
+  EXPECT_GT(w2_ms, 0.0);
   const auto warm = plan_cache_stats();
   EXPECT_EQ(warm.layer_measurements, cold.layer_measurements + 1);
   EXPECT_EQ(warm.layer_entries, 1u);
-  EXPECT_EQ(measure_layer_ms(l, ConvAlgo::kFft), fft_ms);
+  EXPECT_EQ(measure_layer_ms(l, ConvAlgo::kWinograd2), w2_ms);
   EXPECT_EQ(plan_cache_stats().layer_measurements, warm.layer_measurements);
 
-  // A winocal file holding FFT entries still loads, and its timing
-  // preempts measurement.
-  const std::string path =
-      ::testing::TempDir() + "nn_plan_test_fft.winocal";
+  const std::string path = ::testing::TempDir() + "nn_plan_test_w2.winocal";
   ASSERT_TRUE(save_measured_state(path));
   clear_measured_state();
   ASSERT_TRUE(load_measured_state(path));
   std::remove(path.c_str());
   const MeasuredState loaded = export_measured_state();
   ASSERT_EQ(loaded.layer_times.size(), 1u);
-  EXPECT_EQ(loaded.layer_times[0].algo, ConvAlgo::kFft);
-  EXPECT_EQ(measure_layer_ms(l, ConvAlgo::kFft), fft_ms);
+  EXPECT_EQ(loaded.layer_times[0].algo, ConvAlgo::kWinograd2);
+  EXPECT_EQ(measure_layer_ms(l, ConvAlgo::kWinograd2), w2_ms);
   EXPECT_EQ(plan_cache_stats().layer_measurements, warm.layer_measurements);
-}
-
-TEST(Planner, MeasuredCalibrationIsCachedAndPositive) {
-  const Calibration& a = measured_calibration();
-  const Calibration& b = measured_calibration();
-  EXPECT_EQ(&a, &b);  // one probe per process
-  for (const AlgoCalibration* c :
-       {&a.spatial, &a.im2col, &a.fft, &a.winograd2, &a.winograd3,
-        &a.winograd4}) {
-    EXPECT_GT(c->gflops_small, 0.0);
-    EXPECT_GT(c->gflops_big, 0.0);
-    EXPECT_GT(c->ops_big, c->ops_small);
-  }
 }
 
 // The acceptance pin: a mixed-m plan (different Winograd m per layer plus
@@ -524,6 +524,56 @@ TEST(ForwardPlan, RejectsWeightBankOfAnotherStack) {
   bank = random_weights(layers, 1);
   bank.fc_bias[0].pop_back();
   expect_rejected(bank, "layer " + std::to_string(fc) + " (");
+}
+
+// An input the stack cannot take fails at the API boundary, naming the
+// layer, for every plannable algorithm: a conv fed the wrong channel count
+// (c +- 1), and an fc-first stack fed the wrong volume. Any factorisation
+// of fc_in stays legal.
+TEST(ForwardPlan, RejectsInputOfAnotherShape) {
+  const auto layers = vgg16_d_scaled(28, 16);  // 3 x 8 x 8 input
+  const WeightBank weights = random_weights(layers, 1);
+  const auto expect_rejected = [](const auto& call, const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("layer 0 "), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  for (const ConvAlgo algo :
+       {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
+        ConvAlgo::kIm2col, ConvAlgo::kInt8Im2col, ConvAlgo::kInt8Winograd2,
+        ConvAlgo::kInt8Winograd4}) {
+    ASSERT_TRUE(is_plannable(algo));
+    const ExecutionPlan plan = uniform_plan(layers, algo);
+    for (const std::size_t c : {2u, 4u}) {
+      for (const std::size_t n : {1u, 3u}) {
+        const Tensor4f input(n, c, 8, 8, 0.5F);
+        expect_rejected([&] { (void)forward(plan, weights, input); },
+                        to_string(algo) + " c=" + std::to_string(c) +
+                            " n=" + std::to_string(n));
+      }
+    }
+  }
+
+  LayerSpec fc;
+  fc.kind = LayerKind::kFullyConnected;
+  fc.fc_in = 12;
+  fc.fc_out = 4;
+  const ExecutionPlan fc_plan = uniform_plan({fc}, ConvAlgo::kIm2col);
+  const WeightBank fc_weights = random_weights(fc_plan.layers, 2);
+  const Tensor4f flat(2, 12, 1, 1, 0.5F);
+  const Tensor4f cube(2, 3, 2, 2, 0.5F);
+  EXPECT_TRUE(same_bits(forward(fc_plan, fc_weights, cube),
+                        forward(fc_plan, fc_weights, flat)));
+  expect_rejected(
+      [&] { (void)forward(fc_plan, fc_weights, Tensor4f(2, 3, 2, 3)); },
+      "fc volume 18");
+  expect_rejected(
+      [&] { (void)forward(fc_plan, fc_weights, Tensor4f(1, 11, 1, 1)); },
+      "fc volume 11");
 }
 
 TEST(Serve, PlannedSessionServesBitIdenticalResults) {

@@ -220,8 +220,7 @@ TEST_F(RuntimeTest, ForwardIsThreadCountInvariant) {
   common::Rng rng(44);
   Tensor4f batch(5, 3, 8, 8);
   rng.fill_uniform(batch.flat());
-  for (const auto algo : {nn::ConvAlgo::kSpatial, nn::ConvAlgo::kIm2col,
-                          nn::ConvAlgo::kWinograd2}) {
+  for (const auto algo : {nn::ConvAlgo::kIm2col, nn::ConvAlgo::kWinograd2}) {
     expect_thread_invariant(
         [&] { return nn::forward(layers, weights, batch, algo); });
   }
