@@ -5,6 +5,7 @@
 
 #include "runtime/gemm.hpp"
 #include "runtime/thread_pool.hpp"
+#include "tensor/layout.hpp"
 
 namespace wino::conv {
 
@@ -101,57 +102,6 @@ Tensor4f conv2d_im2col(const Tensor4f& input, const Tensor4f& kernels,
     runtime::parallel_for(is.n, run_images);
   } else {
     run_images(0, is.n);
-  }
-  return out;
-}
-
-Tensor4f conv2d_im2col(const tensor::PackedActivation& panels,
-                       const Tensor4f& kernels,
-                       const SpatialConvOptions& opt) {
-  const tensor::Layout& il = panels.layout;
-  const auto& ks = kernels.shape();
-  if (il.kind != tensor::LayoutKind::kIm2colPanel) {
-    throw std::invalid_argument("conv2d_im2col: input is not a panel");
-  }
-  if (panels.data.size() != il.volume()) {
-    throw std::invalid_argument(
-        "conv2d_im2col: panel buffer size != layout volume");
-  }
-  if (ks.h != ks.w || il.patch_r != ks.h || il.shape.c != ks.c) {
-    throw std::invalid_argument(
-        "conv2d_im2col: panel was packed for a different kernel bank");
-  }
-  if (il.pad_h != opt.eff_pad_h() || il.pad_w != opt.eff_pad_w() ||
-      il.stride != opt.stride) {
-    throw std::invalid_argument(
-        "conv2d_im2col: panel was packed for different conv options");
-  }
-  const std::size_t r = ks.h;
-  const std::size_t out_h = il.panel_out_h();
-  const std::size_t out_w = il.panel_out_w();
-  const std::size_t inner = il.shape.c * r * r;
-  const std::size_t cols = out_h * out_w;
-  const std::size_t panel = inner * cols;
-
-  std::span<const float> a = kernels.flat();
-  Tensor4f out(il.shape.n, ks.n, out_h, out_w);
-  auto run_images = [&](std::size_t begin, std::size_t end) {
-    std::vector<float> result(ks.n * cols);
-    for (std::size_t img = begin; img < end; ++img) {
-      const std::span<const float> patches{panels.data.data() + img * panel,
-                                           panel};
-      gemm(a, patches, result, ks.n, inner, cols);
-      for (std::size_t k = 0; k < ks.n; ++k) {
-        for (std::size_t i = 0; i < cols; ++i) {
-          out(img, k, i / out_w, i % out_w) = result[k * cols + i];
-        }
-      }
-    }
-  };
-  if (il.shape.n >= runtime::ThreadPool::global().threads()) {
-    runtime::parallel_for(il.shape.n, run_images);
-  } else {
-    run_images(0, il.shape.n);
   }
   return out;
 }

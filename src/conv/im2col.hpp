@@ -8,7 +8,6 @@
 #include <span>
 
 #include "conv/spatial.hpp"
-#include "tensor/layout.hpp"
 #include "tensor/tensor.hpp"
 
 namespace wino::conv {
@@ -38,17 +37,6 @@ void im2col(const tensor::Tensor4fView& input, std::size_t image,
 /// Convolution via im2col lowering; numerically equivalent to
 /// conv2d_spatial up to float accumulation order.
 tensor::Tensor4f conv2d_im2col(const tensor::Tensor4f& input,
-                               const tensor::Tensor4f& kernels,
-                               const SpatialConvOptions& opt = {});
-
-/// GEMM consumer over a pre-packed im2col panel activation: the input is
-/// already in kIm2colPanel form (packed by tensor::pack with a layout
-/// matching this conv's r/pad/stride — the layer planner in nn::forward
-/// builds it once per boundary), so only the per-image GEMMs remain.
-/// Bit-identical to conv2d_im2col on the NCHW equivalent: the panel holds
-/// exactly the patch matrix im2col would build, and the same
-/// runtime::sgemm call consumes it.
-tensor::Tensor4f conv2d_im2col(const tensor::PackedActivation& panels,
                                const tensor::Tensor4f& kernels,
                                const SpatialConvOptions& opt = {});
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "tensor/layout.hpp"
 #include "winograd/kernels.hpp"
 
 namespace wino::hw {
@@ -106,12 +105,6 @@ SimStats WinogradEngine::run_workload_timing(const nn::ConvWorkload& net,
   return total;
 }
 
-SimResult WinogradEngine::run_layer(const tensor::PackedActivation& input,
-                                    const Tensor4f& kernels, int pad,
-                                    SimMode mode) const {
-  return run_layer(tensor::unpack(input), kernels, pad, mode);
-}
-
 WinogradEngine WinogradEngine::retiled(int m) const {
   if (m < 1) {
     throw std::invalid_argument("WinogradEngine::retiled: m must be >= 1");
@@ -126,13 +119,6 @@ WinogradEngine WinogradEngine::retiled(int m) const {
   cfg.data_transform_latency = 0;
   cfg.inverse_latency = 0;
   return WinogradEngine(cfg);
-}
-
-SimResult WinogradEngine::run_layer(const tensor::PackedActivation& input,
-                                    const Tensor4f& kernels, int pad, int m,
-                                    SimMode mode) const {
-  if (m == config_.m) return run_layer(input, kernels, pad, mode);
-  return retiled(m).run_layer(input, kernels, pad, mode);
 }
 
 SimResult WinogradEngine::run_layer(const Tensor4f& input,

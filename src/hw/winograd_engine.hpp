@@ -15,7 +15,6 @@
 
 #include "hw/engine_config.hpp"
 #include "nn/network.hpp"
-#include "tensor/layout.hpp"
 #include "tensor/tensor.hpp"
 
 namespace wino::hw {
@@ -65,17 +64,6 @@ class WinogradEngine {
                       const tensor::Tensor4f& kernels, int pad,
                       SimMode mode = SimMode::kFunctional) const;
 
-  /// Layout-aware entry for activations coming out of the software
-  /// pipeline in a packed form (see tensor/layout.hpp): the activation is
-  /// converted to the NCHW stream the simulated DMA ingests — the modelled
-  /// hardware reads NCHW feature maps from DRAM, so the unpack here *is*
-  /// the host-side re-layout a real deployment would perform before
-  /// enqueueing the DMA descriptor. Numerically identical to calling the
-  /// NCHW overload on the unpacked tensor.
-  SimResult run_layer(const tensor::PackedActivation& input,
-                      const tensor::Tensor4f& kernels, int pad,
-                      SimMode mode = SimMode::kFunctional) const;
-
   /// A copy of this engine re-tiled to F(m x m, r): the multiplier budget
   /// (parallel_pes x tile^2) is re-divided into (m + r - 1)^2-wide PEs (at
   /// least one), every other knob — clock, bandwidth, style, stage
@@ -84,11 +72,6 @@ class WinogradEngine {
   /// chip at each layer's planned m (nn/plan.hpp), modelling a
   /// reconfigurable or multi-engine deployment of the paper's datapath.
   [[nodiscard]] WinogradEngine retiled(int m) const;
-
-  /// run_layer under the plan's per-layer m: retiled(m).run_layer(...).
-  SimResult run_layer(const tensor::PackedActivation& input,
-                      const tensor::Tensor4f& kernels, int pad, int m,
-                      SimMode mode = SimMode::kFunctional) const;
 
   /// Timing-only simulation driven by a layer spec (no tensors).
   SimStats run_layer_timing(const nn::ConvLayerSpec& layer,

@@ -24,14 +24,6 @@ std::uint64_t next_plan_id() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-void require_one_block_column(std::size_t block_columns) {
-  if (block_columns != 1) {
-    throw std::invalid_argument(
-        "carve_*_winograd_scratch: block_columns must be 1 (the Winograd "
-        "walk has no blocked scratch)");
-  }
-}
-
 }  // namespace
 
 winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
@@ -39,7 +31,11 @@ winograd::WinogradScratch carve_winograd_scratch(ByteCarver& carver,
                                                  std::size_t n_tile,
                                                  std::size_t m,
                                                  std::size_t block_columns) {
-  require_one_block_column(block_columns);
+  if (block_columns != 1) {
+    throw std::invalid_argument(
+        "carve_*_winograd_scratch: block_columns must be 1 (the Winograd "
+        "walk has no blocked scratch)");
+  }
   const std::size_t nsq = n_tile * n_tile;
   winograd::WinogradScratch s;
   s.d = carver.take<float>(nsq);
@@ -63,16 +59,12 @@ quant::QuantIm2colScratch carve_quant_im2col_scratch(ByteCarver& carver,
 quant::QuantWinogradScratch carve_quant_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns) {
-  require_one_block_column(block_columns);
   const std::size_t nsq = n_tile * n_tile;
   quant::QuantWinogradScratch s;
-  s.d = carver.take<float>(nsq);
-  s.u_all = carver.take<float>(channels * nsq);
+  s.walk = carve_winograd_scratch(carver, channels, n_tile, m, block_columns);
   s.sv = carver.take<float>(nsq);
   s.uq_all = carver.take<std::int8_t>(channels * nsq);
   s.acc = carver.take<std::int32_t>(nsq);
-  s.m_f = carver.take<float>(nsq);
-  s.y = carver.take<float>(m * m);
   return s;
 }
 

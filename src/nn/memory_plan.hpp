@@ -179,9 +179,10 @@ struct MemoryPlan {
     std::size_t kcount);
 
 /// Carve (or measure) the scratch of one int8 Winograd conv layer: the
-/// gathered/transformed/quantized tiles and accumulators of
-/// quant::conv2d_winograd_int8_into. `n_tile` is the transformer's
-/// m + r - 1 edge. `block_columns` as in carve_winograd_scratch.
+/// shared walk's scratch (carve_winograd_scratch) followed by the
+/// per-position scales, quantized tiles and int32 accumulator of
+/// quant::conv2d_winograd_int8_into. Arguments as in
+/// carve_winograd_scratch.
 [[nodiscard]] quant::QuantWinogradScratch carve_quant_winograd_scratch(
     ByteCarver& carver, std::size_t channels, std::size_t n_tile,
     std::size_t m, std::size_t block_columns = 1);

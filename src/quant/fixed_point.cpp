@@ -1,10 +1,12 @@
 #include "quant/fixed_point.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "winograd/kernels.hpp"
+#include "winograd/tile_walk.hpp"
 
 namespace wino::quant {
 
@@ -38,103 +40,55 @@ Tensor4f conv2d_winograd_quantized(const Tensor4f& input,
                                    const Tensor4f& kernels, int m,
                                    const FixedPointFormat& fmt, int pad,
                                    int guard_bits) {
-  const auto& is = input.shape();
-  const auto& ks = kernels.shape();
-  if (ks.c != is.c) {
-    throw std::invalid_argument("conv2d_winograd_quantized: channels");
-  }
+  constexpr const char* kWho = "conv2d_winograd_quantized";
   if (guard_bits < 0 || fmt.total_bits + guard_bits > 32) {
     throw std::invalid_argument(
         "conv2d_winograd_quantized: guard bits out of range");
   }
   // Internal stage format: same fractional grid, wider integer headroom.
   const FixedPointFormat wide{fmt.total_bits + guard_bits, fmt.frac_bits};
+  const auto& ks = kernels.shape();
   const winograd::TileTransformer xf(
       winograd::transforms(m, static_cast<int>(ks.h)));
-  const auto mm = static_cast<std::size_t>(m);
   const auto n = static_cast<std::size_t>(xf.tile());
   const std::size_t nsq = n * n;
 
-  const std::ptrdiff_t oh = static_cast<std::ptrdiff_t>(is.h) + 2 * pad -
-                            static_cast<std::ptrdiff_t>(ks.h) + 1;
-  const std::ptrdiff_t ow = static_cast<std::ptrdiff_t>(is.w) + 2 * pad -
-                            static_cast<std::ptrdiff_t>(ks.w) + 1;
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument("conv2d_winograd_quantized: empty output");
-  }
-  const auto out_h = static_cast<std::size_t>(oh);
-  const auto out_w = static_cast<std::size_t>(ow);
-  const std::size_t tiles_h = (out_h + mm - 1) / mm;
-  const std::size_t tiles_w = (out_w + mm - 1) / mm;
+  // Inputs and weights arrive at the external wordlength; the transformed
+  // kernels V live in fixed-point kernel buffers on chip.
+  Tensor4f q_input = input;
+  quantize_tensor(q_input, fmt);
+  Tensor4f q_kernels = kernels;
+  quantize_tensor(q_kernels, fmt);
+  std::vector<float> v_bank(ks.n * ks.c * nsq);
+  winograd::transform_filter_bank(xf, q_kernels, v_bank);
+  for (float& v : v_bank) v = wide.quantize(v);
 
-  const auto q = [&wide](std::vector<float>& vals) {
-    for (float& v : vals) v = wide.quantize(v);
-  };
-
-  // Pre-transform kernels, quantising V (they live in fixed-point kernel
-  // buffers on chip).
-  std::vector<float> g(ks.h * ks.w);
-  std::vector<std::vector<float>> v_bank(ks.n * ks.c,
-                                         std::vector<float>(nsq));
-  for (std::size_t k = 0; k < ks.n; ++k) {
-    for (std::size_t c = 0; c < ks.c; ++c) {
-      for (std::size_t u = 0; u < ks.h; ++u) {
-        for (std::size_t w2 = 0; w2 < ks.w; ++w2) {
-          g[u * ks.w + w2] = fmt.quantize(kernels(k, c, u, w2));
-        }
-      }
-      auto& v = v_bank[k * ks.c + c];
-      xf.transform_filter(g, v);
-      q(v);
-    }
-  }
-
-  Tensor4f out(is.n, ks.n, out_h, out_w);
-  std::vector<float> d(nsq);
-  std::vector<float> u(nsq);
-  std::vector<float> acc(nsq);
-  std::vector<float> y(mm * mm);
-  for (std::size_t img = 0; img < is.n; ++img) {
-    for (std::size_t k = 0; k < ks.n; ++k) {
-      for (std::size_t th = 0; th < tiles_h; ++th) {
-        for (std::size_t tw = 0; tw < tiles_w; ++tw) {
-          const std::ptrdiff_t y0 =
-              static_cast<std::ptrdiff_t>(th * mm) - pad;
-          const std::ptrdiff_t x0 =
-              static_cast<std::ptrdiff_t>(tw * mm) - pad;
-          std::fill(acc.begin(), acc.end(), 0.0F);
-          for (std::size_t c = 0; c < is.c; ++c) {
-            for (std::size_t i = 0; i < n; ++i) {
-              for (std::size_t j = 0; j < n; ++j) {
-                d[i * n + j] = fmt.quantize(input.padded(
-                    img, c, y0 + static_cast<std::ptrdiff_t>(i),
-                    x0 + static_cast<std::ptrdiff_t>(j)));
-              }
-            }
-            xf.transform_data(d, u);
-            q(u);  // U register stage (guard-bit width)
-            const auto& v = v_bank[k * ks.c + c];
-            for (std::size_t i = 0; i < nsq; ++i) {
-              acc[i] += wide.quantize(u[i] * v[i]);  // M register stage
-            }
-          }
-          q(acc);
-          xf.inverse(acc, y);
-          // Output registers narrow back to the external wordlength.
-          for (float& v : y) v = fmt.quantize(v);
-          for (std::size_t i = 0; i < mm; ++i) {
-            const std::size_t oy = th * mm + i;
-            if (oy >= out_h) break;
-            for (std::size_t j = 0; j < mm; ++j) {
-              const std::size_t ox = tw * mm + j;
-              if (ox >= out_w) break;
-              out(img, k, oy, ox) = y[i * mm + j];
-            }
+  Tensor4f out(
+      winograd::walk_output_shape(kWho, input.shape(), xf, ks.n, pad));
+  const winograd::TileWalk g = winograd::make_tile_walk(
+      kWho, input.shape(), q_input.flat(), xf, ks.c, nsq, ks.n, pad,
+      out.flat(), /*fuse_relu=*/false);
+  const winograd::OwnedWinogradScratch scratch(g.channels, n, g.mm);
+  const winograd::WinogradScratch& s = scratch.spans();
+  winograd::walk_columns(
+      g, s, 0, g.columns(),
+      [&](std::span<float> u_all) {
+        for (float& u : u_all) u = wide.quantize(u);  // U register stage
+      },
+      [&](std::size_t k) {
+        const float* v = v_bank.data() + k * g.channels * nsq;
+        std::fill(s.acc_m.begin(), s.acc_m.end(), 0.0F);
+        for (std::size_t c = 0; c < g.channels; ++c) {
+          const float* u = s.u_all.data() + c * nsq;
+          for (std::size_t i = 0; i < nsq; ++i) {
+            s.acc_m[i] += wide.quantize(u[i] * v[c * nsq + i]);  // M stage
           }
         }
-      }
-    }
-  }
+        for (float& a : s.acc_m) a = wide.quantize(a);
+        return std::span<const float>(s.acc_m);
+      });
+  // Output registers narrow back to the external wordlength.
+  quantize_tensor(out, fmt);
   return out;
 }
 

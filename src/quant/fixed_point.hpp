@@ -49,7 +49,11 @@ void quantize_tensor(tensor::Tensor4f& t, const FixedPointFormat& fmt);
 /// Winograd layer convolution with a simulated fixed-point datapath:
 /// inputs, transformed kernels, the data-transform output U, the products
 /// and the inverse-transform results are all rounded/saturated.
-/// pad/stride semantics match winograd::conv2d_winograd (stride 1).
+/// pad/stride semantics match winograd::conv2d_winograd (stride 1). Runs
+/// the shared tile walk (winograd/tile_walk.hpp), so each tile's data
+/// transform is computed once for all K kernels, as in the paper's engine;
+/// the result is bit-identical to evaluating every (kernel, tile) on its
+/// own (pinned by tests/quant_test.cpp).
 ///
 /// `guard_bits` widens the *internal* stages (U, V, products, accumulators)
 /// beyond `fmt`, keeping the fractional precision: the B^T/A^T constants

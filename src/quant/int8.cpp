@@ -7,6 +7,7 @@
 #include "conv/im2col.hpp"
 #include "runtime/igemm.hpp"
 #include "winograd/tile_accumulate.hpp"
+#include "winograd/tile_walk.hpp"
 
 namespace wino::quant {
 namespace {
@@ -172,30 +173,14 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
                                float act_scale, bool fuse_relu,
                                std::span<float> out,
                                const QuantWinogradScratch& scratch) {
-  const auto& is = input.shape();
-  if (is.c != qk.channels) {
-    throw std::invalid_argument("conv2d_winograd_int8: channel mismatch");
-  }
-  const std::size_t m = static_cast<std::size_t>(xf.m());
-  const std::size_t r = static_cast<std::size_t>(xf.r());
-  const std::size_t n_tile = static_cast<std::size_t>(xf.tile());
-  const std::size_t nsq = n_tile * n_tile;
-  const std::size_t msq = m * m;
-  if (nsq != qk.tile_sq) {
-    throw std::invalid_argument(
-        "conv2d_winograd_int8: bank tile area does not match transformer");
-  }
-  const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - r + 1;
-  const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - r + 1;
-  const std::size_t tiles_y = (oh + m - 1) / m;
-  const std::size_t tiles_x = (ow + m - 1) / m;
-  check_span(scratch.d.size(), nsq, "d");
-  check_span(scratch.m_f.size(), nsq, "m_f");
-  check_span(scratch.y.size(), msq, "y");
-  check_span(out.size(), is.n * qk.kernels * oh * ow, "out");
-  check_span(scratch.u_all.size(), is.c * nsq, "u_all");
+  const winograd::TileWalk g = winograd::make_tile_walk(
+      "conv2d_winograd_int8", input.shape(), input.flat(), xf, qk.channels,
+      qk.tile_sq, qk.kernels, pad, out, fuse_relu);
+  winograd::validate_walk_scratch("conv2d_winograd_int8", g, scratch.walk);
+  const std::size_t nsq = g.nsq;
+  const std::size_t chans = g.channels;
   check_span(scratch.sv.size(), nsq, "sv");
-  check_span(scratch.uq_all.size(), is.c * nsq, "uq_all");
+  check_span(scratch.uq_all.size(), chans * nsq, "uq_all");
   check_span(scratch.acc.size(), nsq, "acc");
 
   // The Winograd form self-calibrates in the transform domain: each tile
@@ -205,72 +190,36 @@ void conv2d_winograd_int8_into(const tensor::Tensor4fView& input,
   // static act_scale is for the spatial-domain forms; ignore it here.
   (void)act_scale;
 
-  // Gather one channel of the tile at (ty, tx) into scratch.d.
-  const auto gather = [&](std::size_t img, std::size_t c, std::size_t ty,
-                          std::size_t tx) {
-    const std::ptrdiff_t base_h = static_cast<std::ptrdiff_t>(ty * m) - pad;
-    const std::ptrdiff_t base_w = static_cast<std::ptrdiff_t>(tx * m) - pad;
-    for (std::size_t i = 0; i < n_tile; ++i) {
-      for (std::size_t j = 0; j < n_tile; ++j) {
-        scratch.d[i * n_tile + j] =
-            input.padded(img, c, base_h + static_cast<std::ptrdiff_t>(i),
-                         base_w + static_cast<std::ptrdiff_t>(j));
-      }
-    }
-  };
-  // Inverse-transform scratch.m_f and scatter kernel k's tile at (ty, tx).
-  const auto finish_tile = [&](float* obase, std::size_t k, std::size_t ty,
-                               std::size_t tx) {
-    xf.inverse(scratch.m_f, scratch.y);
-    float* oplane = obase + k * oh * ow;
-    const std::size_t lim_h = std::min(m, oh - ty * m);
-    const std::size_t lim_w = std::min(m, ow - tx * m);
-    for (std::size_t i = 0; i < lim_h; ++i) {
-      for (std::size_t j = 0; j < lim_w; ++j) {
-        float v = scratch.y[i * m + j];
-        if (fuse_relu && v < 0.0F) v = 0.0F;
-        oplane[(ty * m + i) * ow + tx * m + j] = v;
-      }
-    }
-  };
-
   // Exact int32 sums: the reduction order cannot change a bit.
   const auto accumulate =
       winograd::accumulate_for<std::int8_t, std::int32_t>(nsq);
-  for (std::size_t img = 0; img < is.n; ++img) {
-    float* obase = out.data() + img * qk.kernels * oh * ow;
-    for (std::size_t ty = 0; ty < tiles_y; ++ty) {
-      for (std::size_t tx = 0; tx < tiles_x; ++tx) {
-        for (std::size_t c = 0; c < is.c; ++c) {
-          gather(img, c, ty, tx);
-          xf.transform_data(scratch.d, scratch.u_all.subspan(c * nsq, nsq));
-        }
+  const std::span<float> m_f = scratch.walk.acc_m;
+  winograd::walk_columns(
+      g, scratch.walk, 0, g.columns(),
+      [&](std::span<const float> u_all) {
         for (std::size_t i = 0; i < nsq; ++i) {
           float pos_max = 0.0F;
-          for (std::size_t c = 0; c < is.c; ++c) {
-            pos_max = std::max(pos_max, std::abs(scratch.u_all[c * nsq + i]));
+          for (std::size_t c = 0; c < chans; ++c) {
+            pos_max = std::max(pos_max, std::abs(u_all[c * nsq + i]));
           }
           scratch.sv[i] = pos_max / 127.0F;
           const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
-          for (std::size_t c = 0; c < is.c; ++c) {
+          for (std::size_t c = 0; c < chans; ++c) {
             scratch.uq_all[c * nsq + i] =
-                quantize_symmetric(scratch.u_all[c * nsq + i], inv);
+                quantize_symmetric(u_all[c * nsq + i], inv);
           }
         }
-        for (std::size_t k = 0; k < qk.kernels; ++k) {
-          accumulate(scratch.uq_all.data(),
-                     qk.data.data() + k * qk.channels * nsq, is.c, nsq,
-                     scratch.acc.data());
-          const float* kscale = qk.scale.data() + k * nsq;
-          for (std::size_t i = 0; i < nsq; ++i) {
-            scratch.m_f[i] = static_cast<float>(scratch.acc[i]) *
-                             (kscale[i] * scratch.sv[i]);
-          }
-          finish_tile(obase, k, ty, tx);
+      },
+      [&](std::size_t k) {
+        accumulate(scratch.uq_all.data(), qk.data.data() + k * chans * nsq,
+                   chans, nsq, scratch.acc.data());
+        const float* kscale = qk.scale.data() + k * nsq;
+        for (std::size_t i = 0; i < nsq; ++i) {
+          m_f[i] = static_cast<float>(scratch.acc[i]) *
+                   (kscale[i] * scratch.sv[i]);
         }
-      }
-    }
-  }
+        return std::span<const float>(m_f);
+      });
 }
 
 namespace {
@@ -301,30 +250,21 @@ tensor::Tensor4f run_winograd_int8(const tensor::Tensor4f& input,
                                    const winograd::TileTransformer& xf,
                                    int pad, float act_scale) {
   const auto& is = input.shape();
-  const std::size_t r = static_cast<std::size_t>(xf.r());
-  const std::size_t n_tile = static_cast<std::size_t>(xf.tile());
+  const auto n_tile = static_cast<std::size_t>(xf.tile());
   const std::size_t nsq = n_tile * n_tile;
-  const std::size_t msq = static_cast<std::size_t>(xf.m() * xf.m());
-  const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - r + 1;
-  const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - r + 1;
-  std::vector<float> d(nsq);
-  std::vector<float> u_all(is.c * nsq);
+  const winograd::OwnedWinogradScratch walk(
+      is.c, n_tile, static_cast<std::size_t>(xf.m()));
   std::vector<float> sv(nsq);
   std::vector<std::int8_t> uq_all(is.c * nsq);
   std::vector<std::int32_t> acc(nsq);
-  std::vector<float> m_f(nsq);
-  std::vector<float> y(msq);
-  tensor::Tensor4f out(is.n, qk.kernels, oh, ow);
-  conv2d_winograd_int8_into(
-      tensor::Tensor4fView(is, input.flat()), qk, xf, pad, act_scale,
-      /*fuse_relu=*/false, out.flat(),
-      QuantWinogradScratch{.d = d,
-                           .u_all = u_all,
-                           .sv = sv,
-                           .uq_all = uq_all,
-                           .acc = acc,
-                           .m_f = m_f,
-                           .y = y});
+  tensor::Tensor4f out(winograd::walk_output_shape(
+      "conv2d_winograd_int8", is, xf, qk.kernels, pad));
+  conv2d_winograd_int8_into(tensor::Tensor4fView(is, input.flat()), qk, xf,
+                            pad, act_scale, /*fuse_relu=*/false, out.flat(),
+                            QuantWinogradScratch{.walk = walk.spans(),
+                                                 .sv = sv,
+                                                 .uq_all = uq_all,
+                                                 .acc = acc});
   return out;
 }
 

@@ -10,9 +10,11 @@
 //  * im2col form — lower the patch matrix in fp32, quantize it K-contiguous
 //    and run the int8 GEMM (runtime/igemm.hpp).
 //  * Winograd form — pre-transform the filter bank (V = G g G^T) and
-//    quantize it in the TRANSFORM domain; per tile, transform the data in
-//    fp32 (U = B^T d B), quantize U, reduce over channels in int32,
-//    dequantize, and apply the fp32 inverse transform A^T M A. Only the
+//    quantize it in the TRANSFORM domain; walk the tiles with the shared
+//    tile walk (winograd/tile_walk.hpp): per tile column, transform the
+//    data in fp32 (U = B^T d B) and quantize U once, then per kernel
+//    reduce over channels in int32, dequantize, and apply the fp32
+//    inverse transform A^T M A. Only the
 //    channel reduction — the O(C) hot loop — runs in int8; the transforms
 //    (O(1) per tile) stay fp32, so quantization error does not compound
 //    through B^T/A^T. Whether a given F(m, 3) is safe at a layer's dynamic
@@ -109,18 +111,17 @@ struct QuantIm2colScratch {
 };
 
 /// Caller-provided scratch for conv2d_winograd_int8_into; carved by
-/// nn::carve_quant_winograd_scratch. Extents validated at entry. The walk
-/// visits one output tile at a time; acc is the accumulator of the
-/// runtime-n fallback, while the specialised n*n in {16, 25, 36}
-/// reductions accumulate in registers and stage their sums there.
+/// nn::carve_quant_winograd_scratch. Extents validated at entry. `walk` is
+/// the shared tile walk's scratch (winograd/tile_walk.hpp), whose acc_m
+/// holds each kernel's dequantized transform-domain tile; acc is the
+/// accumulator of the runtime-n fallback, while the specialised n*n in
+/// {16, 25, 36} reductions accumulate in registers and stage their sums
+/// there.
 struct QuantWinogradScratch {
-  std::span<float> d;             ///< n*n gathered input tile
-  std::span<float> u_all;         ///< C * n*n fp32 transformed tiles
-  std::span<float> sv;            ///< n*n per-position data scales
-  std::span<std::int8_t> uq_all;  ///< C * n*n quantized transform tiles
-  std::span<std::int32_t> acc;    ///< n*n int32 channel accumulator
-  std::span<float> m_f;           ///< n*n dequantized transform tile
-  std::span<float> y;             ///< m*m inverse-transformed tile
+  winograd::WinogradScratch walk;  ///< gather, fp32 U bank, tiles
+  std::span<float> sv;             ///< n*n per-position data scales
+  std::span<std::int8_t> uq_all;   ///< C * n*n quantized transform tiles
+  std::span<std::int32_t> acc;     ///< n*n int32 channel accumulator
 };
 
 /// \brief Allocation-free int8 im2col convolution over an NCHW batch view.
@@ -149,12 +150,14 @@ void conv2d_im2col_int8_into(const tensor::Tensor4fView& input,
 /// view (tile edge and r fixed by `xf`; input and output are NCHW, like
 /// every activation handed between layers).
 ///
-/// Per output tile: fp32 data transform for every channel, then one scale
-/// per tile position from the observed max across channels (the channel
-/// reduction sums across c at a fixed position, so only c must share a
-/// scale), int8 quantize, int32 channel reduction against `qk`,
+/// Runs the shared tile walk (winograd/tile_walk.hpp). Per tile column:
+/// fp32 data transform for every channel, then one scale per tile
+/// position from the observed max across channels (the channel reduction
+/// sums across c at a fixed position, so only c must share a scale) and
+/// int8 quantize; per kernel: int32 channel reduction against `qk`,
 /// per-position dequantize (sv[i] * qk.scale[k][i]), fp32 inverse
-/// transform, bounds-checked scatter (optionally fusing ReLU). The
+/// transform and the walk's clipped scatter (optionally fusing ReLU as
+/// x > 0 ? x : 0, which maps NaN to 0 like forward_reference). The
 /// per-position scales track the transform's position-dependent dynamic
 /// range; a single worst-case ||B^T||_inf^2 scale would leave F(4x4, 3x3)
 /// only a few of the 127 levels at most positions.

@@ -5,6 +5,7 @@
 
 #include "runtime/thread_pool.hpp"
 #include "winograd/tile_accumulate.hpp"
+#include "winograd/tile_walk.hpp"
 
 namespace wino::winograd {
 
@@ -69,40 +70,6 @@ void TileTransformer::transform_data(std::span<const float> d,
 void TileTransformer::inverse(std::span<const float> mm,
                               std::span<float> y) const {
   sandwich(at_, mm, y);
-}
-
-void TileTransformer::convolve_tile(std::span<const float> d,
-                                    std::span<const float> g,
-                                    std::span<float> y) const {
-  const auto nsq = static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
-  std::vector<float> u(nsq);
-  std::vector<float> v(nsq);
-  transform_data(d, u);
-  transform_filter(g, v);
-  for (std::size_t i = 0; i < nsq; ++i) u[i] *= v[i];
-  inverse(u, y);
-}
-
-void TileTransformer::convolve_1d(std::span<const float> d,
-                                  std::span<const float> g,
-                                  std::span<float> y) const {
-  const auto n = static_cast<std::size_t>(n_);
-  if (d.size() != n || g.size() != static_cast<std::size_t>(r_) ||
-      y.size() != static_cast<std::size_t>(m_)) {
-    throw std::invalid_argument("convolve_1d: size mismatch");
-  }
-  std::vector<float> u(n, 0.0F);
-  std::vector<float> v(n, 0.0F);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) u[i] += bt_(i, j) * d[j];
-    for (std::size_t j = 0; j < g.size(); ++j) v[i] += g_(i, j) * g[j];
-    u[i] *= v[i];
-  }
-  for (std::size_t k = 0; k < y.size(); ++k) {
-    float acc = 0.0F;
-    for (std::size_t i = 0; i < n; ++i) acc += at_(k, i) * u[i];
-    y[k] = acc;
-  }
 }
 
 void transform_filter_bank(const TileTransformer& xf, const Tensor4f& kernels,
@@ -256,232 +223,48 @@ Tensor4f conv2d_winograd(const Tensor4f& input, const TransformedKernels& tk,
 
 namespace {
 
-/// Geometry and buffer pointers of one conv2d_winograd_layout[_into]
-/// call, immutable during the column walk.
-struct LayoutConv {
-  const float* src = nullptr;
-  float* dst = nullptr;
-  const TransformedKernels* tk = nullptr;
-  const TileTransformer* xf = nullptr;
-  bool fuse_relu = false;
-  int pad = 0;
-  std::size_t channels = 0, kernel_count = 0;
-  std::size_t in_n = 0, in_h = 0, in_w = 0, out_h = 0, out_w = 0;
-  std::size_t mm = 0, n = 0, nsq = 0;
-  std::size_t tiles_h = 0, tiles_w = 0;
-
-  /// Flattened tile-column count: (img, th, tw) in lexicographic order.
-  [[nodiscard]] std::size_t columns() const {
-    return in_n * tiles_h * tiles_w;
-  }
-};
-
-/// Valid data extent of the gather window at tile position (th, tw).
-struct Window {
-  std::ptrdiff_t y0 = 0, x0 = 0;
-  std::size_t i_lo = 0, i_hi = 0, j_lo = 0, j_hi = 0;
-  bool padded = false;
-};
-
-Window make_window(const LayoutConv& g, std::size_t th, std::size_t tw) {
-  Window w;
-  w.y0 = static_cast<std::ptrdiff_t>(th * g.mm) - g.pad;
-  w.x0 = static_cast<std::ptrdiff_t>(tw * g.mm) - g.pad;
-  w.i_lo = w.y0 < 0 ? static_cast<std::size_t>(-w.y0) : 0;
-  w.i_hi = std::min(g.n, static_cast<std::size_t>(std::max<std::ptrdiff_t>(
-                             0, static_cast<std::ptrdiff_t>(g.in_h) - w.y0)));
-  w.j_lo = w.x0 < 0 ? static_cast<std::size_t>(-w.x0) : 0;
-  w.j_hi = std::min(g.n, static_cast<std::size_t>(std::max<std::ptrdiff_t>(
-                             0, static_cast<std::ptrdiff_t>(g.in_w) - w.x0)));
-  w.padded = w.i_lo > 0 || w.i_hi < g.n || w.j_lo > 0 || w.j_hi < g.n;
-  return w;
-}
-
-/// Fill d with channel c of the gather window at (img, w).
-void gather_channel(const LayoutConv& g, std::span<float> d, const Window& w,
-                    std::size_t img, std::size_t c) {
-  if (w.padded) std::fill(d.begin(), d.end(), 0.0F);
-  const float* plane = g.src + (img * g.channels + c) * g.in_h * g.in_w;
-  for (std::size_t i = w.i_lo; i < w.i_hi; ++i) {
-    const float* rowp =
-        plane +
-        static_cast<std::size_t>(w.y0 + static_cast<std::ptrdiff_t>(i)) *
-            g.in_w +
-        static_cast<std::size_t>(w.x0 + static_cast<std::ptrdiff_t>(w.j_lo));
-    float* drow = d.data() + i * g.n;
-    // Plain loop, not std::copy: the span is a handful of floats, and a
-    // memmove call per tile row costs more than the loads it performs.
-    for (std::size_t j = w.j_lo; j < w.j_hi; ++j) {
-      drow[j] = rowp[j - w.j_lo];
-    }
-  }
-}
-
-/// Scatter acc_y (m*m) for kernel k at tile (img, th, tw) into the NCHW
-/// output, clipping the ragged right/bottom edge.
-void scatter_tile(const LayoutConv& g, std::span<const float> acc_y,
-                  std::size_t img, std::size_t k, std::size_t th,
-                  std::size_t tw) {
-  const std::size_t mm = g.mm;
-  const std::size_t ie = std::min(mm, g.out_h - th * mm);
-  const std::size_t je = std::min(mm, g.out_w - tw * mm);
-  float* out_plane = g.dst + (img * g.kernel_count + k) * g.out_h * g.out_w;
-  for (std::size_t i = 0; i < ie; ++i) {
-    float* orow = out_plane + (th * mm + i) * g.out_w + tw * mm;
-    const float* ay = acc_y.data() + i * mm;
-    if (g.fuse_relu) {
-      for (std::size_t j = 0; j < je; ++j) {
-        orow[j] = ay[j] > 0.0F ? ay[j] : 0.0F;
-      }
-    } else {
-      for (std::size_t j = 0; j < je; ++j) orow[j] = ay[j];
-    }
-  }
-}
-
-/// Decode flattened column index -> (img, th, tw).
-void decode_column(const LayoutConv& g, std::size_t col, std::size_t& img,
-                   std::size_t& th, std::size_t& tw) {
-  const std::size_t per_img = g.tiles_h * g.tiles_w;
-  img = col / per_img;
-  const std::size_t rem = col % per_img;
-  th = rem / g.tiles_w;
-  tw = rem % g.tiles_w;
-}
-
-/// The transform-domain tile walk over columns [col_begin, col_end): per
-/// column, gather and transform the C channels into the u_all bank once,
-/// then per kernel accumulate, inverse-transform and scatter its tile.
-void run_columns(const LayoutConv& g, const WinogradScratch& s,
-                 std::size_t col_begin, std::size_t col_end) {
-  const TileTransformer& xf = *g.xf;
-  const TransformedKernels& tk = *g.tk;
-  const std::size_t nsq = g.nsq;
-  const auto accumulate = accumulate_for<float, float>(nsq);
-  float* u_all = s.u_all.data();
-
-  for (std::size_t col = col_begin; col < col_end; ++col) {
-    std::size_t img = 0, th = 0, tw = 0;
-    decode_column(g, col, img, th, tw);
-    const Window w = make_window(g, th, tw);
-
-    for (std::size_t c = 0; c < g.channels; ++c) {
-      gather_channel(g, s.d, w, img, c);
-      xf.transform_data(s.d, {u_all + c * nsq, nsq});
-    }
-
-    for (std::size_t k = 0; k < g.kernel_count; ++k) {
-      accumulate(u_all, tk.v(k).data(), g.channels, nsq, s.acc_m.data());
-      xf.inverse(s.acc_m, s.acc_y);
-      scatter_tile(g, s.acc_y, img, k, th, tw);
-    }
-  }
+/// The fp32 reducer over columns [begin, end): per kernel, the
+/// transform-domain channel reduction of tile_accumulate.hpp. Instantiated
+/// here, where -ffp-contract=off makes its multiply-adds round like the
+/// reference walk's.
+void run_fp32_columns(const TileWalk& g, const TransformedKernels& tk,
+                      const WinogradScratch& s, std::size_t begin,
+                      std::size_t end) {
+  const auto accumulate = accumulate_for<float, float>(g.nsq);
+  walk_columns(
+      g, s, begin, end, [](std::span<const float>) {},
+      [&](std::size_t k) {
+        accumulate(s.u_all.data(), tk.v(k).data(), g.channels, g.nsq,
+                   s.acc_m.data());
+        return std::span<const float>(s.acc_m);
+      });
 }
 
 /// Validate everything but the scratch and build the walk geometry.
-LayoutConv make_layout_conv(const tensor::Layout& il,
-                            std::span<const float> in,
-                            const TransformedKernels& tk,
-                            const TileTransformer& xf,
-                            const WinogradConvOptions& opt,
-                            const tensor::Layout& ol, std::span<float> out,
-                            bool fuse_relu) {
+TileWalk make_layout_walk(const tensor::Layout& il, std::span<const float> in,
+                          const TransformedKernels& tk,
+                          const TileTransformer& xf,
+                          const WinogradConvOptions& opt,
+                          const tensor::Layout& ol, std::span<float> out,
+                          bool fuse_relu) {
   using tensor::LayoutKind;
   if (il.kind != LayoutKind::kNCHW || ol.kind != LayoutKind::kNCHW) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: input and output must be NCHW");
-  }
-  if (in.size() != il.volume()) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: buffer size != layout volume");
   }
   if (opt.accumulation != AccumulationOrder::kTransformDomain) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: transform-domain accumulation only (the "
         "post-inverse order runs in conv2d_winograd)");
   }
-  const auto& is = il.shape;
-  const auto r = static_cast<std::size_t>(xf.r());
-  const auto tile = static_cast<std::size_t>(xf.tile());
-  if (tk.tile_area() != tile * tile) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: kernel bank transformed for another tile");
-  }
-  if (tk.channels() != is.c) {
-    throw std::invalid_argument("conv2d_winograd_layout: channel mismatch");
-  }
-  const int pad = opt.pad;
-  const std::ptrdiff_t oh = static_cast<std::ptrdiff_t>(is.h) + 2 * pad -
-                            static_cast<std::ptrdiff_t>(r) + 1;
-  const std::ptrdiff_t ow = static_cast<std::ptrdiff_t>(is.w) + 2 * pad -
-                            static_cast<std::ptrdiff_t>(r) + 1;
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: output would be empty");
-  }
-
-  LayoutConv g;
-  g.src = in.data();
-  g.dst = out.data();
-  g.tk = &tk;
-  g.xf = &xf;
-  g.fuse_relu = fuse_relu;
-  g.pad = pad;
-  g.channels = is.c;
-  g.kernel_count = tk.kernel_count();
-  g.in_n = is.n;
-  g.in_h = is.h;
-  g.in_w = is.w;
-  g.out_h = static_cast<std::size_t>(oh);
-  g.out_w = static_cast<std::size_t>(ow);
-  g.mm = static_cast<std::size_t>(xf.m());
-  g.n = tile;
-  g.nsq = tile * tile;
-  g.tiles_h = (g.out_h + g.mm - 1) / g.mm;
-  g.tiles_w = (g.out_w + g.mm - 1) / g.mm;
-
-  const tensor::Shape4 out_shape{is.n, g.kernel_count, g.out_h, g.out_w};
-  if (!(ol.shape == out_shape)) {
+  const TileWalk g = make_tile_walk(
+      "conv2d_winograd_layout", il.shape, in, xf, tk.channels(),
+      tk.tile_area(), tk.kernel_count(), opt.pad, out, fuse_relu);
+  if (!(ol.shape == g.output_shape())) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: output layout does not match this conv");
   }
-  if (out.size() != ol.volume()) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: output buffer size != layout volume");
-  }
   return g;
-}
-
-/// Validate the scratch against the geometry.
-void validate_scratch(const LayoutConv& g, const WinogradScratch& s) {
-  const std::size_t nsq = g.nsq;
-  if (s.d.size() != nsq || s.u_all.size() != g.channels * nsq ||
-      s.acc_m.size() != nsq || s.acc_y.size() != g.mm * g.mm) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: scratch size mismatch");
-  }
-}
-
-/// Heap-backed scratch for the allocating wrapper (one per worker chunk).
-struct OwnedScratch {
-  std::vector<float> f;
-  WinogradScratch s;
-};
-
-OwnedScratch make_owned_scratch(std::size_t channels, std::size_t n,
-                                std::size_t mm) {
-  const std::size_t nsq = n * n;
-  OwnedScratch o;
-  o.f.resize(nsq + channels * nsq + nsq + mm * mm);
-  float* f = o.f.data();
-  o.s.d = {f, nsq};
-  f += nsq;
-  o.s.u_all = {f, channels * nsq};
-  f += channels * nsq;
-  o.s.acc_m = {f, nsq};
-  f += nsq;
-  o.s.acc_y = {f, mm * mm};
-  return o;
 }
 
 }  // namespace
@@ -494,10 +277,10 @@ void conv2d_winograd_layout_into(const tensor::Layout& il,
                                  const tensor::Layout& ol,
                                  std::span<float> out, bool fuse_relu,
                                  const WinogradScratch& scratch) {
-  const LayoutConv g =
-      make_layout_conv(il, in, tk, xf, opt, ol, out, fuse_relu);
-  validate_scratch(g, scratch);
-  run_columns(g, scratch, 0, g.columns());
+  const TileWalk g =
+      make_layout_walk(il, in, tk, xf, opt, ol, out, fuse_relu);
+  validate_walk_scratch("conv2d_winograd_layout", g, scratch);
+  run_fp32_columns(g, tk, scratch, 0, g.columns());
 }
 
 Tensor4f conv2d_winograd_layout(const Tensor4f& input,
@@ -506,30 +289,18 @@ Tensor4f conv2d_winograd_layout(const Tensor4f& input,
                                 const WinogradConvOptions& opt,
                                 bool fuse_relu) {
   using tensor::Layout;
-  const Layout il = Layout::nchw(input.shape());
-  const auto& is = il.shape;
-  const auto r = static_cast<std::size_t>(xf.r());
-  const int pad = opt.pad;
-  const std::ptrdiff_t oh = static_cast<std::ptrdiff_t>(is.h) + 2 * pad -
-                            static_cast<std::ptrdiff_t>(r) + 1;
-  const std::ptrdiff_t ow = static_cast<std::ptrdiff_t>(is.w) + 2 * pad -
-                            static_cast<std::ptrdiff_t>(r) + 1;
-  if (oh <= 0 || ow <= 0) {
-    throw std::invalid_argument(
-        "conv2d_winograd_layout: output would be empty");
-  }
-  Tensor4f out(is.n, tk.kernel_count(), static_cast<std::size_t>(oh),
-               static_cast<std::size_t>(ow));
-  const LayoutConv g =
-      make_layout_conv(il, input.flat(), tk, xf, opt,
+  Tensor4f out(walk_output_shape("conv2d_winograd_layout", input.shape(), xf,
+                                 tk.kernel_count(), opt.pad));
+  const TileWalk g =
+      make_layout_walk(Layout::nchw(input.shape()), input.flat(), tk, xf, opt,
                        Layout::nchw(out.shape()), out.flat(), fuse_relu);
 
   // Every worker chunk owns a private scratch and a contiguous column
   // range; per-column arithmetic is independent of the chunking, so any
   // thread count produces the same bytes.
   runtime::parallel_for(g.columns(), [&](std::size_t begin, std::size_t end) {
-    const OwnedScratch o = make_owned_scratch(is.c, g.n, g.mm);
-    run_columns(g, o.s, begin, end);
+    const OwnedWinogradScratch o(g.channels, g.n, g.mm);
+    run_fp32_columns(g, tk, o.spans(), begin, end);
   });
   return out;
 }

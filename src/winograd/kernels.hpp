@@ -1,5 +1,6 @@
-// Runtime Winograd convolution kernels (float): 1-D F(m, r), 2-D nested
-// F(m x m, r x r) tile operations, and full NCHW layer convolution.
+// Runtime Winograd convolution kernels (float): the F(m x m, r x r) tile
+// transforms, the reference layer walk and the executor's layer
+// convolution.
 //
 // Layer-level evaluation mirrors the paper's system (Fig 7): the image is
 // decomposed into overlapping (m+r-1)^2 tiles with stride m, and kernels
@@ -8,10 +9,11 @@
 // accumulates channels either in the transform domain (software-optimal,
 // one inverse per output tile) or after the inverse transform (matching
 // the hardware's accumulation buffers); their equivalence is a linearity
-// property the test suite checks. The executor's walk
-// (conv2d_winograd_layout[_into]) runs the transform-domain order only,
-// gathering its tiles from an NCHW activation and scattering NCHW: the
-// tiles live inside one layer and never cross a layer boundary.
+// property the test suite checks, and it is the oracle every other walk is
+// pinned to. The executor's convolution (conv2d_winograd_layout[_into]) is
+// the fp32 reducer of the one shared tile walk (winograd/tile_walk.hpp),
+// which the int8 and fixed-point forms also run: transform-domain order
+// only, gathering tiles from an NCHW activation and scattering NCHW.
 #pragma once
 
 #include <span>
@@ -47,20 +49,6 @@ class TileTransformer {
 
   /// Y = A^T M A. mm: n*n, y: m*m.
   void inverse(std::span<const float> mm, std::span<float> y) const;
-
-  /// Full tile convolution Y = A^T[(G g G^T) . (B^T d B)]A.
-  void convolve_tile(std::span<const float> d, std::span<const float> g,
-                     std::span<float> y) const;
-
-  /// 1-D convolution y = A^T[(G g) . (B^T d)]; d has n elements, g has r,
-  /// y has m.
-  void convolve_1d(std::span<const float> d, std::span<const float> g,
-                   std::span<float> y) const;
-
-  /// The float inverse-transform matrix A^T (m rows x n cols). Exposed so
-  /// consumers can batch many inverse transforms Y = A^T M A as two dense
-  /// GEMMs on the shared runtime core (see hw/winograd_engine.cpp).
-  [[nodiscard]] const FMatrix& at_matrix() const { return at_; }
 
  private:
   // Apply `mat` (rows x cols) along rows then columns of a square tile:
@@ -156,10 +144,10 @@ tensor::Tensor4f conv2d_winograd(const tensor::Tensor4f& input,
 /// every element (pinned by tests/winograd_fused_test.cpp and
 /// tests/tensor_layout_test.cpp).
 ///
-/// The walk visits one tile column (image, tile row, tile column) at a
-/// time: gather and transform its C channels into one C*n*n bank, then per
-/// kernel accumulate the n*n tile over ascending c, inverse-transform it
-/// and scatter it. That is the per-element order of conv2d_winograd's
+/// It runs the shared tile walk (winograd/tile_walk.hpp) with the fp32
+/// reducer: per column the C channels are transformed once, then per
+/// kernel the n*n tile is accumulated over ascending c, inverse-transformed
+/// and scattered. That is the per-element order of conv2d_winograd's
 /// transform-domain walk, so the result is memcmp-equal to it. This wrapper
 /// splits the columns across the deterministic ThreadPool — each worker
 /// owns a private scratch and a contiguous column range — and since every
@@ -175,13 +163,13 @@ tensor::Tensor4f conv2d_winograd_layout(const tensor::Tensor4f& input,
                                         const WinogradConvOptions& opt,
                                         bool fuse_relu);
 
-/// Caller-provided scratch for conv2d_winograd_layout_into: the data tile
+/// Scratch of the shared tile walk (winograd/tile_walk.hpp): the data tile
 /// d, the column's transform bank and the accumulation tiles. Carved out
 /// of a workspace slab by nn::carve_winograd_scratch, which is also the
-/// single definition of each span's extent. acc_m is the accumulator of
-/// the runtime-n fallback; the specialised n*n in {16, 25, 36} reductions
-/// accumulate in registers and only stage their result there for the
-/// inverse transform.
+/// single definition of each span's extent. acc_m holds the n*n tile each
+/// reducer hands to the inverse transform: the fp32 runtime-n fallback
+/// accumulates there, while the specialised n*n in {16, 25, 36}
+/// reductions accumulate in registers and only stage their result there.
 struct WinogradScratch {
   std::span<float> d;      ///< n*n gathered input tile
   std::span<float> u_all;  ///< C * n*n transformed data tiles

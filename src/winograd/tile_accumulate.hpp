@@ -1,7 +1,8 @@
-// The transform-domain channel reduction of one Winograd tile, shared by
-// the fp32 walk (winograd/kernels.cpp) and the int8 walk
-// (quant/int8.cpp): acc[i] = sum over ascending c of u_c[i] * v_c[i],
-// each chain starting at 0 — the per-element order of the reference walk
+// The transform-domain channel reduction of one Winograd tile, used by
+// the fp32 and int8 reducers of the shared tile walk
+// (winograd/tile_walk.hpp; instantiated in winograd/kernels.cpp and
+// quant/int8.cpp): acc[i] = sum over ascending c of u_c[i] * v_c[i], each
+// chain starting at 0 — the per-element order of the reference walk
 // conv2d_winograd.
 //
 // The fp32 instantiation must only be made in winograd/kernels.cpp,

@@ -28,13 +28,13 @@
 #include "runtime/thread_pool.hpp"
 #include "serve/inference_server.hpp"
 #include "tensor/layout.hpp"
+#include "winograd/kernels.hpp"
 
 namespace wino::nn {
 namespace {
 
 using common::Rng;
 using tensor::Layout;
-using tensor::PackedActivation;
 using tensor::Tensor4f;
 
 bool same_bits(const Tensor4f& a, const Tensor4f& b) {
@@ -635,18 +635,23 @@ TEST(HwEngine, RetiledRunsThePlannedPerLayerM) {
   Tensor4f kernels(4, 3, 3, 3);
   rng.fill_uniform(input.flat(), -1.0F, 1.0F);
   rng.fill_normal(kernels.flat(), 0.0F, 0.2F);
-  const auto act = PackedActivation::from_nchw(Tensor4f(input));
 
-  // The per-layer-m overload is exactly the retiled engine's run.
-  const auto direct = w2.run_layer(input, kernels, /*pad=*/1);
-  const auto via_m = engine.run_layer(act, kernels, /*pad=*/1, /*m=*/2);
-  ASSERT_TRUE(same_bits(direct.output, via_m.output));
-  EXPECT_EQ(direct.stats.total_cycles, via_m.stats.total_cycles);
+  // The retiled engine runs F(2x2, 3x3): its output is the post-inverse
+  // reference walk at m = 2, and its cycles are its own timing model's.
+  const auto run = w2.run_layer(input, kernels, /*pad=*/1);
+  ASSERT_TRUE(same_bits(
+      run.output,
+      winograd::conv2d_winograd(
+          input, kernels, 2,
+          {.pad = 1,
+           .accumulation = winograd::AccumulationOrder::kPostInverse})));
+  EXPECT_EQ(run.stats.total_cycles,
+            w2.run_layer_timing(conv_spec(8, 3, 4)).total_cycles);
 
   // And the simulated datapath still computes the right convolution.
   const Tensor4f ref = conv::conv2d_spatial(
       input, kernels, {.pad = 1, .stride = 1});
-  EXPECT_LE(tensor::max_abs_diff(via_m.output, ref), 2e-4F);
+  EXPECT_LE(tensor::max_abs_diff(run.output, ref), 2e-4F);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -236,66 +237,104 @@ TEST(Int8Conv, QuantizedWinogradBankBitIdenticalAtEveryPoolSize) {
 
 // The int8 Winograd walk against a direct per-tile evaluation of the same
 // recipe at every tile area it specialises (n*n = 16, 25, 36) and at the
-// runtime-n fallback (n*n = 49). The int32 sums are exact and every fp32
-// step is the same expression, so any indexing slip shows as a bit
-// difference.
+// runtime-n fallback (n*n = 49), over pad 0 and 1, prime extents and a
+// single input channel, through the allocating wrapper and, with ReLU
+// fused, through the allocation-free core. The int32 sums are exact and
+// every fp32 step is the same expression, so any indexing slip shows as a
+// bit difference.
 TEST(Int8Conv, WinogradWalkMatchesDirectRecipeAtEveryTileArea) {
+  struct Case {
+    std::size_t imgs, chans, kcount, h, w;
+    int pad;
+  };
+  const Case cases[] = {
+      {2, 3, 4, 11, 7, 1}, {2, 3, 4, 11, 7, 0}, {1, 1, 3, 13, 5, 1},
+      {1, 1, 2, 17, 13, 0}, {2, 2, 3, 5, 11, 1}};
   Rng rng(127);
-  const std::size_t imgs = 2, chans = 3, kcount = 4, h = 11, w = 7;
-  Tensor4f input(imgs, chans, h, w);
-  Tensor4f kernels(kcount, chans, 3, 3);
-  rng.fill_uniform(input.flat(), -1.0F, 1.0F);
-  rng.fill_normal(kernels.flat(), 0.0F, 0.2F);
-  for (const int m : {2, 3, 4, 5}) {
-    const winograd::TileTransformer xf(winograd::transforms(m, 3));
-    const quant::QuantizedWinogradKernels qk =
-        quant::quantize_winograd_kernels(xf, kernels);
-    const auto mm = static_cast<std::size_t>(m);
-    const auto n = static_cast<std::size_t>(xf.tile());
-    const std::size_t nsq = n * n;
-    Tensor4f want(imgs, kcount, h, w);
-    std::vector<float> d(nsq);
-    std::vector<float> u(chans * nsq);
-    std::vector<float> mf(nsq);
-    std::vector<float> y(mm * mm);
-    for (std::size_t img = 0; img < imgs; ++img) {
-      for (std::size_t ty = 0; ty * mm < h; ++ty) {
-        for (std::size_t tx = 0; tx * mm < w; ++tx) {
-          for (std::size_t c = 0; c < chans; ++c) {
-            for (std::size_t i = 0; i < nsq; ++i) {
-              d[i] = input.padded(
-                  img, c, static_cast<std::ptrdiff_t>(ty * mm + i / n) - 1,
-                  static_cast<std::ptrdiff_t>(tx * mm + i % n) - 1);
-            }
-            xf.transform_data(d, std::span<float>(u).subspan(c * nsq, nsq));
-          }
-          for (std::size_t k = 0; k < kcount; ++k) {
-            for (std::size_t i = 0; i < nsq; ++i) {
-              float pos_max = 0.0F;
-              for (std::size_t c = 0; c < chans; ++c) {
-                pos_max = std::max(pos_max, std::abs(u[c * nsq + i]));
+  for (const Case& p : cases) {
+    Tensor4f input(p.imgs, p.chans, p.h, p.w);
+    Tensor4f kernels(p.kcount, p.chans, 3, 3);
+    rng.fill_uniform(input.flat(), -1.0F, 1.0F);
+    rng.fill_normal(kernels.flat(), 0.0F, 0.2F);
+    const std::size_t oh = p.h + 2 * static_cast<std::size_t>(p.pad) - 2;
+    const std::size_t ow = p.w + 2 * static_cast<std::size_t>(p.pad) - 2;
+    for (const int m : {2, 3, 4, 5}) {
+      const winograd::TileTransformer xf(winograd::transforms(m, 3));
+      const quant::QuantizedWinogradKernels qk =
+          quant::quantize_winograd_kernels(xf, kernels);
+      const auto mm = static_cast<std::size_t>(m);
+      const auto n = static_cast<std::size_t>(xf.tile());
+      const std::size_t nsq = n * n;
+      Tensor4f want(p.imgs, p.kcount, oh, ow);
+      std::vector<float> d(nsq);
+      std::vector<float> u(p.chans * nsq);
+      std::vector<float> mf(nsq);
+      std::vector<float> y(mm * mm);
+      for (std::size_t img = 0; img < p.imgs; ++img) {
+        for (std::size_t ty = 0; ty * mm < oh; ++ty) {
+          for (std::size_t tx = 0; tx * mm < ow; ++tx) {
+            for (std::size_t c = 0; c < p.chans; ++c) {
+              for (std::size_t i = 0; i < nsq; ++i) {
+                d[i] = input.padded(
+                    img, c,
+                    static_cast<std::ptrdiff_t>(ty * mm + i / n) - p.pad,
+                    static_cast<std::ptrdiff_t>(tx * mm + i % n) - p.pad);
               }
-              const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
-              std::int32_t acc = 0;
-              for (std::size_t c = 0; c < chans; ++c) {
-                acc += quant::quantize_symmetric(u[c * nsq + i], inv) *
-                       qk.data[(k * chans + c) * nsq + i];
-              }
-              mf[i] = static_cast<float>(acc) *
-                      (qk.scale[k * nsq + i] * (pos_max / 127.0F));
+              xf.transform_data(d,
+                                std::span<float>(u).subspan(c * nsq, nsq));
             }
-            xf.inverse(mf, y);
-            for (std::size_t i = 0; i < mm && ty * mm + i < h; ++i) {
-              for (std::size_t j = 0; j < mm && tx * mm + j < w; ++j) {
-                want(img, k, ty * mm + i, tx * mm + j) = y[i * mm + j];
+            for (std::size_t k = 0; k < p.kcount; ++k) {
+              for (std::size_t i = 0; i < nsq; ++i) {
+                float pos_max = 0.0F;
+                for (std::size_t c = 0; c < p.chans; ++c) {
+                  pos_max = std::max(pos_max, std::abs(u[c * nsq + i]));
+                }
+                const float inv = pos_max > 0.0F ? 127.0F / pos_max : 0.0F;
+                std::int32_t acc = 0;
+                for (std::size_t c = 0; c < p.chans; ++c) {
+                  acc += quant::quantize_symmetric(u[c * nsq + i], inv) *
+                         qk.data[(k * p.chans + c) * nsq + i];
+                }
+                mf[i] = static_cast<float>(acc) *
+                        (qk.scale[k * nsq + i] * (pos_max / 127.0F));
+              }
+              xf.inverse(mf, y);
+              for (std::size_t i = 0; i < mm && ty * mm + i < oh; ++i) {
+                for (std::size_t j = 0; j < mm && tx * mm + j < ow; ++j) {
+                  want(img, k, ty * mm + i, tx * mm + j) = y[i * mm + j];
+                }
               }
             }
           }
         }
       }
+      const std::string where = "m=" + std::to_string(m) +
+                                " c=" + std::to_string(p.chans) + " " +
+                                std::to_string(p.h) + "x" +
+                                std::to_string(p.w) +
+                                " pad=" + std::to_string(p.pad);
+      EXPECT_TRUE(
+          same_bits(quant::conv2d_winograd_int8(input, qk, xf, p.pad), want))
+          << where;
+
+      // Fused ReLU through the allocation-free core: x > 0 ? x : 0 on the
+      // same values.
+      for (float& v : want.flat()) v = v > 0.0F ? v : 0.0F;
+      std::vector<float> sd(nsq), su(p.chans * nsq), sm(nsq), sy(mm * mm),
+          sv(nsq);
+      std::vector<std::int8_t> uq(p.chans * nsq);
+      std::vector<std::int32_t> acc(nsq);
+      Tensor4f fused(want.shape());
+      quant::conv2d_winograd_int8_into(
+          tensor::Tensor4fView(input.shape(), input.flat()), qk, xf, p.pad,
+          /*act_scale=*/0.0F, /*fuse_relu=*/true, fused.flat(),
+          quant::QuantWinogradScratch{
+              .walk = {.d = sd, .u_all = su, .acc_m = sm, .acc_y = sy},
+              .sv = sv,
+              .uq_all = uq,
+              .acc = acc});
+      EXPECT_TRUE(same_bits(fused, want)) << where << " fused";
     }
-    EXPECT_TRUE(same_bits(quant::conv2d_winograd_int8(input, qk, xf, 1), want))
-        << "m=" << m;
   }
 }
 
@@ -588,6 +627,35 @@ TEST(ForwardPlan, QuantizedPlanBitIdenticalAndWithinBudget) {
   }
   runtime::ThreadPool::set_global_threads(
       std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// forward(plan) == forward_reference when the input carries a NaN or an
+// infinity, for every int8 form and two fp32 ones. The executor fuses ReLU
+// into each conv's output store, the reference applies relu_inplace after
+// the unfused conv; both must map a NaN conv output to 0 (an infinity
+// reaching an int8 Winograd tile's scales makes its outputs NaN).
+TEST(ForwardPlan, NonFiniteInputsMatchReferenceForEveryForm) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<LayerSpec> layers(2);
+  layers[0].conv = conv_spec(8, 3, 4);
+  layers[1].conv = conv_spec(8, 4, 4);
+  const WeightBank weights = random_weights(layers, 131);
+  Rng rng(137);
+  Tensor4f clean(2, 3, 8, 8);
+  rng.fill_uniform(clean.flat(), -1.0F, 1.0F);
+  for (const float v : {kNan, kInf, -kInf}) {
+    Tensor4f input = clean;
+    input(0, 1, 4, 3) = v;
+    for (const ConvAlgo algo :
+         {ConvAlgo::kInt8Winograd2, ConvAlgo::kInt8Winograd4,
+          ConvAlgo::kInt8Im2col, ConvAlgo::kWinograd2, ConvAlgo::kIm2col}) {
+      const ExecutionPlan plan = uniform_plan(layers, algo);
+      EXPECT_TRUE(same_bits(forward(plan, weights, input),
+                            forward_reference(plan, weights, input)))
+          << to_string(algo) << " v=" << v;
+    }
+  }
 }
 
 TEST(Serve, QuantizedSessionServesBitIdenticalResults) {

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/random.hpp"
 #include "conv/spatial.hpp"
+#include "winograd/kernels.hpp"
 
 namespace wino::quant {
 namespace {
@@ -155,6 +159,96 @@ TEST(QuantizedConv, GuardBitsRescueSaturation) {
           .relative_max();
   EXPECT_LT(with_guard, 0.05F);
   EXPECT_GT(without, with_guard * 10);
+}
+
+// The simulated datapath evaluated directly, one (image, kernel, tile) at
+// a time: every channel's input tile is rounded to `fmt`, transformed and
+// rounded to the guard-bit width per kernel, each product and the channel
+// sum are rounded, and the inverse is narrowed back to `fmt`.
+Tensor4f quantized_datapath_recipe(const Tensor4f& input,
+                                   const Tensor4f& kernels, int m,
+                                   const FixedPointFormat& fmt, int pad,
+                                   int guard_bits) {
+  const auto& is = input.shape();
+  const auto& ks = kernels.shape();
+  const FixedPointFormat wide{fmt.total_bits + guard_bits, fmt.frac_bits};
+  const winograd::TileTransformer xf(winograd::transforms(m, 3));
+  const auto mm = static_cast<std::size_t>(m);
+  const auto n = static_cast<std::size_t>(xf.tile());
+  const std::size_t nsq = n * n;
+  const std::size_t oh = is.h + 2 * static_cast<std::size_t>(pad) - 2;
+  const std::size_t ow = is.w + 2 * static_cast<std::size_t>(pad) - 2;
+  Tensor4f out(is.n, ks.n, oh, ow);
+  std::vector<float> g(9), v(nsq), d(nsq), u(nsq), acc(nsq), y(mm * mm);
+  for (std::size_t img = 0; img < is.n; ++img) {
+    for (std::size_t k = 0; k < ks.n; ++k) {
+      for (std::size_t ty = 0; ty * mm < oh; ++ty) {
+        for (std::size_t tx = 0; tx * mm < ow; ++tx) {
+          std::fill(acc.begin(), acc.end(), 0.0F);
+          for (std::size_t c = 0; c < is.c; ++c) {
+            for (std::size_t i = 0; i < 9; ++i) {
+              g[i] = fmt.quantize(kernels(k, c, i / 3, i % 3));
+            }
+            xf.transform_filter(g, v);
+            for (float& x : v) x = wide.quantize(x);
+            for (std::size_t i = 0; i < nsq; ++i) {
+              d[i] = fmt.quantize(input.padded(
+                  img, c, static_cast<std::ptrdiff_t>(ty * mm + i / n) - pad,
+                  static_cast<std::ptrdiff_t>(tx * mm + i % n) - pad));
+            }
+            xf.transform_data(d, u);
+            for (float& x : u) x = wide.quantize(x);
+            for (std::size_t i = 0; i < nsq; ++i) {
+              acc[i] += wide.quantize(u[i] * v[i]);
+            }
+          }
+          for (float& x : acc) x = wide.quantize(x);
+          xf.inverse(acc, y);
+          for (std::size_t i = 0; i < mm && ty * mm + i < oh; ++i) {
+            for (std::size_t j = 0; j < mm && tx * mm + j < ow; ++j) {
+              out(img, k, ty * mm + i, tx * mm + j) =
+                  fmt.quantize(y[i * mm + j]);
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// The shared tile walk transforms each column's data once for all K
+// kernels; the datapath it simulates must stay bit-identical to the
+// direct per-kernel evaluation over tile sizes, padding, ragged and prime
+// extents, wordlengths and guard bits.
+TEST(QuantizedConv, WalkMatchesDirectDatapathRecipe) {
+  Rng rng(23);
+  Tensor4f input(2, 3, 11, 7);
+  Tensor4f kernels(4, 3, 3, 3);
+  rng.fill_uniform(input.flat(), -2.0F, 2.0F);
+  rng.fill_uniform(kernels.flat(), -0.5F, 0.5F);
+  const FixedPointFormat formats[] = {
+      {.total_bits = 16, .frac_bits = 10},
+      {.total_bits = 12, .frac_bits = 8},
+      {.total_bits = 8, .frac_bits = 4}};
+  for (const int m : {2, 3, 4}) {
+    for (const int pad : {0, 1}) {
+      for (const FixedPointFormat& fmt : formats) {
+        for (const int guard : {0, 4, 8}) {
+          const Tensor4f got =
+              conv2d_winograd_quantized(input, kernels, m, fmt, pad, guard);
+          const Tensor4f want =
+              quantized_datapath_recipe(input, kernels, m, fmt, pad, guard);
+          ASSERT_EQ(got.shape(), want.shape());
+          EXPECT_EQ(std::memcmp(got.flat().data(), want.flat().data(),
+                                want.size() * sizeof(float)),
+                    0)
+              << "m=" << m << " pad=" << pad << " Q" << fmt.total_bits << "."
+              << fmt.frac_bits << " guard=" << guard;
+        }
+      }
+    }
+  }
 }
 
 TEST(QuantizedConv, RejectsExcessGuardBits) {

@@ -10,8 +10,6 @@
 
 #include "common/random.hpp"
 #include "conv/im2col.hpp"
-#include "hw/engine_config.hpp"
-#include "hw/winograd_engine.hpp"
 #include "winograd/kernels.hpp"
 
 namespace wino::tensor {
@@ -119,31 +117,6 @@ TEST(Im2colPanelLayout, MatchesConvLayerIm2col) {
   }
 }
 
-TEST(Im2colPanelLayout, PackedPanelConvBitIdenticalToNCHWConv) {
-  const Shape4 s{3, 4, 7, 6};
-  const Tensor4f t = random_tensor(s, 13);
-  Tensor4f kernels(8, 4, 3, 3);
-  Rng rng(17);
-  rng.fill_normal(kernels.flat(), 0.0F, 0.2F);
-  const conv::SpatialConvOptions opt{.pad = 1, .stride = 1};
-  const Tensor4f direct = conv::conv2d_im2col(t, kernels, opt);
-  const PackedActivation panel =
-      pack(t, Layout::im2col_panel(s, 3, 1, 1, 1));
-  const Tensor4f via_panel = conv::conv2d_im2col(panel, kernels, opt);
-  EXPECT_TRUE(bit_identical(direct, via_panel));
-}
-
-TEST(Im2colPanelLayout, PanelConvRejectsMismatchedOptions) {
-  const Shape4 s{1, 2, 6, 6};
-  const Tensor4f t = random_tensor(s, 19);
-  Tensor4f kernels(4, 2, 3, 3);
-  const PackedActivation panel =
-      pack(t, Layout::im2col_panel(s, 3, 1, 1, 1));
-  const conv::SpatialConvOptions other{.pad = 0, .stride = 1};
-  EXPECT_THROW(conv::conv2d_im2col(panel, kernels, other),
-               std::invalid_argument);
-}
-
 TEST(Pack, RejectsShapeMismatch) {
   const Tensor4f t = random_tensor({1, 2, 4, 4}, 23);
   EXPECT_THROW(pack(t, Layout::nchw({1, 2, 5, 4})),
@@ -209,23 +182,6 @@ TEST(WinogradLayoutConvGuards, RejectsPanelInputAndChannelMismatch) {
   const Tensor4f wrong_c = random_tensor({1, 3, 6, 6}, 43);
   EXPECT_THROW(winograd::conv2d_winograd_layout(wrong_c, tk, xf, opt, false),
                std::invalid_argument);
-}
-
-TEST(HwEngineLayoutEntry, PackedInputMatchesNCHWEntry) {
-  const Shape4 s{1, 3, 10, 10};
-  const Tensor4f input = random_tensor(s, 47);
-  Tensor4f kernels(4, 3, 3, 3);
-  Rng rng(53);
-  rng.fill_normal(kernels.flat(), 0.0F, 0.3F);
-  hw::EngineConfig cfg;
-  cfg.m = 2;
-  cfg.r = 3;
-  cfg.parallel_pes = 2;
-  const hw::WinogradEngine engine(cfg);
-  const Tensor4f direct = engine.run_layer(input, kernels, 1).output;
-  const PackedActivation packed = pack(input, Layout::nchw(s));
-  const Tensor4f via_layout = engine.run_layer(packed, kernels, 1).output;
-  EXPECT_TRUE(bit_identical(direct, via_layout));
 }
 
 }  // namespace

@@ -40,14 +40,17 @@ TEST(ErrorModel, PredictsMeasuredErrorOrder) {
   for (const int m : {2, 4}) {
     const TileTransformer xf(transforms(m, 3));
     const auto n = static_cast<std::size_t>(xf.tile());
-    std::vector<float> d(n * n);
-    std::vector<float> g(9);
-    std::vector<float> y(static_cast<std::size_t>(m) * m);
+    tensor::Tensor4f input(1, 1, n, n);
+    tensor::Tensor4f kernels(1, 1, 3, 3);
+    const std::span<const float> d = input.flat();
+    const std::span<const float> g = kernels.flat();
     double worst = 0;
     for (int trial = 0; trial < 50; ++trial) {
-      rng.fill_uniform(d);
-      rng.fill_uniform(g);
-      xf.convolve_tile(d, g, y);
+      rng.fill_uniform(input.flat());
+      rng.fill_uniform(kernels.flat());
+      // One tile through the reference walk: an n x n input at pad 0.
+      const tensor::Tensor4f out = conv2d_winograd(input, kernels, xf);
+      const std::span<const float> y = out.flat();
       for (int oy = 0; oy < m; ++oy) {
         for (int ox = 0; ox < m; ++ox) {
           double want = 0;

@@ -30,21 +30,41 @@ Tensor4f random_tensor(std::size_t n, std::size_t c, std::size_t h,
 // larger constants and thus larger float error.
 float tol_for(int m) { return m <= 4 ? 2e-4F : 5e-3F; }
 
+// One tile through the reference walk: a single (m+r-1)^2 input at pad 0
+// yields exactly one m x m output tile, Y = A^T[(G g G^T) . (B^T d B)]A.
+std::vector<float> single_tile(const TileTransformer& xf,
+                               const std::vector<float>& d,
+                               const std::vector<float>& g) {
+  const auto n = static_cast<std::size_t>(xf.tile());
+  const auto r = static_cast<std::size_t>(xf.r());
+  const Tensor4f input({1, 1, n, n}, std::vector<float>(d));
+  const Tensor4f kernels({1, 1, r, r}, std::vector<float>(g));
+  const Tensor4f y = conv2d_winograd(input, kernels, xf);
+  return {y.flat().begin(), y.flat().end()};
+}
+
 TEST(TileTransformer, OneDMatchesDirectCorrelation) {
+  // A kernel whose only non-zero row is the middle one makes every output
+  // row the 1-D correlation of the input row below it.
   Rng rng;
   for (int m = 2; m <= 7; ++m) {
     const TileTransformer xf(transforms(m, 3));
     const auto n = static_cast<std::size_t>(xf.tile());
-    std::vector<float> d(n);
-    std::vector<float> g(3);
-    std::vector<float> y(static_cast<std::size_t>(m));
+    const auto mm = static_cast<std::size_t>(m);
+    std::vector<float> d(n * n);
+    std::vector<float> g(9, 0.0F);
     rng.fill_uniform(d);
-    rng.fill_uniform(g);
-    xf.convolve_1d(d, g, y);
-    for (std::size_t k = 0; k < y.size(); ++k) {
-      float want = 0.0F;
-      for (std::size_t j = 0; j < 3; ++j) want += g[j] * d[k + j];
-      EXPECT_NEAR(y[k], want, tol_for(m)) << "m=" << m << " k=" << k;
+    rng.fill_uniform(std::span<float>(g).subspan(3, 3));
+    const std::vector<float> y = single_tile(xf, d, g);
+    for (std::size_t oy = 0; oy < mm; ++oy) {
+      for (std::size_t k = 0; k < mm; ++k) {
+        float want = 0.0F;
+        for (std::size_t j = 0; j < 3; ++j) {
+          want += g[3 + j] * d[(oy + 1) * n + k + j];
+        }
+        EXPECT_NEAR(y[oy * mm + k], want, tol_for(m))
+            << "m=" << m << " row=" << oy << " k=" << k;
+      }
     }
   }
 }
@@ -57,10 +77,9 @@ TEST(TileTransformer, TileConvolutionMatchesSpatialSingleTile) {
     const auto mm = static_cast<std::size_t>(m);
     std::vector<float> d(n * n);
     std::vector<float> g(9);
-    std::vector<float> y(mm * mm);
     rng.fill_uniform(d);
     rng.fill_uniform(g);
-    xf.convolve_tile(d, g, y);
+    const std::vector<float> y = single_tile(xf, d, g);
     for (std::size_t oy = 0; oy < mm; ++oy) {
       for (std::size_t ox = 0; ox < mm; ++ox) {
         float want = 0.0F;
@@ -83,8 +102,7 @@ TEST(TileTransformer, FilterTransformIdentityKernel) {
   g[4] = 1.0F;  // centre tap
   std::vector<float> d(16);
   for (std::size_t i = 0; i < d.size(); ++i) d[i] = static_cast<float>(i);
-  std::vector<float> y(4);
-  xf.convolve_tile(d, g, y);
+  const std::vector<float> y = single_tile(xf, d, g);
   EXPECT_NEAR(y[0], d[1 * 4 + 1], 1e-4F);
   EXPECT_NEAR(y[1], d[1 * 4 + 2], 1e-4F);
   EXPECT_NEAR(y[2], d[2 * 4 + 1], 1e-4F);
