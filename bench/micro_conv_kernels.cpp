@@ -115,20 +115,50 @@ void BM_FftLargeKernel(benchmark::State& state) {
 BENCHMARK(BM_FftLargeKernel)->Arg(3)->Arg(7)->Arg(11)
     ->Unit(benchmark::kMillisecond);
 
-// Transform-stage cost per tile: the hardware's critical path components.
-void BM_TileTransforms(benchmark::State& state) {
+// Transform-stage cost per tile, the hardware's critical path components:
+// one call of a TileTransformer method on a random tile of F(m, 3).
+// F(2..4, 3) run the fixed-bound sandwich, F(5..7, 3) the runtime loop.
+enum class Stage { kData, kInverse, kFilter };
+
+void run_transform(benchmark::State& state, Stage stage) {
+  using wino::winograd::TileTransformer;
   const int m = static_cast<int>(state.range(0));
-  const wino::winograd::TileTransformer xf(wino::winograd::transforms(m, 3));
+  const TileTransformer xf(wino::winograd::transforms(m, 3));
   const auto n = static_cast<std::size_t>(xf.tile());
-  std::vector<float> d(n * n, 0.5F);
-  std::vector<float> u(n * n);
+  const auto mm = static_cast<std::size_t>(m);
+  std::vector<float> in(stage == Stage::kFilter ? 9 : n * n);
+  std::vector<float> out(stage == Stage::kInverse ? mm * mm : n * n);
+  wino::common::Rng rng(11);
+  rng.fill_uniform(in);
+  const auto method =
+      stage == Stage::kData      ? &TileTransformer::transform_data
+      : stage == Stage::kInverse ? &TileTransformer::inverse
+                                 : &TileTransformer::transform_filter;
   for (auto _ : state) {
-    xf.transform_data(d, u);
-    benchmark::DoNotOptimize(u.data());
+    (xf.*method)(in, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetLabel("data transform F(" + std::to_string(m) + ",3)");
+  state.SetLabel("F(" + std::to_string(m) + ",3)" +
+                 (xf.fixed_bounds() ? " fixed bounds" : " runtime bounds"));
 }
-BENCHMARK(BM_TileTransforms)->DenseRange(2, 7)->Unit(benchmark::kNanosecond);
+
+void BM_TransformData(benchmark::State& state) {
+  run_transform(state, Stage::kData);
+}
+BENCHMARK(BM_TransformData)->DenseRange(2, 7)->Unit(benchmark::kNanosecond);
+
+void BM_TransformInverse(benchmark::State& state) {
+  run_transform(state, Stage::kInverse);
+}
+BENCHMARK(BM_TransformInverse)->DenseRange(2, 7)
+    ->Unit(benchmark::kNanosecond);
+
+void BM_TransformFilter(benchmark::State& state) {
+  run_transform(state, Stage::kFilter);
+}
+BENCHMARK(BM_TransformFilter)->DenseRange(2, 7)
+    ->Unit(benchmark::kNanosecond);
 
 }  // namespace
 

@@ -47,6 +47,9 @@ class Matrix {
   [[nodiscard]] std::size_t cols() const { return cols_; }
   [[nodiscard]] bool empty() const { return data_.empty(); }
 
+  /// Row-major elements, rows() * cols() of them.
+  [[nodiscard]] const T* data() const { return data_.data(); }
+
   T& operator()(std::size_t r, std::size_t c) { return data_[r * cols_ + c]; }
   const T& operator()(std::size_t r, std::size_t c) const {
     return data_[r * cols_ + c];

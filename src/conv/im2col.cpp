@@ -44,13 +44,14 @@ void im2col(const tensor::Tensor4fView& input, std::size_t image,
   if (out_patches.size() != patch_rows * patch_cols) {
     throw std::invalid_argument("im2col: output span size mismatch");
   }
-  // One patch row per (c, u, v); rows write disjoint slices of the output.
-  // The lowering itself lives in tensor::im2col_lower_row, shared with
-  // tensor::pack so the panel layout has exactly one definition.
-  runtime::parallel_for_each(patch_rows, [&](std::size_t row) {
-    tensor::im2col_lower_row(
-        input, image, r, pad_h, pad_w, stride, row, out_h, out_w,
-        out_patches.subspan(row * patch_cols, patch_cols));
+  // One patch row per (c, u, v); chunks of rows write disjoint slices of
+  // the output. The lowering itself lives in tensor::im2col_lower_rows,
+  // shared with tensor::pack so the panel layout has exactly one
+  // definition.
+  runtime::parallel_for(patch_rows, [&](std::size_t begin, std::size_t end) {
+    tensor::im2col_lower_rows(
+        input, image, r, pad_h, pad_w, stride, begin, end, out_h, out_w,
+        out_patches.subspan(begin * patch_cols, (end - begin) * patch_cols));
   });
 }
 

@@ -461,7 +461,7 @@ void forward_plan_ws(const ExecutionPlan& plan, const MemoryPlan& mp,
               panel_layout.panel_out_h() * panel_layout.panel_out_w();
           for (std::size_t img = 0; img < images; ++img) {
             // conv::im2col and tensor::pack share one lowering kernel
-            // (tensor::im2col_lower_row), so this per-image fill is the
+            // (tensor::im2col_lower_rows), so this per-image fill is the
             // panel pack, minus the per-image input slicing.
             conv::im2col(view, img, r, sopt.eff_pad_h(), sopt.eff_pad_w(),
                          sopt.stride, panel);

@@ -116,7 +116,8 @@ struct LayerOperands {
 /// (the executor reads them from the cross-call cache and the op model
 /// excludes them) and run the layout-aware kernel the plan walk
 /// dispatches; im2col runs through run_conv. One warm-up, best of 3,
-/// single image.
+/// single image; the caller holds a runtime::InlineScope, so every
+/// candidate runs on one thread, as inside a worker chunk.
 double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
                              const LayerOperands& operands) {
   const Tensor4f& input = operands.input;
@@ -184,12 +185,17 @@ class LayerTimeCache {
     if (missing.empty()) return out;
     // Measure outside the lock (concurrent registrations may redundantly
     // measure the same shape; the first write wins with an identical
-    // meaning).
-    const LayerOperands operands(layer);
+    // meaning), inline on this thread: forward(plan) runs every layer
+    // inside its batch fan-out, where the layer's own parallel_for is
+    // inline, so that is the form each candidate is timed in.
     std::vector<double> measured;
     measured.reserve(missing.size());
-    for (const ConvAlgo algo : missing) {
-      measured.push_back(measure_layer_seconds(layer, algo, operands));
+    {
+      const runtime::InlineScope inline_scope;
+      const LayerOperands operands(layer);
+      for (const ConvAlgo algo : missing) {
+        measured.push_back(measure_layer_seconds(layer, algo, operands));
+      }
     }
     std::lock_guard lock(mutex_);
     for (std::size_t j = 0; j < missing.size(); ++j) {
@@ -531,8 +537,9 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
           std::to_string(conv_ordinal));
     }
     // Default scoring measures every eligible candidate at this layer's
-    // exact geometry in one pass (cached per process); an injected
-    // calibration switches to the pure analytic model.
+    // exact geometry in one pass (cached per process; single-thread time
+    // per image, scaled by the batch here); an injected calibration
+    // switches to the pure analytic model.
     std::vector<double> ms;
     if (options.calibration) {
       for (const ConvAlgo algo : eligible) {

@@ -8,11 +8,12 @@
 // observation into the runtime's execution model. A planner scores the
 // candidate algorithms (by default im2col / Winograd m in {2, 3, 4}; the
 // int8 forms on request) for every conv layer, either by timing each
-// candidate at the layer's own geometry (the default, cached per process)
-// or with the dse:: complexity equations — evaluated with exact
-// ragged-tile counts, which is what makes the best m genuinely
-// layer-dependent on small late-network maps — divided by an injected
-// per-family GFLOP/s Calibration. The result is an ExecutionPlan: one
+// candidate at the layer's own geometry (the default, cached per process;
+// one image, inline on the calling thread, as forward(plan) runs a layer
+// inside its batch fan-out) or with the dse:: complexity equations —
+// evaluated with exact ragged-tile counts, which is what makes the best m
+// genuinely layer-dependent on small late-network maps — divided by an
+// injected per-family GFLOP/s Calibration. The result is an ExecutionPlan: one
 // decision record per layer {algo, fused ReLU}, executed by the
 // plan-driven nn::forward(ExecutionPlan) overload (src/nn/forward.cpp).
 // Only the algorithms that executor has a step for are plannable
@@ -282,7 +283,10 @@ struct PlannerOptions {
 /// geometry the way forward() executes it (Winograd with precomputed
 /// filter transforms through the layout-aware kernel, the int8 forms
 /// against prequantized banks, im2col through run_conv) and the best of a
-/// few reps is kept. Throws std::invalid_argument for a non-plannable
+/// few reps is kept. Every candidate runs inline on the calling thread
+/// (runtime::InlineScope), as a layer runs inside forward(plan)'s batch
+/// fan-out, so the figure is single-thread time per image and never waits
+/// on the global pool. Throws std::invalid_argument for a non-plannable
 /// algo. Results are cached per process keyed by (H, W, C, K, r,
 /// pad, algo), so planning re-measures nothing for repeated shapes — VGG's
 /// towers of identical layers, or many sessions over the same

@@ -16,6 +16,12 @@ namespace {
 thread_local bool t_in_parallel_region = false;
 }  // namespace
 
+InlineScope::InlineScope() : was_inline_(t_in_parallel_region) {
+  t_in_parallel_region = true;
+}
+
+InlineScope::~InlineScope() { t_in_parallel_region = was_inline_; }
+
 struct ThreadPool::State {
   // Serialises whole parallel_for jobs in arrival order (a ticket lock):
   // concurrent callers from distinct application threads queue up rather

@@ -79,6 +79,22 @@ class ThreadPool {
   std::vector<std::jthread> workers_;
 };
 
+/// Marks the calling thread as inside a parallel region for the guard's
+/// lifetime, so every parallel_for it makes runs inline on it, the way a
+/// pool chunk runs a nested call. No worker wakes and no job slot is taken.
+/// The planner times candidates under one: forward(plan) runs each layer
+/// inside its batch fan-out, where the layer's own parallel_for is inline.
+class InlineScope {
+ public:
+  InlineScope();
+  ~InlineScope();
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool was_inline_;
+};
+
 /// parallel_for on the global pool.
 template <typename F>
 void parallel_for(std::size_t count, const F& body) {

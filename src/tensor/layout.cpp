@@ -100,11 +100,8 @@ void pack_im2col_panel(const Tensor4f& src, const Layout& l,
   const std::size_t rows = s.c * r * r;
   const std::size_t cols = out_h * out_w;
   for (std::size_t n = 0; n < s.n; ++n) {
-    for (std::size_t row = 0; row < rows; ++row) {
-      im2col_lower_row(src, n, r, l.pad_h, l.pad_w, l.stride, row, out_h,
-                       out_w,
-                       {dst.data() + (n * rows + row) * cols, cols});
-    }
+    im2col_lower_rows(src, n, r, l.pad_h, l.pad_w, l.stride, 0, rows, out_h,
+                      out_w, {dst.data() + n * rows * cols, rows * cols});
   }
 }
 

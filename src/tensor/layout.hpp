@@ -89,31 +89,43 @@ struct PackedActivation {
 /// between patch windows when (extent + pads - r) is not a multiple of s.
 [[nodiscard]] bool im2col_covers_input(const Layout& layout);
 
-/// Lower one patch row — a fixed (c, u, v) = (row / r², (row / r) % r,
-/// row % r) — of one image into out_row[outH * outW]. The single source
-/// of truth for the im2col patch enumeration order and padding handling:
-/// tensor::pack walks rows serially through it and conv::im2col fans the
-/// same call out row-parallel, so the two panels are byte-identical by
-/// construction (the determinism contract the panel conv consumer
-/// relies on). Templated over the tensor type so owning Tensor4f and
-/// non-owning Tensor4fView (slab-backed activations in the workspace
-/// executor) lower through the identical code path.
+/// Lower patch rows [row_begin, row_end) of one image into `out`, row
+/// after row, outH * outW values each. Row `row` is the fixed (c, u, v) =
+/// (row / r², (row / r) % r, row % r); the range steps (c, u, v) instead
+/// of dividing per row, which dominated the lowering of small maps. The
+/// single source of truth for the im2col patch enumeration order and
+/// padding handling: tensor::pack lowers every row through it and
+/// conv::im2col fans contiguous row ranges out over the pool, so the two
+/// panels are byte-identical by construction (the determinism contract
+/// the panel conv consumer relies on). Templated over the tensor type so
+/// owning Tensor4f and non-owning Tensor4fView (slab-backed activations
+/// in the workspace executor) lower through the identical code path.
 template <typename TensorLike>
-inline void im2col_lower_row(const TensorLike& input, std::size_t image,
-                             std::size_t r, int pad_h, int pad_w, int stride,
-                             std::size_t row, std::size_t out_h,
-                             std::size_t out_w, std::span<float> out_row) {
-  const std::size_t c = row / (r * r);
-  const std::size_t u = (row / r) % r;
-  const std::size_t v = row % r;
+inline void im2col_lower_rows(const TensorLike& input, std::size_t image,
+                              std::size_t r, int pad_h, int pad_w, int stride,
+                              std::size_t row_begin, std::size_t row_end,
+                              std::size_t out_h, std::size_t out_w,
+                              std::span<float> out) {
+  std::size_t c = row_begin / (r * r);
+  std::size_t u = (row_begin / r) % r;
+  std::size_t v = row_begin % r;
   std::size_t col = 0;
-  for (std::size_t oy = 0; oy < out_h; ++oy) {
-    const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy) * stride +
-                              static_cast<std::ptrdiff_t>(u) - pad_h;
-    for (std::size_t ox = 0; ox < out_w; ++ox, ++col) {
-      const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox) * stride +
-                                static_cast<std::ptrdiff_t>(v) - pad_w;
-      out_row[col] = input.padded(image, c, iy, ix);
+  for (std::size_t row = row_begin; row < row_end; ++row) {
+    for (std::size_t oy = 0; oy < out_h; ++oy) {
+      const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy) * stride +
+                                static_cast<std::ptrdiff_t>(u) - pad_h;
+      for (std::size_t ox = 0; ox < out_w; ++ox, ++col) {
+        const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox) * stride +
+                                  static_cast<std::ptrdiff_t>(v) - pad_w;
+        out[col] = input.padded(image, c, iy, ix);
+      }
+    }
+    if (++v == r) {
+      v = 0;
+      if (++u == r) {
+        u = 0;
+        ++c;
+      }
     }
   }
 }

@@ -211,12 +211,42 @@ TransformSet best_cook_toom(int m, int r) {
   return best;
 }
 
+namespace {
+
+/// best_cook_toom's point sets for the F(m, r) a plan runs, committed so
+/// that transforms() builds them without the search, which took 7, 36,
+/// 119 and 132 ms for F(2,3), F(3,3), F(4,3) and F(2,5) on a 4-vCPU Xeon,
+/// once per process. Empty for any other F(m, r).
+/// tests/winograd_cook_toom_test.cpp pins each set to the search.
+std::vector<Rational> searched_points(int m, int r) {
+  struct Entry {
+    int m, r;
+    std::vector<Rational> points;
+  };
+  static const Entry kSearched[] = {
+      {2, 3, {0, 1, -1}},
+      {3, 3, {0, 1, -1, Rational(1, 2)}},
+      {4, 3, {0, 1, -1, Rational(1, 4), Rational(-1, 4)}},
+      {2, 5, {0, 1, -1, Rational(1, 4), Rational(-1, 4)}},
+  };
+  for (const Entry& e : kSearched) {
+    if (e.m == m && e.r == r) return e.points;
+  }
+  return {};
+}
+
+}  // namespace
+
 const TransformSet& transforms(int m, int r) {
   static std::mutex mu;
   static std::map<std::pair<int, int>, TransformSet> cache;
   const std::scoped_lock lock(mu);
   auto [it, inserted] = cache.try_emplace({m, r});
-  if (inserted) it->second = best_cook_toom(m, r);
+  if (inserted) {
+    const std::vector<Rational> points = searched_points(m, r);
+    it->second =
+        points.empty() ? best_cook_toom(m, r) : cook_toom(m, r, points);
+  }
   return it->second;
 }
 

@@ -77,9 +77,11 @@ TransformSet cook_toom(int m, int r);
 /// transform entries (numerical stability). Deterministic.
 TransformSet best_cook_toom(int m, int r);
 
-/// Process-wide cache of cost-optimised transform sets (best_cook_toom);
-/// reference stays valid for the program lifetime. Thread-safe lookup;
-/// intended for single-threaded experiment drivers.
+/// Process-wide cache of cost-optimised transform sets (best_cook_toom's
+/// choice); reference stays valid for the program lifetime. F(2,3),
+/// F(3,3), F(4,3) and F(2,5) are built from committed copies of the
+/// searched point sets, so only other sizes pay the search, once per
+/// process. Thread-safe lookup.
 const TransformSet& transforms(int m, int r);
 
 /// Lavin's canonical published matrices for F(2, 3) and F(4, 3), used as a

@@ -11,12 +11,8 @@ namespace wino::winograd {
 
 using tensor::Tensor4f;
 
-TileTransformer::TileTransformer(const TransformSet& t)
-    : m_(t.m), r_(t.r), n_(t.tile()), bt_(t.bt_f()), g_(t.g_f()),
-      at_(t.at_f()) {}
-
-void TileTransformer::sandwich(const FMatrix& mat, std::span<const float> in,
-                               std::span<float> out) const {
+void sandwich(const FMatrix& mat, std::span<const float> in,
+              std::span<float> out) {
   const std::size_t rows = mat.rows();
   const std::size_t cols = mat.cols();
   if (in.size() != cols * cols || out.size() != rows * rows) {
@@ -57,19 +53,80 @@ void TileTransformer::sandwich(const FMatrix& mat, std::span<const float> in,
   }
 }
 
-void TileTransformer::transform_filter(std::span<const float> g,
-                                       std::span<float> v) const {
-  sandwich(g_, g, v);
+namespace {
+
+/// sandwich() with the loop bounds of a Rows x Cols `mat` fixed at compile
+/// time: the same zero-skip, the same zero-initialised tmp and acc, the
+/// same loop order, so every output rounds exactly as the runtime loop's.
+/// The fixed bounds let the compiler unroll the tile loops and keep tmp in
+/// registers.
+template <std::size_t Rows, std::size_t Cols>
+void sandwich_fixed(const FMatrix& mat, std::span<const float> in,
+                    std::span<float> out) {
+  if (in.size() != Cols * Cols || out.size() != Rows * Rows) {
+    throw std::invalid_argument("sandwich: tile size mismatch");
+  }
+  const float* a = mat.data();
+  const float* x = in.data();
+  float tmp[Rows * Cols] = {};
+  for (std::size_t i = 0; i < Rows; ++i) {
+    for (std::size_t k = 0; k < Cols; ++k) {
+      const float aik = a[i * Cols + k];
+      if (aik == 0.0F) continue;
+      for (std::size_t j = 0; j < Cols; ++j) {
+        tmp[i * Cols + j] += aik * x[k * Cols + j];
+      }
+    }
+  }
+  for (std::size_t i = 0; i < Rows; ++i) {
+    for (std::size_t j = 0; j < Rows; ++j) {
+      float acc = 0.0F;
+      for (std::size_t k = 0; k < Cols; ++k) {
+        acc += tmp[i * Cols + k] * a[j * Cols + k];
+      }
+      out[i * Rows + j] = acc;
+    }
+  }
 }
 
-void TileTransformer::transform_data(std::span<const float> d,
-                                     std::span<float> u) const {
-  sandwich(bt_, d, u);
+using SandwichFn = decltype(&sandwich);
+
+struct FixedSandwich {
+  std::size_t rows, cols;
+  SandwichFn fn;
+};
+
+/// One instantiation per (rows, cols) the transforms of F(2,3), F(3,3),
+/// F(4,3) and F(2,5) use: B^T is n x n, A^T m x n and G n x r.
+constexpr FixedSandwich kFixedSandwiches[] = {
+    {4, 4, sandwich_fixed<4, 4>}, {5, 5, sandwich_fixed<5, 5>},
+    {6, 6, sandwich_fixed<6, 6>}, {2, 4, sandwich_fixed<2, 4>},
+    {3, 5, sandwich_fixed<3, 5>}, {4, 6, sandwich_fixed<4, 6>},
+    {2, 6, sandwich_fixed<2, 6>}, {4, 3, sandwich_fixed<4, 3>},
+    {5, 3, sandwich_fixed<5, 3>}, {6, 3, sandwich_fixed<6, 3>},
+    {6, 5, sandwich_fixed<6, 5>},
+};
+
+/// The fixed-bound sandwich for `mat`'s shape, or nullptr.
+SandwichFn fixed_sandwich(const FMatrix& mat) {
+  for (const FixedSandwich& f : kFixedSandwiches) {
+    if (f.rows == mat.rows() && f.cols == mat.cols()) return f.fn;
+  }
+  return nullptr;
 }
 
-void TileTransformer::inverse(std::span<const float> mm,
-                              std::span<float> y) const {
-  sandwich(at_, mm, y);
+}  // namespace
+
+TileTransformer::TileTransformer(const TransformSet& t)
+    : m_(t.m), r_(t.r), n_(t.tile()), bt_(t.bt_f()), g_(t.g_f()),
+      at_(t.at_f()) {
+  data_fn_ = fixed_sandwich(bt_);
+  filter_fn_ = fixed_sandwich(g_);
+  inverse_fn_ = fixed_sandwich(at_);
+  fixed_ = data_fn_ && filter_fn_ && inverse_fn_;
+  if (!fixed_) {
+    data_fn_ = filter_fn_ = inverse_fn_ = &sandwich;
+  }
 }
 
 void transform_filter_bank(const TileTransformer& xf, const Tensor4f& kernels,

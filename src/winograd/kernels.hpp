@@ -2,6 +2,15 @@
 // transforms, the reference layer walk and the executor's layer
 // convolution.
 //
+// Every tile transform is one matrix sandwich, out = mat * in * mat^T.
+// TileTransformer picks, once at construction, a copy of that sandwich
+// with compile-time loop bounds for each transform of F(2,3), F(3,3),
+// F(4,3) and F(2,5) — the forms a plan runs — and the runtime-bound loop
+// (winograd::sandwich) for any other size. Both copies perform the same
+// operations in the same order, so their outputs are memcmp-equal (pinned
+// by tests/winograd_kernels_test.cpp); every walk below, the filter-bank
+// prewarm and the planner's measurements run through them.
+//
 // Layer-level evaluation mirrors the paper's system (Fig 7): the image is
 // decomposed into overlapping (m+r-1)^2 tiles with stride m, and kernels
 // are pre-transformed once (V = G g G^T, Section IV "filter transforms are
@@ -31,8 +40,18 @@ enum class AccumulationOrder {
   kPostInverse       ///< inverse per channel, sum outputs (paper's Fig 7)
 };
 
+/// out = mat * in * mat^T for a rows x cols `mat`: `in` is cols x cols
+/// and `out` rows x rows, both row-major. The runtime-bound loop:
+/// zero entries of `mat` are skipped in the first product, and every
+/// accumulator starts at 0 and adds in ascending index order. Throws
+/// std::invalid_argument when a tile extent does not match `mat`.
+void sandwich(const FMatrix& mat, std::span<const float> in,
+              std::span<float> out);
+
 /// Precompiled float-domain tile transformer for one F(m x m, r x r).
 /// Stateless after construction; safe to share across threads for reads.
+/// Each transform runs winograd::sandwich's arithmetic; the constructor
+/// binds a fixed-bound instantiation of it where one exists.
 class TileTransformer {
  public:
   explicit TileTransformer(const TransformSet& t);
@@ -41,20 +60,29 @@ class TileTransformer {
   [[nodiscard]] int r() const { return r_; }
   [[nodiscard]] int tile() const { return n_; }
 
+  /// True when all three transforms run fixed-bound instantiations
+  /// (F(2,3), F(3,3), F(4,3), F(2,5)); false when they run the
+  /// runtime-bound winograd::sandwich.
+  [[nodiscard]] bool fixed_bounds() const { return fixed_; }
+
   /// V = G g G^T. g: r*r row-major, v: n*n row-major.
-  void transform_filter(std::span<const float> g, std::span<float> v) const;
+  void transform_filter(std::span<const float> g, std::span<float> v) const {
+    filter_fn_(g_, g, v);
+  }
 
   /// U = B^T d B. d: n*n row-major, u: n*n.
-  void transform_data(std::span<const float> d, std::span<float> u) const;
+  void transform_data(std::span<const float> d, std::span<float> u) const {
+    data_fn_(bt_, d, u);
+  }
 
   /// Y = A^T M A. mm: n*n, y: m*m.
-  void inverse(std::span<const float> mm, std::span<float> y) const;
+  void inverse(std::span<const float> mm, std::span<float> y) const {
+    inverse_fn_(at_, mm, y);
+  }
 
  private:
-  // Apply `mat` (rows x cols) along rows then columns of a square tile:
-  // out = mat * in * mat^T, in: cols x cols, out: rows x rows.
-  void sandwich(const FMatrix& mat, std::span<const float> in,
-                std::span<float> out) const;
+  using SandwichFn = void (*)(const FMatrix&, std::span<const float>,
+                              std::span<float>);
 
   int m_ = 0;
   int r_ = 0;
@@ -62,6 +90,10 @@ class TileTransformer {
   FMatrix bt_;
   FMatrix g_;
   FMatrix at_;
+  SandwichFn data_fn_ = nullptr;
+  SandwichFn filter_fn_ = nullptr;
+  SandwichFn inverse_fn_ = nullptr;
+  bool fixed_ = false;
 };
 
 /// Options for layer-level Winograd convolution.

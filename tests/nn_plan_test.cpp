@@ -9,9 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <future>
+#include <latch>
 #include <limits>
 #include <set>
 #include <string>
@@ -319,6 +323,48 @@ TEST(Planner, SpatialAndFftAreNotPlannable) {
         forward_reference(uniform_plan(layers, algo), weights, input);
     EXPECT_EQ(ref.shape().c, 10u);
   }
+}
+
+// Every candidate is timed inline on the calling thread, the way a layer
+// runs inside forward(plan)'s batch fan-out, so measuring never needs the
+// global pool. Another thread holds the pool's job slot here, in a job
+// whose chunks block on a latch, and every plannable algo must still
+// measure. A measurement that waits on the pool times out, and the latch
+// is released so the test fails rather than hangs.
+TEST(Planner, CandidatesAreTimedInlineWhileThePoolIsBusy) {
+  runtime::ThreadPool::set_global_threads(2);
+  clear_measured_state();
+  std::latch release(1);
+  std::atomic<bool> holding{false};
+  std::thread holder([&] {
+    runtime::parallel_for(2, [&](std::size_t, std::size_t) {
+      holding.store(true);
+      release.wait();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  const ConvLayerSpec l = conv_spec(4, 8, 8);
+  auto measured = std::async(std::launch::async, [&] {
+    std::vector<ConvAlgo> timed;
+    for (const ConvAlgo algo :
+         {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
+          ConvAlgo::kIm2col, ConvAlgo::kInt8Im2col, ConvAlgo::kInt8Winograd2,
+          ConvAlgo::kInt8Winograd4}) {
+      EXPECT_TRUE(is_plannable(algo)) << to_string(algo);
+      EXPECT_GT(measure_layer_ms(l, algo), 0.0) << to_string(algo);
+      timed.push_back(algo);
+    }
+    return timed;
+  });
+  const bool finished = measured.wait_for(std::chrono::seconds(20)) ==
+                        std::future_status::ready;
+  release.count_down();
+  holder.join();
+  const std::vector<ConvAlgo> timed = measured.get();
+  EXPECT_TRUE(finished) << "measuring waited on the busy pool";
+  EXPECT_EQ(timed.size(), 7u);
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 // measure_layer_ms fills the timing cache once per (shape, algo), and a

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.hpp"
@@ -100,6 +101,33 @@ TEST_F(RuntimeTest, NestedParallelForRunsInlineWithoutDeadlock) {
     }
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Under an InlineScope every parallel_for runs as one chunk on the calling
+// thread; the scope restores fan-out when it ends, even when nested.
+TEST_F(RuntimeTest, InlineScopeRunsParallelForOnTheCallingThread) {
+  ThreadPool pool(4);
+  const auto chunks_on_caller = [&] {
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> chunks;
+    bool all_on_caller = true;
+    const auto caller = std::this_thread::get_id();
+    pool.parallel_for(64, [&](std::size_t begin, std::size_t end) {
+      std::lock_guard lock(mu);
+      chunks.emplace_back(begin, end);
+      all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    });
+    return std::pair{chunks.size(), all_on_caller};
+  };
+  {
+    const InlineScope outer;
+    {
+      const InlineScope inner;
+      EXPECT_EQ(chunks_on_caller(), std::pair(std::size_t{1}, true));
+    }
+    EXPECT_EQ(chunks_on_caller(), std::pair(std::size_t{1}, true));
+  }
+  EXPECT_EQ(chunks_on_caller().first, 4u);
 }
 
 TEST_F(RuntimeTest, ExceptionPropagatesToCaller) {

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <thread>
 
 #include "common/random.hpp"
 #include "conv/im2col.hpp"
+#include "runtime/thread_pool.hpp"
 #include "winograd/kernels.hpp"
 
 namespace wino::tensor {
@@ -97,6 +100,9 @@ TEST(Im2colPanelLayout, StrideOneAlwaysCovers) {
 TEST(Im2colPanelLayout, MatchesConvLayerIm2col) {
   // The tensor-layer pack and the conv-layer lowering must produce the
   // same panel: conv2d_im2col's GEMM consumes either interchangeably.
+  // conv::im2col lowers one row range per pool chunk, each starting
+  // mid-way through some channel's r x r taps, so every pool size below
+  // splits the 27 rows differently.
   const Shape4 s{2, 3, 6, 5};
   const Tensor4f t = random_tensor(s, 11);
   const std::size_t r = 3;
@@ -108,13 +114,19 @@ TEST(Im2colPanelLayout, MatchesConvLayerIm2col) {
   const std::size_t panel = l.shape.c * r * r * l.panel_out_h() *
                             l.panel_out_w();
   std::vector<float> reference(panel);
-  for (std::size_t img = 0; img < s.n; ++img) {
-    conv::im2col(t, img, r, pad_h, pad_w, stride, reference);
-    EXPECT_EQ(std::memcmp(reference.data(), packed.data.data() + img * panel,
-                          panel * sizeof(float)),
-              0)
-        << "image " << img;
+  for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
+    runtime::ThreadPool::set_global_threads(threads);
+    for (std::size_t img = 0; img < s.n; ++img) {
+      conv::im2col(t, img, r, pad_h, pad_w, stride, reference);
+      EXPECT_EQ(std::memcmp(reference.data(),
+                            packed.data.data() + img * panel,
+                            panel * sizeof(float)),
+                0)
+          << "image " << img << " threads " << threads;
+    }
   }
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(Pack, RejectsShapeMismatch) {

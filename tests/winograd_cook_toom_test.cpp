@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rational.hpp"
 
 namespace wino::winograd {
@@ -142,6 +144,20 @@ TEST(CookToom, TransformsCacheReturnsStableReference) {
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.m, 4);
   EXPECT_EQ(a.r, 3);
+}
+
+// transforms() builds the planned F(m, r) from committed copies of the
+// searched point sets; each must be exactly what the search picks.
+TEST(CookToom, TransformsEqualsBestCookToomForPlannedForms) {
+  for (const auto& [m, r] :
+       {std::pair{2, 3}, {3, 3}, {4, 3}, {2, 5}}) {
+    const TransformSet& got = transforms(m, r);
+    const TransformSet want = best_cook_toom(m, r);
+    EXPECT_EQ(got.points, want.points) << "F(" << m << "," << r << ")";
+    EXPECT_EQ(got.bt, want.bt) << "F(" << m << "," << r << ")";
+    EXPECT_EQ(got.g, want.g) << "F(" << m << "," << r << ")";
+    EXPECT_EQ(got.at, want.at) << "F(" << m << "," << r << ")";
+  }
 }
 
 TEST(CookToom, FloatProjectionsMatchRationals) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <iterator>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -107,6 +109,73 @@ TEST(TileTransformer, FilterTransformIdentityKernel) {
   EXPECT_NEAR(y[1], d[1 * 4 + 2], 1e-4F);
   EXPECT_NEAR(y[2], d[2 * 4 + 1], 1e-4F);
   EXPECT_NEAR(y[3], d[2 * 4 + 2], 1e-4F);
+}
+
+// TileTransformer binds fixed-bound copies of the sandwich for every
+// transform of F(2,3), F(3,3), F(4,3) and F(2,5). Each must write the
+// bytes the runtime-bound loop (winograd::sandwich) writes: over 10k
+// random tiles of mixed magnitude, and over tiles built from +-0,
+// subnormals and +-1e30 (large but finite through both products).
+TEST(TileTransformer, FixedBoundTransformsBitIdenticalToRuntimeLoop) {
+  Rng rng(4099);
+  const float specials[] = {0.0F,    -0.0F,    1e-45F, -1e-45F, 1e-40F,
+                            -3e-39F, 1e30F,    -1e30F, 1.0F,    -1.0F};
+  const std::pair<int, int> forms[] = {{2, 3}, {3, 3}, {4, 3}, {2, 5}};
+  for (const auto& [m, r] : forms) {
+    const TransformSet& t = transforms(m, r);
+    const TileTransformer xf(t);
+    ASSERT_TRUE(xf.fixed_bounds()) << "F(" << m << "," << r << ")";
+    const auto n = static_cast<std::size_t>(t.tile());
+    const auto mm = static_cast<std::size_t>(m);
+    const auto rr = static_cast<std::size_t>(r);
+    using Method = void (TileTransformer::*)(std::span<const float>,
+                                             std::span<float>) const;
+    const struct {
+      const char* name;
+      FMatrix mat;
+      std::size_t in, out;
+      Method run;
+    } transforms_of_form[] = {
+        {"data", t.bt_f(), n * n, n * n, &TileTransformer::transform_data},
+        {"inverse", t.at_f(), n * n, mm * mm, &TileTransformer::inverse},
+        {"filter", t.g_f(), rr * rr, n * n,
+         &TileTransformer::transform_filter},
+    };
+    for (const auto& x : transforms_of_form) {
+      std::vector<float> in(x.in);
+      std::vector<float> want(x.out);
+      std::vector<float> got(x.out);
+      for (int tile = 0; tile < 12000; ++tile) {
+        if (tile < 10000) {
+          // Magnitudes from 2^-20 to 2^20, so the two products round at
+          // many exponents.
+          for (float& v : in) {
+            v = std::ldexp(rng.uniform(),
+                           static_cast<int>(rng.uniform_int(-20, 20)));
+          }
+        } else {
+          for (float& v : in) {
+            v = specials[rng.uniform_int(0, std::size(specials) - 1)];
+          }
+        }
+        sandwich(x.mat, in, want);
+        std::fill(got.begin(), got.end(), -7.0F);
+        (xf.*x.run)(in, got);
+        ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << "F(" << m << "," << r << ") " << x.name << " tile " << tile;
+      }
+    }
+  }
+}
+
+// Sizes no plan runs keep the runtime-bound loop.
+TEST(TileTransformer, UnplannedSizesRunTheRuntimeLoop) {
+  for (const auto& [m, r] : {std::pair{5, 3}, {6, 3}, {3, 5}}) {
+    const TileTransformer xf(transforms(m, r));
+    EXPECT_FALSE(xf.fixed_bounds()) << "F(" << m << "," << r << ")";
+  }
 }
 
 struct LayerCase {
