@@ -139,8 +139,7 @@ void run_transform(benchmark::State& state, Stage stage) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel("F(" + std::to_string(m) + ",3)" +
-                 (xf.fixed_bounds() ? " fixed bounds" : " runtime bounds"));
+  state.SetLabel("F(" + std::to_string(m) + ",3)");
 }
 
 void BM_TransformData(benchmark::State& state) {

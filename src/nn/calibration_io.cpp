@@ -81,11 +81,12 @@ std::string calibration_cpu_signature() {
 }
 
 std::string calibration_code_hash() {
-  // "planner-v2": bump when timing methodology / cost-model semantics
-  // change (v2: int8 algos entered the layer-time key space).
+  // "planner-v3": bump when timing methodology / cost-model semantics
+  // change (v2: int8 algos entered the layer-time key space; v3: each
+  // timing is taken in the thread form of the plan's batch).
   // __VERSION__ folds the compiler in — different codegen, different
   // measured rates.
-  return std::string("planner-v2 | ") + __VERSION__;
+  return std::string("planner-v3 | ") + __VERSION__;
 }
 
 bool save_measured_state(const std::string& path) {
@@ -94,13 +95,13 @@ bool save_measured_state(const std::string& path) {
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) return false;
-    out << "winocal 2\n";
+    out << "winocal 3\n";
     out << "cpu " << calibration_cpu_signature() << '\n';
     out << "code " << calibration_code_hash() << '\n';
     for (const MeasuredLayerTime& t : state.layer_times) {
       out << "layer " << t.h << ' ' << t.w << ' ' << t.c << ' ' << t.k << ' '
           << t.r << ' ' << t.pad << ' ' << static_cast<int>(t.algo) << ' '
-          << hexfloat(t.seconds) << '\n';
+          << t.threads << ' ' << hexfloat(t.seconds) << '\n';
     }
     out << "end\n";
     out.flush();
@@ -121,7 +122,7 @@ bool load_measured_state(const std::string& path) {
   if (!in) return false;
 
   std::string line;
-  if (!std::getline(in, line) || line != "winocal 2") return false;
+  if (!std::getline(in, line) || line != "winocal 3") return false;
   if (!std::getline(in, line) ||
       line != "cpu " + calibration_cpu_signature()) {
     return false;
@@ -144,8 +145,9 @@ bool load_measured_state(const std::string& path) {
     fields >> kind;
     if (kind == "layer") {
       MeasuredLayerTime t;
-      std::string sh, sw, sc, sk, sr, spad, salgo, ssecs;
-      if (!(fields >> sh >> sw >> sc >> sk >> sr >> spad >> salgo >> ssecs)) {
+      std::string sh, sw, sc, sk, sr, spad, salgo, sthreads, ssecs;
+      if (!(fields >> sh >> sw >> sc >> sk >> sr >> spad >> salgo >>
+            sthreads >> ssecs)) {
         return false;
       }
       std::size_t pad = 0;
@@ -153,7 +155,8 @@ bool load_measured_state(const std::string& path) {
       if (!parse_size(sh, t.h) || !parse_size(sw, t.w) ||
           !parse_size(sc, t.c) || !parse_size(sk, t.k) ||
           !parse_size(sr, t.r) || !parse_size(spad, pad) ||
-          !parse_size(salgo, algo) || !parse_double(ssecs, t.seconds)) {
+          !parse_size(salgo, algo) || !parse_size(sthreads, t.threads) ||
+          !parse_double(ssecs, t.seconds) || t.threads == 0) {
         return false;
       }
       if (algo > static_cast<std::size_t>(ConvAlgo::kInt8Winograd4)) {

@@ -11,18 +11,20 @@
 // match the running process. Stale or foreign measurements silently fall
 // back to fresh measurement — never to wrong plans.
 //
-// File format ("winocal", version 2) — line-oriented text:
-//   winocal 2
+// File format ("winocal", version 3) — line-oriented text:
+//   winocal 3
 //   cpu <cpu signature>
 //   code <code hash>
-//   layer <h> <w> <c> <k> <r> <pad> <algo> <hexfloat seconds>  (0..n lines)
+//   layer <h> <w> <c> <k> <r> <pad> <algo> <threads> <hexfloat seconds>
+//     (0..n lines)
 //   end
 // <algo> is the ConvAlgo's integer value and must be plannable
-// (is_plannable). A file of any other version is rejected, never misread.
-// Doubles are printed as C hexfloats (%a): exact bit round-trip, no
-// locale or precision surprises. The trailing "end" sentinel rejects
-// truncated files. Writes go through a .tmp sibling + atomic rename so a
-// crash mid-write never leaves a half-valid cache.
+// (is_plannable); <threads> is MeasuredLayerTime::threads (>= 1). A file
+// of any other version is rejected, never misread. Doubles are printed
+// as C hexfloats (%a): exact bit round-trip, no locale or precision
+// surprises. The trailing "end" sentinel rejects truncated files. Writes
+// go through a .tmp sibling + atomic rename so a crash mid-write never
+// leaves a half-valid cache.
 #pragma once
 
 #include <string>

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <tuple>
@@ -16,6 +17,7 @@
 #include "runtime/thread_pool.hpp"
 #include "winograd/error_model.hpp"
 #include "winograd/kernels.hpp"
+#include "winograd/tile_walk.hpp"
 
 namespace wino::nn {
 
@@ -111,13 +113,22 @@ struct LayerOperands {
   }
 };
 
+/// Threads a conv layer's own parallel_for spans when forward(plan) runs
+/// `batch` images. At one image forward() runs the stack on the calling
+/// thread, so the layer fans out over the whole global pool; at more it
+/// fans the batch out by image, and the layer runs inline inside its
+/// worker chunk, on one thread.
+std::size_t layer_threads(std::size_t batch) {
+  return batch > 1 ? 1 : runtime::ThreadPool::global().threads();
+}
+
 /// Time one conv layer under a plannable `algo` the way forward()
 /// executes it: the Winograd backends get precomputed filter transforms
 /// (the executor reads them from the cross-call cache and the op model
-/// excludes them) and run the layout-aware kernel the plan walk
-/// dispatches; im2col runs through run_conv. One warm-up, best of 3,
-/// single image; the caller holds a runtime::InlineScope, so every
-/// candidate runs on one thread, as inside a worker chunk.
+/// excludes them) and run the executor's own kernel — the fp32 walk into
+/// caller scratch, like the int8 walk on the calling thread; im2col runs
+/// through run_conv. One warm-up, best of 3, single image. The caller
+/// picks the thread form (see LayerTimeCache::seconds).
 double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
                              const LayerOperands& operands) {
   const Tensor4f& input = operands.input;
@@ -128,9 +139,17 @@ double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
     const winograd::TransformedKernels tk(xf, kernels);
     winograd::WinogradConvOptions wopt;
     wopt.pad = layer.pad;
+    Tensor4f out(winograd::walk_output_shape("measure_layer_ms",
+                                             input.shape(), xf, layer.k,
+                                             layer.pad));
+    const winograd::OwnedWinogradScratch scratch(
+        layer.c, static_cast<std::size_t>(xf.tile()),
+        static_cast<std::size_t>(m));
     return best_seconds([&] {
-      (void)winograd::conv2d_winograd_layout(input, tk, xf, wopt,
-                                             /*fuse_relu=*/false);
+      winograd::conv2d_winograd_layout_into(
+          Layout::nchw(input.shape()), input.flat(), tk, xf, wopt,
+          Layout::nchw(out.shape()), out.flat(), /*fuse_relu=*/false,
+          scratch.spans());
     });
   }
   // The int8 forms time against prequantized banks, mirroring the executor
@@ -163,17 +182,20 @@ double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
 /// measures nothing.
 class LayerTimeCache {
  public:
-  /// Seconds of `layer` under each of `algos`. Cached entries are read
-  /// back; the missing ones are all timed against one LayerOperands, so a
-  /// shape pays its operand fill once however many candidates it times.
+  /// Seconds of `layer` under each of `algos`, with the layer's own
+  /// parallel_for spanning `threads` (layer_threads). Cached entries are
+  /// read back; the missing ones are all timed against one LayerOperands,
+  /// so a shape pays its operand fill once however many candidates it
+  /// times.
   std::vector<double> seconds(const ConvLayerSpec& layer,
-                              std::span<const ConvAlgo> algos) {
+                              std::span<const ConvAlgo> algos,
+                              std::size_t threads) {
     std::vector<double> out(algos.size());
     std::vector<ConvAlgo> missing;
     {
       std::lock_guard lock(mutex_);
       for (std::size_t i = 0; i < algos.size(); ++i) {
-        if (const auto it = map_.find(key(layer, algos[i]));
+        if (const auto it = map_.find(key(layer, algos[i], threads));
             it != map_.end()) {
           out[i] = it->second;
         } else if (std::find(missing.begin(), missing.end(), algos[i]) ==
@@ -185,13 +207,17 @@ class LayerTimeCache {
     if (missing.empty()) return out;
     // Measure outside the lock (concurrent registrations may redundantly
     // measure the same shape; the first write wins with an identical
-    // meaning), inline on this thread: forward(plan) runs every layer
-    // inside its batch fan-out, where the layer's own parallel_for is
-    // inline, so that is the form each candidate is timed in.
+    // meaning). One thread is a worker chunk of forward()'s by-image
+    // fan-out, where the layer's parallel_for runs inline: time it inline
+    // on this thread, waking no worker and taking no pool job slot. Any
+    // other count is forward() running one image on the calling thread,
+    // so the candidate's parallel_for fans out over the pool as it does
+    // there.
     std::vector<double> measured;
     measured.reserve(missing.size());
     {
-      const runtime::InlineScope inline_scope;
+      std::optional<runtime::InlineScope> inline_scope;
+      if (threads == 1) inline_scope.emplace();
       const LayerOperands operands(layer);
       for (const ConvAlgo algo : missing) {
         measured.push_back(measure_layer_seconds(layer, algo, operands));
@@ -200,10 +226,10 @@ class LayerTimeCache {
     std::lock_guard lock(mutex_);
     for (std::size_t j = 0; j < missing.size(); ++j) {
       ++measurements_;
-      map_.emplace(key(layer, missing[j]), measured[j]);
+      map_.emplace(key(layer, missing[j], threads), measured[j]);
     }
     for (std::size_t i = 0; i < algos.size(); ++i) {
-      if (const auto it = map_.find(key(layer, algos[i]));
+      if (const auto it = map_.find(key(layer, algos[i], threads));
           it != map_.end()) {
         out[i] = it->second;
       }
@@ -214,7 +240,8 @@ class LayerTimeCache {
   void import_entries(const std::vector<MeasuredLayerTime>& entries) {
     std::lock_guard lock(mutex_);
     for (const MeasuredLayerTime& e : entries) {
-      map_[Key{e.h, e.w, e.c, e.k, e.r, e.pad, e.algo}] = e.seconds;
+      map_[Key{e.h, e.w, e.c, e.k, e.r, e.pad, e.algo, e.threads}] =
+          e.seconds;
     }
   }
 
@@ -224,13 +251,16 @@ class LayerTimeCache {
       std::lock_guard lock(mutex_);
       out.reserve(map_.size());
       for (const auto& [k, secs] : map_) {
-        out.push_back({k.h, k.w, k.c, k.k, k.r, k.pad, k.algo, secs});
+        out.push_back(
+            {k.h, k.w, k.c, k.k, k.r, k.pad, k.algo, secs, k.threads});
       }
     }
     std::sort(out.begin(), out.end(),
               [](const MeasuredLayerTime& a, const MeasuredLayerTime& b) {
-                return std::tie(a.h, a.w, a.c, a.k, a.r, a.pad, a.algo) <
-                       std::tie(b.h, b.w, b.c, b.k, b.r, b.pad, b.algo);
+                return std::tie(a.h, a.w, a.c, a.k, a.r, a.pad, a.algo,
+                                a.threads) <
+                       std::tie(b.h, b.w, b.c, b.k, b.r, b.pad, b.algo,
+                                b.threads);
               });
     return out;
   }
@@ -255,17 +285,20 @@ class LayerTimeCache {
     std::size_t h, w, c, k, r;
     int pad;
     ConvAlgo algo;
+    std::size_t threads;
     friend bool operator==(const Key&, const Key&) = default;
   };
-  static Key key(const ConvLayerSpec& layer, ConvAlgo algo) {
-    return {layer.h, layer.w, layer.c, layer.k, layer.r, layer.pad, algo};
+  static Key key(const ConvLayerSpec& layer, ConvAlgo algo,
+                 std::size_t threads) {
+    return {layer.h, layer.w, layer.c, layer.k, layer.r, layer.pad, algo,
+            threads};
   }
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
       std::size_t h = k.h;
       for (const std::size_t v :
            {k.w, k.c, k.k, k.r, static_cast<std::size_t>(k.pad),
-            static_cast<std::size_t>(k.algo)}) {
+            static_cast<std::size_t>(k.algo), k.threads}) {
         h = h * 1315423911u ^ v;
       }
       return h;
@@ -323,9 +356,13 @@ void import_measured_state(const MeasuredState& state) {
 
 void clear_measured_state() { layer_time_cache().clear(); }
 
-double measure_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo) {
+double measure_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo,
+                        std::size_t batch) {
   require_plannable("measure_layer_ms", algo);
-  return layer_time_cache().seconds(layer, {&algo, 1}).front() * 1e3;
+  return layer_time_cache()
+             .seconds(layer, {&algo, 1}, layer_threads(batch))
+             .front() *
+         1e3;
 }
 
 double predict_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo,
@@ -537,9 +574,10 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
           std::to_string(conv_ordinal));
     }
     // Default scoring measures every eligible candidate at this layer's
-    // exact geometry in one pass (cached per process; single-thread time
-    // per image, scaled by the batch here); an injected calibration
-    // switches to the pure analytic model.
+    // exact geometry in one pass, in the thread form forward() runs the
+    // plan's batch in (cached per process; time per image, scaled by the
+    // batch here); an injected calibration switches to the pure analytic
+    // model.
     std::vector<double> ms;
     if (options.calibration) {
       for (const ConvAlgo algo : eligible) {
@@ -547,7 +585,8 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
                                       *options.calibration, options.batch));
       }
     } else {
-      ms = layer_time_cache().seconds(layers[i].conv, eligible);
+      ms = layer_time_cache().seconds(layers[i].conv, eligible,
+                                     layer_threads(options.batch));
       for (double& v : ms) v = v * 1e3 * static_cast<double>(options.batch);
     }
     // min_element keeps the first minimum: ties keep the earliest listed

@@ -9,8 +9,8 @@
 // candidate algorithms (by default im2col / Winograd m in {2, 3, 4}; the
 // int8 forms on request) for every conv layer, either by timing each
 // candidate at the layer's own geometry (the default, cached per process;
-// one image, inline on the calling thread, as forward(plan) runs a layer
-// inside its batch fan-out) or with the dse:: complexity equations —
+// one image, in the thread form forward(plan) runs the plan's batch in)
+// or with the dse:: complexity equations —
 // evaluated with exact ragged-tile counts, which is what makes the best m
 // genuinely layer-dependent on small late-network maps — divided by an
 // injected per-family GFLOP/s Calibration. The result is an ExecutionPlan: one
@@ -52,7 +52,11 @@ struct LayerPlan {
   ConvAlgo algo = ConvAlgo::kIm2col;
   /// ReLU folded into the conv output scatter (Winograd and int8 layers).
   bool fused_relu = false;
-  /// Cost-model estimate for this layer (conv layers; 0 otherwise).
+  /// Cost-model estimate for this layer at the plan's batch (conv layers;
+  /// 0 otherwise). Measured at batch 1: the wall time of one image as
+  /// forward() runs it, with the layer's parallel_for across the global
+  /// pool. Measured at batch b > 1: b times the single-thread time of one
+  /// image, the work forward()'s by-image fan-out spreads over the pool.
   double predicted_ms = 0;
   /// Static per-tensor activation scale for int8 conv layers (max|x| / 127
   /// from calibration); <= 0 means "derive per image" — the value run_conv
@@ -76,7 +80,9 @@ struct ExecutionPlan {
   MemoryPlan memory;
 
   std::size_t int8_layers = 0;       ///< conv layers running a kInt8* algo
-  double predicted_total_ms = 0;     ///< sum of conv predicted_ms
+  /// Sum of conv predicted_ms: the plan's cost estimate at its batch.
+  /// serve:: charges it per request (sessions plan at batch 1).
+  double predicted_total_ms = 0;
   /// Largest predict_layer_rel_error over the chosen conv algorithms; only
   /// filled when the plan was built under an error budget
   /// (PlanConstraints::max_rel_error > 0), else 0.
@@ -121,12 +127,15 @@ struct Calibration {
 [[nodiscard]] Calibration default_calibration();
 
 /// One cached per-layer timing — the export/import unit of the
-/// measure_layer_ms cache (keys mirror its geometry key).
+/// measure_layer_ms cache (keys mirror its geometry key plus the thread
+/// form: `threads` is 1 for a layer timed inline, as inside a worker chunk
+/// of a batch fan-out, else the global pool size it was timed across).
 struct MeasuredLayerTime {
   std::size_t h = 0, w = 0, c = 0, k = 0, r = 0;
   int pad = 0;
   ConvAlgo algo = ConvAlgo::kIm2col;
   double seconds = 0.0;
+  std::size_t threads = 1;
 
   friend bool operator==(const MeasuredLayerTime&,
                          const MeasuredLayerTime&) = default;
@@ -135,7 +144,8 @@ struct MeasuredLayerTime {
 /// Everything the measuring path has learned this process: the per-layer
 /// timing cache. The serialisable snapshot behind calibration persistence.
 struct MeasuredState {
-  /// Sorted by (h, w, c, k, r, pad, algo) for deterministic output.
+  /// Sorted by (h, w, c, k, r, pad, algo, threads) for deterministic
+  /// output.
   std::vector<MeasuredLayerTime> layer_times;
 };
 
@@ -252,9 +262,10 @@ struct PlannerOptions {
   /// (predict_layer_ms) — deterministic and timing-free, which is what
   /// the cost-model unit tests pin.
   std::optional<Calibration> calibration;
-  /// Batch size the plan is optimised for (scales every candidate alike
-  /// under this model, so it rarely changes the argmin; kept explicit for
-  /// cost reporting).
+  /// Batch size the plan is optimised for. The analytic model scales every
+  /// candidate alike by it. Measured scoring times each candidate in the
+  /// thread form forward() runs this batch in (see measure_layer_ms), so
+  /// batch 1 and batch > 1 can pick different algorithms.
   std::size_t batch = 1;
   /// Accuracy budget; constraints.max_rel_error > 0 activates the error
   /// model as a per-layer candidate filter.
@@ -278,24 +289,28 @@ struct PlannerOptions {
                                       ConvAlgo algo, const Calibration& cal,
                                       std::size_t batch = 1);
 
-/// Measured per-image milliseconds of one conv layer under `algo`, the
-/// planner's default scoring source: the backend runs the layer's exact
-/// geometry the way forward() executes it (Winograd with precomputed
-/// filter transforms through the layout-aware kernel, the int8 forms
-/// against prequantized banks, im2col through run_conv) and the best of a
-/// few reps is kept. Every candidate runs inline on the calling thread
-/// (runtime::InlineScope), as a layer runs inside forward(plan)'s batch
-/// fan-out, so the figure is single-thread time per image and never waits
-/// on the global pool. Throws std::invalid_argument for a non-plannable
-/// algo. Results are cached per process keyed by (H, W, C, K, r,
-/// pad, algo), so planning re-measures nothing for repeated shapes — VGG's
-/// towers of identical layers, or many sessions over the same
-/// architecture. plan_execution times all of a layer's uncached
-/// candidates against one operand set, the same pattern-filled input and
-/// filter bank this function builds, so a cached timing means the same
-/// whichever path made it.
+/// Measured per-image milliseconds of one conv layer under `algo` when
+/// forward(plan) runs `batch` images, the planner's default scoring
+/// source: the backend runs the layer's exact geometry the way forward()
+/// executes it (Winograd with precomputed filter transforms through the
+/// executor's walk, the int8 forms against prequantized banks, im2col
+/// through run_conv) and the best of a few reps is kept. The thread form
+/// follows forward(): at batch 1 it runs the stack on the calling thread,
+/// so im2col and int8 im2col fan out over the global pool while the
+/// Winograd walks run on the caller; at batch > 1 it fans out by image
+/// and every layer runs inline inside a worker chunk, so the candidate is
+/// timed inline on the calling thread (runtime::InlineScope) — single-
+/// thread time per image that never waits on the global pool. Throws
+/// std::invalid_argument for a non-plannable algo. Results are cached per
+/// process keyed by (H, W, C, K, r, pad, algo) and the thread form (1, or
+/// the pool size at batch 1), so planning re-measures nothing for
+/// repeated shapes — VGG's towers of identical layers, or many sessions
+/// over the same architecture. plan_execution times all of a layer's
+/// uncached candidates against one operand set, the same pattern-filled
+/// input and filter bank this function builds, so a cached timing means
+/// the same whichever path made it.
 [[nodiscard]] double measure_layer_ms(const ConvLayerSpec& layer,
-                                      ConvAlgo algo);
+                                      ConvAlgo algo, std::size_t batch = 1);
 
 /// Score every candidate for every conv layer and assemble the cheapest
 /// per-layer mix, then run replan_layouts over it. Deterministic: same

@@ -82,8 +82,9 @@ class ThreadPool {
 /// Marks the calling thread as inside a parallel region for the guard's
 /// lifetime, so every parallel_for it makes runs inline on it, the way a
 /// pool chunk runs a nested call. No worker wakes and no job slot is taken.
-/// The planner times candidates under one: forward(plan) runs each layer
-/// inside its batch fan-out, where the layer's own parallel_for is inline.
+/// The planner times candidates of a batch > 1 plan under one:
+/// forward(plan) runs such a batch's layers inside its by-image fan-out,
+/// where each layer's own parallel_for is inline.
 class InlineScope {
  public:
   InlineScope();

@@ -157,6 +157,10 @@ struct ServerConfig {
   /// budget. 0 disables the check. The per-request cost is the session
   /// ExecutionPlan's predicted_total_ms (the PR 5 planner's estimate; 0
   /// for plans built without scoring, which makes those requests free).
+  /// For a plan measured at batch 1 (add_model_planned's default) that is
+  /// the wall time of one image with each layer across the global pool;
+  /// for one planned at batch b > 1 it is b times the single-thread time
+  /// of one image (see nn::LayerPlan::predicted_ms).
   double admission_budget_ms = 0.0;
 
   /// Starvation bound (kEdf only): a pending request that has waited this
@@ -258,7 +262,8 @@ class InferenceServer {
   /// plan carries its own copy of the layer stack; every batch dispatched
   /// to this session runs the plan-driven forward. The plan's
   /// predicted_total_ms doubles as the request cost for admission control
-  /// and deadline feasibility.
+  /// and deadline feasibility, whatever batch it was planned at (see
+  /// ServerConfig::admission_budget_ms).
   ModelId add_model(std::string name, nn::ExecutionPlan plan,
                     nn::WeightBank weights);
 

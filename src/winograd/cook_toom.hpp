@@ -79,8 +79,8 @@ TransformSet best_cook_toom(int m, int r);
 
 /// Process-wide cache of cost-optimised transform sets (best_cook_toom's
 /// choice); reference stays valid for the program lifetime. F(2,3),
-/// F(3,3), F(4,3) and F(2,5) are built from committed copies of the
-/// searched point sets, so only other sizes pay the search, once per
+/// F(3,3) and F(4,3) are built from committed copies of the searched
+/// point sets, so only other sizes pay the search, once per
 /// process. Thread-safe lookup.
 const TransformSet& transforms(int m, int r);
 

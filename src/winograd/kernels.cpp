@@ -96,38 +96,30 @@ struct FixedSandwich {
   SandwichFn fn;
 };
 
-/// One instantiation per (rows, cols) the transforms of F(2,3), F(3,3),
-/// F(4,3) and F(2,5) use: B^T is n x n, A^T m x n and G n x r.
+/// One instantiation per (rows, cols) the transforms of F(2,3), F(3,3)
+/// and F(4,3) use: B^T is n x n, A^T m x n and G n x r.
 constexpr FixedSandwich kFixedSandwiches[] = {
     {4, 4, sandwich_fixed<4, 4>}, {5, 5, sandwich_fixed<5, 5>},
     {6, 6, sandwich_fixed<6, 6>}, {2, 4, sandwich_fixed<2, 4>},
     {3, 5, sandwich_fixed<3, 5>}, {4, 6, sandwich_fixed<4, 6>},
-    {2, 6, sandwich_fixed<2, 6>}, {4, 3, sandwich_fixed<4, 3>},
-    {5, 3, sandwich_fixed<5, 3>}, {6, 3, sandwich_fixed<6, 3>},
-    {6, 5, sandwich_fixed<6, 5>},
+    {4, 3, sandwich_fixed<4, 3>}, {5, 3, sandwich_fixed<5, 3>},
+    {6, 3, sandwich_fixed<6, 3>},
 };
 
-/// The fixed-bound sandwich for `mat`'s shape, or nullptr.
-SandwichFn fixed_sandwich(const FMatrix& mat) {
+/// The fixed-bound sandwich for `mat`'s shape, else the runtime loop.
+SandwichFn bind_sandwich(const FMatrix& mat) {
   for (const FixedSandwich& f : kFixedSandwiches) {
     if (f.rows == mat.rows() && f.cols == mat.cols()) return f.fn;
   }
-  return nullptr;
+  return &sandwich;
 }
 
 }  // namespace
 
 TileTransformer::TileTransformer(const TransformSet& t)
     : m_(t.m), r_(t.r), n_(t.tile()), bt_(t.bt_f()), g_(t.g_f()),
-      at_(t.at_f()) {
-  data_fn_ = fixed_sandwich(bt_);
-  filter_fn_ = fixed_sandwich(g_);
-  inverse_fn_ = fixed_sandwich(at_);
-  fixed_ = data_fn_ && filter_fn_ && inverse_fn_;
-  if (!fixed_) {
-    data_fn_ = filter_fn_ = inverse_fn_ = &sandwich;
-  }
-}
+      at_(t.at_f()), data_fn_(bind_sandwich(bt_)),
+      filter_fn_(bind_sandwich(g_)), inverse_fn_(bind_sandwich(at_)) {}
 
 void transform_filter_bank(const TileTransformer& xf, const Tensor4f& kernels,
                            std::span<float> out) {

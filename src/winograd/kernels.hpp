@@ -4,12 +4,13 @@
 //
 // Every tile transform is one matrix sandwich, out = mat * in * mat^T.
 // TileTransformer picks, once at construction, a copy of that sandwich
-// with compile-time loop bounds for each transform of F(2,3), F(3,3),
-// F(4,3) and F(2,5) — the forms a plan runs — and the runtime-bound loop
-// (winograd::sandwich) for any other size. Both copies perform the same
-// operations in the same order, so their outputs are memcmp-equal (pinned
-// by tests/winograd_kernels_test.cpp); every walk below, the filter-bank
-// prewarm and the planner's measurements run through them.
+// with compile-time loop bounds for each transform of F(2,3), F(3,3) and
+// F(4,3) — the forms the planner's candidates run on 3x3 layers — and the
+// runtime-bound loop (winograd::sandwich) for any other shape. Both
+// copies perform the same operations in the same order, so their outputs
+// are memcmp-equal (pinned by tests/winograd_kernels_test.cpp); every
+// walk below, the filter-bank prewarm and the planner's measurements run
+// through them.
 //
 // Layer-level evaluation mirrors the paper's system (Fig 7): the image is
 // decomposed into overlapping (m+r-1)^2 tiles with stride m, and kernels
@@ -51,7 +52,8 @@ void sandwich(const FMatrix& mat, std::span<const float> in,
 /// Precompiled float-domain tile transformer for one F(m x m, r x r).
 /// Stateless after construction; safe to share across threads for reads.
 /// Each transform runs winograd::sandwich's arithmetic; the constructor
-/// binds a fixed-bound instantiation of it where one exists.
+/// binds each matrix to a fixed-bound instantiation of it where one
+/// exists for the matrix's shape.
 class TileTransformer {
  public:
   explicit TileTransformer(const TransformSet& t);
@@ -59,11 +61,6 @@ class TileTransformer {
   [[nodiscard]] int m() const { return m_; }
   [[nodiscard]] int r() const { return r_; }
   [[nodiscard]] int tile() const { return n_; }
-
-  /// True when all three transforms run fixed-bound instantiations
-  /// (F(2,3), F(3,3), F(4,3), F(2,5)); false when they run the
-  /// runtime-bound winograd::sandwich.
-  [[nodiscard]] bool fixed_bounds() const { return fixed_; }
 
   /// V = G g G^T. g: r*r row-major, v: n*n row-major.
   void transform_filter(std::span<const float> g, std::span<float> v) const {
@@ -93,7 +90,6 @@ class TileTransformer {
   SandwichFn data_fn_ = nullptr;
   SandwichFn filter_fn_ = nullptr;
   SandwichFn inverse_fn_ = nullptr;
-  bool fixed_ = false;
 };
 
 /// Options for layer-level Winograd convolution.

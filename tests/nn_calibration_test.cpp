@@ -55,6 +55,8 @@ MeasuredState synthetic_state() {
       {8, 8, 3, 4, 3, 1, ConvAlgo::kWinograd2, 2.5e-4},
       {16, 16, 32, 32, 3, 1, ConvAlgo::kWinograd4, 9.87654321e-3},
       {16, 16, 32, 32, 3, 1, ConvAlgo::kInt8Winograd2, 1.1 / 3.0 * 1e-3},
+      {16, 16, 32, 32, 3, 1, ConvAlgo::kIm2col, 3.0 / 11.0 * 1e-3, 4},
+      {16, 16, 32, 32, 3, 1, ConvAlgo::kIm2col, 5.0 / 11.0 * 1e-3, 1},
   };
   return state;
 }
@@ -91,8 +93,10 @@ TEST_F(CalibrationIoTest, RoundTripIsBitExact) {
   auto sorted = expect.layer_times;
   std::sort(sorted.begin(), sorted.end(),
             [](const MeasuredLayerTime& a, const MeasuredLayerTime& b) {
-              return std::tie(a.h, a.w, a.c, a.k, a.r, a.pad, a.algo) <
-                     std::tie(b.h, b.w, b.c, b.k, b.r, b.pad, b.algo);
+              return std::tie(a.h, a.w, a.c, a.k, a.r, a.pad, a.algo,
+                              a.threads) <
+                     std::tie(b.h, b.w, b.c, b.k, b.r, b.pad, b.algo,
+                              b.threads);
             });
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     EXPECT_EQ(loaded.layer_times[i], sorted[i]);  // bit-exact doubles
@@ -152,7 +156,7 @@ TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {
       damaged = text;
       const auto pos = damaged.find("layer ");
       const auto eol = damaged.find('\n', pos);
-      damaged.replace(pos, eol - pos, "layer 8 8 3 4 3 1 99 0x1p-4");
+      damaged.replace(pos, eol - pos, "layer 8 8 3 4 3 1 99 1 0x1p-4");
     } else if (mutation == "spatial_algo" || mutation == "fft_algo") {
       // Valid algo numbers, but not plannable: no planner reads them.
       const ConvAlgo algo =
@@ -161,12 +165,17 @@ TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {
       const auto pos = damaged.rfind("end");
       damaged.insert(pos, "layer 8 8 3 4 3 1 " +
                               std::to_string(static_cast<int>(algo)) +
-                              " 0x1p-4\n");
+                              " 1 0x1p-4\n");
+    } else if (mutation == "zero_threads") {
+      damaged = text;
+      const auto pos = damaged.find("layer ");
+      const auto eol = damaged.find('\n', pos);
+      damaged.replace(pos, eol - pos, "layer 8 8 3 4 3 1 1 0 0x1p-4");
     } else {  // negative seconds
       damaged = text;
       const auto pos = damaged.find("layer ");
       const auto eol = damaged.find('\n', pos);
-      damaged.replace(pos, eol - pos, "layer 8 8 3 4 3 1 1 -0x1p-4");
+      damaged.replace(pos, eol - pos, "layer 8 8 3 4 3 1 1 1 -0x1p-4");
     }
     std::ofstream out(path_, std::ios::trunc);
     out << damaged;
@@ -185,6 +194,7 @@ TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {
   corrupt_and_check("bad_algo");
   corrupt_and_check("spatial_algo");
   corrupt_and_check("fft_algo");
+  corrupt_and_check("zero_threads");
   corrupt_and_check("negative_seconds");
 }
 

@@ -325,12 +325,13 @@ TEST(Planner, SpatialAndFftAreNotPlannable) {
   }
 }
 
-// Every candidate is timed inline on the calling thread, the way a layer
-// runs inside forward(plan)'s batch fan-out, so measuring never needs the
-// global pool. Another thread holds the pool's job slot here, in a job
-// whose chunks block on a latch, and every plannable algo must still
-// measure. A measurement that waits on the pool times out, and the latch
-// is released so the test fails rather than hangs.
+// For a batch of more than one image every candidate is timed inline on
+// the calling thread, the way a layer runs inside forward(plan)'s batch
+// fan-out, so measuring never needs the global pool. Another thread holds
+// the pool's job slot here, in a job whose chunks block on a latch, and
+// every plannable algo must still measure at batch 2. A measurement that
+// waits on the pool times out, and the latch is released so the test
+// fails rather than hangs.
 TEST(Planner, CandidatesAreTimedInlineWhileThePoolIsBusy) {
   runtime::ThreadPool::set_global_threads(2);
   clear_measured_state();
@@ -351,7 +352,8 @@ TEST(Planner, CandidatesAreTimedInlineWhileThePoolIsBusy) {
           ConvAlgo::kIm2col, ConvAlgo::kInt8Im2col, ConvAlgo::kInt8Winograd2,
           ConvAlgo::kInt8Winograd4}) {
       EXPECT_TRUE(is_plannable(algo)) << to_string(algo);
-      EXPECT_GT(measure_layer_ms(l, algo), 0.0) << to_string(algo);
+      EXPECT_GT(measure_layer_ms(l, algo, /*batch=*/2), 0.0)
+          << to_string(algo);
       timed.push_back(algo);
     }
     return timed;
@@ -363,6 +365,33 @@ TEST(Planner, CandidatesAreTimedInlineWhileThePoolIsBusy) {
   const std::vector<ConvAlgo> timed = measured.get();
   EXPECT_TRUE(finished) << "measuring waited on the busy pool";
   EXPECT_EQ(timed.size(), 7u);
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// forward(plan) runs one image with each layer across the pool and more
+// with each layer inline in a worker chunk, so a shape is timed once per
+// thread form: batch 1 and batch 2 share a timing only on a one-thread
+// pool, and every batch above 1 shares the inline one.
+TEST(Planner, LayerTimingFollowsTheBatchThreadForm) {
+  const ConvLayerSpec l = conv_spec(4, 8, 8);
+  for (const unsigned threads : {1u, 3u}) {
+    runtime::ThreadPool::set_global_threads(threads);
+    clear_measured_state();
+    const auto cold = plan_cache_stats();
+    EXPECT_GT(measure_layer_ms(l, ConvAlgo::kIm2col, 1), 0.0);
+    EXPECT_GT(measure_layer_ms(l, ConvAlgo::kIm2col, 2), 0.0);
+    EXPECT_GT(measure_layer_ms(l, ConvAlgo::kIm2col, 8), 0.0);
+    const std::size_t forms = threads == 1 ? 1 : 2;
+    EXPECT_EQ(plan_cache_stats().layer_measurements,
+              cold.layer_measurements + forms)
+        << threads << " threads";
+    const MeasuredState state = export_measured_state();
+    ASSERT_EQ(state.layer_times.size(), forms) << threads << " threads";
+    EXPECT_EQ(state.layer_times.front().threads, 1u);
+    EXPECT_EQ(state.layer_times.back().threads, threads);
+  }
+  clear_measured_state();
   runtime::ThreadPool::set_global_threads(
       std::max(1u, std::thread::hardware_concurrency()));
 }

@@ -150,7 +150,7 @@ TEST(CookToom, TransformsCacheReturnsStableReference) {
 // searched point sets; each must be exactly what the search picks.
 TEST(CookToom, TransformsEqualsBestCookToomForPlannedForms) {
   for (const auto& [m, r] :
-       {std::pair{2, 3}, {3, 3}, {4, 3}, {2, 5}}) {
+       {std::pair{2, 3}, {3, 3}, {4, 3}}) {
     const TransformSet& got = transforms(m, r);
     const TransformSet want = best_cook_toom(m, r);
     EXPECT_EQ(got.points, want.points) << "F(" << m << "," << r << ")";
