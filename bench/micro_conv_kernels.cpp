@@ -4,12 +4,15 @@
 // arithmetic-complexity argument: Winograd's advantage should track the
 // multiplication-count reduction of Fig 1, and FFT should only pay off for
 // large kernels (the paper's Section II-C argument against FFT for 3x3).
+// BM_PlanExecution times the per-layer planner's cold set-up.
 #include <benchmark/benchmark.h>
 
 #include "common/random.hpp"
 #include "conv/fft.hpp"
 #include "conv/im2col.hpp"
 #include "conv/spatial.hpp"
+#include "nn/network.hpp"
+#include "nn/plan.hpp"
 #include "tensor/tensor.hpp"
 #include "winograd/kernels.hpp"
 
@@ -158,6 +161,25 @@ void BM_TransformFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformFilter)->DenseRange(2, 7)
     ->Unit(benchmark::kNanosecond);
+
+// Cold planning: plan_execution over vgg16_d_scaled(7, 8) (32x32 input)
+// with the layer timing cache cleared before every iteration. At batch 1
+// each candidate is timed the way one image runs (im2col across the
+// pool); at batch 8 the distinct shapes are timed concurrently, one per
+// pool thread. Wall time, since the batch-8 form spans the pool.
+void BM_PlanExecution(benchmark::State& state) {
+  const auto layers = wino::nn::vgg16_d_scaled(7, 8);
+  wino::nn::PlannerOptions opts;
+  opts.batch = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    wino::nn::clear_measured_state();
+    benchmark::DoNotOptimize(wino::nn::plan_execution(layers, opts));
+  }
+  wino::nn::clear_measured_state();
+  state.SetLabel("batch " + std::to_string(opts.batch));
+}
+BENCHMARK(BM_PlanExecution)->Arg(1)->Arg(8)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -748,15 +748,18 @@ void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,
   prewarm_transforms(plan, weights);
   if (plan.memory.empty()) return;
   const std::size_t imgs = std::max<std::size_t>(1, max_images);
-  const std::size_t chunk = std::min(plan_subbatch(plan, imgs), imgs);
+  // forward() splits a batch over the pool's static partition, so no
+  // participant walks more than ceil(imgs / threads) of its images.
+  const std::size_t threads = runtime::ThreadPool::global().threads();
+  const std::size_t chunk =
+      std::min(plan_subbatch(plan, imgs), (imgs + threads - 1) / threads);
   // One chunk per pool participant (count == threads), so every worker
   // thread plus the caller sizes its own slab before the first request.
   // Serve worker threads warm on their first batch instead; see
   // docs/ARCHITECTURE.md.
-  runtime::parallel_for(runtime::ThreadPool::global().threads(),
-                        [&](std::size_t, std::size_t) {
-                          thread_workspace().prepare(plan.memory, chunk);
-                        });
+  runtime::parallel_for(threads, [&](std::size_t, std::size_t) {
+    thread_workspace().prepare(plan.memory, chunk);
+  });
 }
 
 std::size_t thread_workspace_bytes() {

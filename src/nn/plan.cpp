@@ -4,14 +4,17 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
+#include <memory>
 #include <mutex>
-#include <optional>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 
+#include "conv/im2col.hpp"
 #include "dse/complexity.hpp"
 #include "quant/int8.hpp"
 #include "runtime/thread_pool.hpp"
@@ -122,13 +125,14 @@ std::size_t layer_threads(std::size_t batch) {
   return batch > 1 ? 1 : runtime::ThreadPool::global().threads();
 }
 
-/// Time one conv layer under a plannable `algo` the way forward()
-/// executes it: the Winograd backends get precomputed filter transforms
-/// (the executor reads them from the cross-call cache and the op model
-/// excludes them) and run the executor's own kernel — the fp32 walk into
-/// caller scratch, like the int8 walk on the calling thread; im2col runs
-/// through run_conv. One warm-up, best of 3, single image. The caller
-/// picks the thread form (see LayerTimeCache::seconds).
+/// Time one conv layer under a plannable `algo` the way forward() runs
+/// one image on the calling thread: the Winograd backends get
+/// precomputed filter transforms (the executor reads them from the
+/// cross-call cache and the op model excludes them) and run the
+/// executor's own kernel — the fp32 walk into caller scratch, like the
+/// int8 walk on the calling thread; im2col runs through run_conv. One
+/// warm-up, best of 3, single image. The batch-1 form; the inline form
+/// times in time_inline.
 double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
                              const LayerOperands& operands) {
   const Tensor4f& input = operands.input;
@@ -173,6 +177,155 @@ double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
       [&] { (void)run_conv(algo, input, kernels, layer.pad); });
 }
 
+/// One shape's inline-form timing job: the geometry, its uncached
+/// candidates, the transformer of each Winograd candidate (built on the
+/// caller; null for the others) and the seconds its timing thread writes
+/// back. `cost` (the candidates' modelled ops) is its weight in
+/// the assignment to pool threads.
+struct ShapeJob {
+  ConvLayerSpec layer;
+  std::vector<ConvAlgo> algos;
+  std::vector<const winograd::TileTransformer*> xfs;
+  std::vector<double> seconds;
+  double cost = 0;
+};
+
+/// A shape's working set inside its timing thread's buffer: the
+/// pattern-filled operands, the output, and the scratch of the candidate
+/// being timed. A shape's candidates run one after another, so they all
+/// carve their scratch from the same offset, just past the output.
+struct ShapeSpans {
+  std::span<float> input, kernels, out;
+  std::span<float> bank;           ///< fp32 Winograd: V = G g G^T
+  winograd::WinogradScratch walk;  ///< fp32 Winograd: the walk's scratch
+  std::span<float> panel;          ///< im2col: one image's patch panel
+  quant::QuantIm2colScratch qim2col;    ///< int8 im2col
+  quant::QuantWinogradScratch qwalk;    ///< int8 Winograd
+};
+
+/// Output pixels of `l` at stride 1, the only stride plans run.
+std::size_t out_pixels(const ConvLayerSpec& l) {
+  return conv::conv_out_extent(l.h, l.r, l.pad, 1) *
+         conv::conv_out_extent(l.w, l.r, l.pad, 1);
+}
+
+/// Carve (or measure) a shape's operands and output.
+ShapeSpans carve_shape(ByteCarver& carver, const ConvLayerSpec& l) {
+  ShapeSpans s;
+  s.input = carver.take<float>(l.c * l.h * l.w);
+  s.kernels = carver.take<float>(l.k * l.c * l.r * l.r);
+  s.out = carver.take<float>(l.k * out_pixels(l));
+  return s;
+}
+
+/// Carve (or measure) the scratch of candidate `algo` into `s`.
+void carve_candidate(ByteCarver& carver, const ConvLayerSpec& l,
+                     ConvAlgo algo, ShapeSpans& s) {
+  const std::size_t inner = l.c * l.r * l.r;
+  if (const int m = winograd_m(algo); m > 0) {
+    const std::size_t n = static_cast<std::size_t>(m) + l.r - 1;
+    s.bank = carver.take<float>(l.k * l.c * n * n);
+    s.walk = carve_winograd_scratch(carver, l.c, n,
+                                    static_cast<std::size_t>(m));
+  } else if (const int qm = int8_winograd_m(algo); qm > 0) {
+    s.qwalk = carve_quant_winograd_scratch(
+        carver, l.c, static_cast<std::size_t>(qm) + l.r - 1,
+        static_cast<std::size_t>(qm));
+  } else if (algo == ConvAlgo::kInt8Im2col) {
+    s.qim2col = carve_quant_im2col_scratch(carver, inner, out_pixels(l), l.k);
+  } else {
+    s.panel = carver.take<float>(inner * out_pixels(l));
+  }
+}
+
+/// Buffer bytes `job` needs: its operands plus its largest candidate.
+std::size_t shape_bytes(const ShapeJob& job) {
+  ByteCarver measure;
+  ShapeSpans s = carve_shape(measure, job.layer);
+  std::size_t need = measure.used();
+  for (const ConvAlgo algo : job.algos) {
+    ByteCarver tail = measure;
+    carve_candidate(tail, job.layer, algo, s);
+    need = std::max(need, tail.used());
+  }
+  return need;
+}
+
+/// Time candidate `algo` inline on this thread, the way a worker chunk of
+/// forward()'s batch fan-out runs the layer: through the executor's own
+/// allocation-free kernels on the spans of `s` — the fp32 Winograd walk
+/// against a bank transformed into `s.bank`, the executor's im2col
+/// lowering + GEMM loop, or the int8 cores. `xf` is the transformer of a
+/// Winograd form (fp32 or int8), else null. The int8 forms first quantize
+/// their bank, as registration does (the executor reads it from its
+/// cross-call cache): the one step of this function that allocates. One
+/// warm-up, best of 3, single image.
+double time_inline(const ConvLayerSpec& l, ConvAlgo algo,
+                   const winograd::TileTransformer* xf, const ShapeSpans& s) {
+  const Shape4 in_shape{1, l.c, l.h, l.w};
+  const tensor::Tensor4fView input(in_shape, s.input);
+  if (winograd_m(algo) > 0) {
+    winograd::transform_filter_bank(
+        *xf, tensor::Tensor4fView({l.k, l.c, l.r, l.r}, s.kernels), s.bank);
+    const auto n = static_cast<std::size_t>(xf->tile());
+    const winograd::KernelBank bank(s.bank, l.k, l.c, n * n);
+    winograd::WinogradConvOptions wopt;
+    wopt.pad = l.pad;
+    const Layout il = Layout::nchw(in_shape);
+    const Layout ol = Layout::nchw(winograd::walk_output_shape(
+        "measure_layer_ms", in_shape, *xf, l.k, l.pad));
+    return best_seconds([&] {
+      winograd::conv2d_winograd_layout_into(il, s.input, bank, *xf, wopt, ol,
+                                            s.out, /*fuse_relu=*/false,
+                                            s.walk);
+    });
+  }
+  if (algo == ConvAlgo::kIm2col) {
+    const std::size_t inner = l.c * l.r * l.r;
+    return best_seconds([&] {
+      conv::im2col(input, 0, l.r, l.pad, l.pad, /*stride=*/1, s.panel);
+      conv::gemm(s.kernels, s.panel, s.out, l.k, inner, out_pixels(l));
+    });
+  }
+  const Tensor4f kernels({l.k, l.c, l.r, l.r},
+                         std::vector<float>(s.kernels.begin(), s.kernels.end()));
+  if (xf != nullptr) {
+    const quant::QuantizedWinogradKernels qk =
+        quant::quantize_winograd_kernels(*xf, kernels);
+    return best_seconds([&] {
+      quant::conv2d_winograd_int8_into(input, qk, *xf, l.pad,
+                                       /*act_scale=*/0.0F,
+                                       /*fuse_relu=*/false, s.out, s.qwalk);
+    });
+  }
+  const quant::QuantizedFilter qf = quant::quantize_filters(kernels);
+  return best_seconds([&] {
+    quant::conv2d_im2col_int8_into(input, qf, l.pad, /*act_scale=*/0.0F,
+                                   /*fuse_relu=*/false, s.out, s.qim2col);
+  });
+}
+
+/// Time all of `job`'s candidates serially on this thread, in the inline
+/// form, on spans carved from `buffer` (sized by shape_bytes). Only the
+/// int8 candidates allocate, for their quantized banks.
+void time_shape(ShapeJob& job, std::span<std::byte> buffer) {
+  ByteCarver carver(buffer);
+  ShapeSpans s = carve_shape(carver, job.layer);
+  fill_pattern(s.input, 123u, 1.0F);
+  fill_pattern(s.kernels, 321u, 0.1F);
+  for (std::size_t i = 0; i < job.algos.size(); ++i) {
+    ByteCarver tail = carver;
+    carve_candidate(tail, job.layer, job.algos[i], s);
+    job.seconds[i] = time_inline(job.layer, job.algos[i], job.xfs[i], s);
+  }
+}
+
+/// One layer's wish for timings: its geometry and candidates.
+struct TimingRequest {
+  const ConvLayerSpec* layer;
+  std::span<const ConvAlgo> algos;
+};
+
 /// Per-process cache of measured per-layer timings keyed by the layer
 /// geometry: repeated shapes (VGG's towers of identical layers, repeated
 /// session registrations over one architecture) measure once. Entries can
@@ -184,57 +337,155 @@ class LayerTimeCache {
  public:
   /// Seconds of `layer` under each of `algos`, with the layer's own
   /// parallel_for spanning `threads` (layer_threads). Cached entries are
-  /// read back; the missing ones are all timed against one LayerOperands,
-  /// so a shape pays its operand fill once however many candidates it
-  /// times.
+  /// read back and the missing ones timed: in the inline form
+  /// (threads == 1) through measure_inline, in the batch-1 form on the
+  /// caller against one LayerOperands, so a shape pays its operand fill
+  /// once however many candidates it times.
   std::vector<double> seconds(const ConvLayerSpec& layer,
                               std::span<const ConvAlgo> algos,
                               std::size_t threads) {
     std::vector<double> out(algos.size());
-    std::vector<ConvAlgo> missing;
-    {
-      std::lock_guard lock(mutex_);
-      for (std::size_t i = 0; i < algos.size(); ++i) {
-        if (const auto it = map_.find(key(layer, algos[i], threads));
-            it != map_.end()) {
-          out[i] = it->second;
-        } else if (std::find(missing.begin(), missing.end(), algos[i]) ==
-                   missing.end()) {
-          missing.push_back(algos[i]);
+    // A clear() racing a measurement drops its entries; time them again.
+    for (;;) {
+      std::vector<ConvAlgo> missing;
+      {
+        std::lock_guard lock(mutex_);
+        for (std::size_t i = 0; i < algos.size(); ++i) {
+          if (const auto it = map_.find(key(layer, algos[i], threads));
+              it != map_.end()) {
+            out[i] = it->second;
+          } else if (std::find(missing.begin(), missing.end(), algos[i]) ==
+                     missing.end()) {
+            missing.push_back(algos[i]);
+          }
         }
       }
-    }
-    if (missing.empty()) return out;
-    // Measure outside the lock (concurrent registrations may redundantly
-    // measure the same shape; the first write wins with an identical
-    // meaning). One thread is a worker chunk of forward()'s by-image
-    // fan-out, where the layer's parallel_for runs inline: time it inline
-    // on this thread, waking no worker and taking no pool job slot. Any
-    // other count is forward() running one image on the calling thread,
-    // so the candidate's parallel_for fans out over the pool as it does
-    // there.
-    std::vector<double> measured;
-    measured.reserve(missing.size());
-    {
-      std::optional<runtime::InlineScope> inline_scope;
-      if (threads == 1) inline_scope.emplace();
+      if (missing.empty()) return out;
+      if (threads == 1) {
+        const TimingRequest request{&layer, missing};
+        measure_inline({&request, 1});
+        continue;
+      }
+      // Measure outside the lock (concurrent registrations may
+      // redundantly measure the same shape; the first write wins with an
+      // identical meaning). This is forward() running one image on the
+      // calling thread, so the candidate's parallel_for fans out over the
+      // pool as it does there.
+      std::vector<double> measured;
+      measured.reserve(missing.size());
       const LayerOperands operands(layer);
       for (const ConvAlgo algo : missing) {
         measured.push_back(measure_layer_seconds(layer, algo, operands));
       }
-    }
-    std::lock_guard lock(mutex_);
-    for (std::size_t j = 0; j < missing.size(); ++j) {
-      ++measurements_;
-      map_.emplace(key(layer, missing[j], threads), measured[j]);
-    }
-    for (std::size_t i = 0; i < algos.size(); ++i) {
-      if (const auto it = map_.find(key(layer, algos[i], threads));
-          it != map_.end()) {
-        out[i] = it->second;
+      std::lock_guard lock(mutex_);
+      for (std::size_t j = 0; j < missing.size(); ++j) {
+        ++measurements_;
+        map_.emplace(key(layer, missing[j], threads), measured[j]);
       }
     }
-    return out;
+  }
+
+  /// Time the inline form of every uncached (shape, candidate) the
+  /// requests name, distinct shapes concurrently: each shape goes to one
+  /// global-pool thread, which times all of its candidates serially
+  /// (time_shape). The caller builds the transformers, assigns the shapes
+  /// to threads by longest processing time first on their modelled ops
+  /// (a static assignment, like the pool's own partition) and allocates
+  /// one buffer per thread, sized for the largest shape it was given, so
+  /// no timing thread allocates for an fp32 candidate. The fan-out takes
+  /// the pool's job slot for its length; from inside a pool chunk it runs
+  /// inline, every shape on the calling thread.
+  void measure_inline(std::span<const TimingRequest> requests) {
+    std::vector<ShapeJob> jobs;
+    {
+      std::lock_guard lock(mutex_);
+      for (const TimingRequest& req : requests) {
+        const ConvLayerSpec& l = *req.layer;
+        for (const ConvAlgo algo : req.algos) {
+          if (map_.contains(key(l, algo, 1))) continue;
+          auto job = std::find_if(jobs.begin(), jobs.end(),
+                                  [&](const ShapeJob& j) {
+                                    return key(j.layer, algo, 1) ==
+                                           key(l, algo, 1);
+                                  });
+          if (job == jobs.end()) {
+            jobs.emplace_back().layer = l;
+            job = std::prev(jobs.end());
+          }
+          if (std::find(job->algos.begin(), job->algos.end(), algo) ==
+              job->algos.end()) {
+            job->algos.push_back(algo);
+          }
+        }
+      }
+    }
+    if (jobs.empty()) return;
+
+    std::deque<winograd::TileTransformer> transformers;
+    for (ShapeJob& job : jobs) {
+      for (const ConvAlgo algo : job.algos) {
+        const winograd::TileTransformer* xf = nullptr;
+        if (const int m = std::max(winograd_m(algo), int8_winograd_m(algo));
+            m > 0) {
+          const int r = static_cast<int>(job.layer.r);
+          const auto it = std::find_if(
+              transformers.begin(), transformers.end(),
+              [&](const auto& t) { return t.m() == m && t.r() == r; });
+          xf = it != transformers.end()
+                   ? &*it
+                   : &transformers.emplace_back(winograd::transforms(m, r));
+        }
+        job.xfs.push_back(xf);
+        job.cost += modelled_ops(job.layer, algo);
+      }
+      job.seconds.resize(job.algos.size());
+    }
+
+    runtime::ThreadPool& pool = runtime::ThreadPool::global();
+    const std::size_t threads = std::min(pool.threads(), jobs.size());
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return jobs[a].cost != jobs[b].cost ? jobs[a].cost > jobs[b].cost
+                                          : a < b;
+    });
+    std::vector<std::vector<std::size_t>> assigned(threads);
+    std::vector<double> load(threads, 0.0);
+    std::vector<std::size_t> need(threads, 0);
+    for (const std::size_t j : order) {
+      const auto t = static_cast<std::size_t>(
+          std::min_element(load.begin(), load.end()) - load.begin());
+      assigned[t].push_back(j);
+      load[t] += jobs[j].cost;
+      need[t] = std::max(need[t], shape_bytes(jobs[j]));
+    }
+    // Left uninitialised: each thread first touches its own buffer.
+    std::vector<std::unique_ptr<std::byte[]>> buffers;
+    buffers.reserve(threads);
+    for (std::size_t t = 0; t < threads; ++t) {
+      buffers.push_back(
+          std::make_unique_for_overwrite<std::byte[]>(need[t] + kSlabAlign));
+    }
+    pool.parallel_for(threads, [&](std::size_t begin, std::size_t end) {
+      // A one-thread fan-out runs on the caller without entering the
+      // pool; every layer still runs inline, as in a worker chunk.
+      const runtime::InlineScope inline_scope;
+      for (std::size_t t = begin; t < end; ++t) {
+        const auto addr = reinterpret_cast<std::uintptr_t>(buffers[t].get());
+        const std::span<std::byte> buffer(
+            buffers[t].get() + (kSlabAlign - addr % kSlabAlign) % kSlabAlign,
+            need[t]);
+        for (const std::size_t j : assigned[t]) time_shape(jobs[j], buffer);
+      }
+    });
+
+    std::lock_guard lock(mutex_);
+    for (const ShapeJob& job : jobs) {
+      for (std::size_t i = 0; i < job.algos.size(); ++i) {
+        ++measurements_;
+        map_.emplace(key(job.layer, job.algos[i], 1), job.seconds[i]);
+      }
+    }
   }
 
   void import_entries(const std::vector<MeasuredLayerTime>& entries) {
@@ -320,6 +571,32 @@ void require_plannable(const char* where, ConvAlgo algo) {
     throw std::invalid_argument(std::string(where) + ": " + to_string(algo) +
                                 " is not plannable (run_conv-only backend)");
   }
+}
+
+/// The quality gate of one conv layer: with an active error budget, a
+/// candidate whose predicted error breaches it never enters the speed
+/// race — the mechanism that demotes int8 Winograd to int8 im2col to fp32
+/// as the budget tightens. Returns the survivors in listed order; throws
+/// std::invalid_argument, naming the conv layer, when none survives.
+std::vector<ConvAlgo> eligible_candidates(const ConvLayerSpec& layer,
+                                          const PlannerOptions& options,
+                                          const LayerActivationStats* stats,
+                                          std::size_t conv_ordinal) {
+  const double budget = options.constraints.max_rel_error;
+  std::vector<ConvAlgo> eligible;
+  for (const ConvAlgo algo : options.candidates) {
+    if (budget > 0 && predict_layer_rel_error(layer, algo, stats) > budget) {
+      continue;
+    }
+    eligible.push_back(algo);
+  }
+  if (eligible.empty()) {
+    throw std::invalid_argument(
+        "plan_execution: no candidate algorithm fits the error budget at "
+        "conv layer " +
+        std::to_string(conv_ordinal));
+  }
+  return eligible;
 }
 
 }  // namespace
@@ -544,49 +821,57 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
   ExecutionPlan plan;
   plan.layers = layers;
   plan.steps.assign(layers.size(), LayerPlan{});
+  plan.batch = options.batch;
   plan.predicted_total_ms = 0;
   plan.predicted_max_rel_error = 0;
   const double budget = options.constraints.max_rel_error;
-  std::size_t conv_ordinal = 0;
+  // Every conv layer's activation stats and the candidates that pass its
+  // quality gate, gathered before anything is timed.
+  struct ConvStep {
+    std::size_t index;
+    const LayerActivationStats* stats;
+    std::vector<ConvAlgo> eligible;
+  };
+  std::vector<ConvStep> convs;
   for (std::size_t i = 0; i < layers.size(); ++i) {
     if (layers[i].kind != LayerKind::kConv) continue;
-    LayerPlan& step = plan.steps[i];
+    const std::size_t ordinal = convs.size();
     const LayerActivationStats* stats = nullptr;
-    if (options.quant && conv_ordinal < options.quant->conv_inputs.size()) {
-      stats = &options.quant->conv_inputs[conv_ordinal];
+    if (options.quant && ordinal < options.quant->conv_inputs.size()) {
+      stats = &options.quant->conv_inputs[ordinal];
     }
-    // Quality gate first: with an active budget, a candidate whose
-    // predicted error breaches it never enters the speed race — the
-    // mechanism that demotes int8 Winograd to int8 im2col to fp32 as the
-    // budget tightens.
-    std::vector<ConvAlgo> eligible;
-    for (const ConvAlgo algo : options.candidates) {
-      if (budget > 0 &&
-          predict_layer_rel_error(layers[i].conv, algo, stats) > budget) {
-        continue;
-      }
-      eligible.push_back(algo);
+    convs.push_back({i, stats,
+                     eligible_candidates(layers[i].conv, options, stats,
+                                         ordinal)});
+  }
+  const std::size_t threads = layer_threads(options.batch);
+  if (!options.calibration && threads == 1) {
+    // Inline-form timings of distinct shapes are independent: time them
+    // all up front, one shape per pool thread. The loop below then reads
+    // the cache.
+    std::vector<TimingRequest> requests;
+    requests.reserve(convs.size());
+    for (const ConvStep& cs : convs) {
+      requests.push_back({&layers[cs.index].conv, cs.eligible});
     }
-    if (eligible.empty()) {
-      throw std::invalid_argument(
-          "plan_execution: no candidate algorithm fits the error budget at "
-          "conv layer " +
-          std::to_string(conv_ordinal));
-    }
+    layer_time_cache().measure_inline(requests);
+  }
+  for (const ConvStep& cs : convs) {
+    const ConvLayerSpec& layer = layers[cs.index].conv;
+    LayerPlan& step = plan.steps[cs.index];
+    const std::vector<ConvAlgo>& eligible = cs.eligible;
     // Default scoring measures every eligible candidate at this layer's
-    // exact geometry in one pass, in the thread form forward() runs the
-    // plan's batch in (cached per process; time per image, scaled by the
-    // batch here); an injected calibration switches to the pure analytic
-    // model.
+    // exact geometry, in the thread form forward() runs the plan's batch
+    // in (cached per process; time per image, scaled by the batch here);
+    // an injected calibration switches to the pure analytic model.
     std::vector<double> ms;
     if (options.calibration) {
       for (const ConvAlgo algo : eligible) {
-        ms.push_back(predict_layer_ms(layers[i].conv, algo,
-                                      *options.calibration, options.batch));
+        ms.push_back(predict_layer_ms(layer, algo, *options.calibration,
+                                      options.batch));
       }
     } else {
-      ms = layer_time_cache().seconds(layers[i].conv, eligible,
-                                     layer_threads(options.batch));
+      ms = layer_time_cache().seconds(layer, eligible, threads);
       for (double& v : ms) v = v * 1e3 * static_cast<double>(options.batch);
     }
     // min_element keeps the first minimum: ties keep the earliest listed
@@ -595,19 +880,18 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
     const auto pick = std::min_element(ms.begin(), ms.end()) - ms.begin();
     step.algo = eligible[pick];
     const double best = ms[pick];
-    if (is_int8(step.algo) && stats != nullptr) {
+    if (is_int8(step.algo) && cs.stats != nullptr) {
       // Attach the static per-tensor activation scale the calibration
       // implies; without stats the executor derives it per image.
-      step.act_scale = static_cast<float>(stats->max_abs / 127.0);
+      step.act_scale = static_cast<float>(cs.stats->max_abs / 127.0);
     }
     if (budget > 0) {
       plan.predicted_max_rel_error =
           std::max(plan.predicted_max_rel_error,
-                   predict_layer_rel_error(layers[i].conv, step.algo, stats));
+                   predict_layer_rel_error(layer, step.algo, cs.stats));
     }
     step.predicted_ms = best;
     plan.predicted_total_ms += best;
-    ++conv_ordinal;
   }
   replan_layouts(plan);
   return plan;

@@ -9,8 +9,9 @@
 // candidate algorithms (by default im2col / Winograd m in {2, 3, 4}; the
 // int8 forms on request) for every conv layer, either by timing each
 // candidate at the layer's own geometry (the default, cached per process;
-// one image, in the thread form forward(plan) runs the plan's batch in)
-// or with the dse:: complexity equations —
+// one image, in the thread form forward(plan) runs the plan's batch in;
+// at batch > 1 the distinct shapes time concurrently, one per pool
+// thread) or with the dse:: complexity equations —
 // evaluated with exact ragged-tile counts, which is what makes the best m
 // genuinely layer-dependent on small late-network maps — divided by an
 // injected per-family GFLOP/s Calibration. The result is an ExecutionPlan: one
@@ -80,8 +81,12 @@ struct ExecutionPlan {
   MemoryPlan memory;
 
   std::size_t int8_layers = 0;       ///< conv layers running a kInt8* algo
+  /// Batch the plan was scored at: PlannerOptions::batch for
+  /// plan_execution, 1 for uniform_plan.
+  std::size_t batch = 1;
   /// Sum of conv predicted_ms: the plan's cost estimate at its batch.
-  /// serve:: charges it per request (sessions plan at batch 1).
+  /// serve:: charges predicted_total_ms / batch, one image's share, per
+  /// request.
   double predicted_total_ms = 0;
   /// Largest predict_layer_rel_error over the chosen conv algorithms; only
   /// filled when the plan was built under an error budget
@@ -293,29 +298,45 @@ struct PlannerOptions {
 /// forward(plan) runs `batch` images, the planner's default scoring
 /// source: the backend runs the layer's exact geometry the way forward()
 /// executes it (Winograd with precomputed filter transforms through the
-/// executor's walk, the int8 forms against prequantized banks, im2col
-/// through run_conv) and the best of a few reps is kept. The thread form
-/// follows forward(): at batch 1 it runs the stack on the calling thread,
-/// so im2col and int8 im2col fan out over the global pool while the
+/// executor's walk, the int8 forms against prequantized banks) and the
+/// best of a few reps is kept. The thread form follows forward(): at
+/// batch 1 it runs the stack on the calling thread, so im2col (through
+/// run_conv) and int8 im2col fan out over the global pool while the
 /// Winograd walks run on the caller; at batch > 1 it fans out by image
 /// and every layer runs inline inside a worker chunk, so the candidate is
 /// timed inline on the calling thread (runtime::InlineScope) — single-
-/// thread time per image that never waits on the global pool. Throws
-/// std::invalid_argument for a non-plannable algo. Results are cached per
-/// process keyed by (H, W, C, K, r, pad, algo) and the thread form (1, or
-/// the pool size at batch 1), so planning re-measures nothing for
-/// repeated shapes — VGG's towers of identical layers, or many sessions
-/// over the same architecture. plan_execution times all of a layer's
-/// uncached candidates against one operand set, the same pattern-filled
-/// input and filter bank this function builds, so a cached timing means
-/// the same whichever path made it.
+/// thread time per image that never waits on the global pool. In that
+/// form the fp32 candidates run the executor's allocation-free kernels
+/// (the Winograd walk against a bank in a caller-owned buffer, the
+/// executor's im2col lowering + GEMM loop) and allocate nothing; the int8
+/// candidates still allocate their quantized banks and run the allocating
+/// int8 kernels. Throws std::invalid_argument for a non-plannable algo.
+/// Results are cached per process keyed by (H, W, C, K, r, pad, algo) and
+/// the thread form (1, or the pool size at batch 1), so planning
+/// re-measures nothing for repeated shapes — VGG's towers of identical
+/// layers, or many sessions over the same architecture. Every path times
+/// a shape's uncached candidates serially on one thread against one
+/// operand set, the same pattern-filled input and filter bank, so a cached
+/// timing means the same whichever path made it.
 [[nodiscard]] double measure_layer_ms(const ConvLayerSpec& layer,
                                       ConvAlgo algo, std::size_t batch = 1);
 
 /// Score every candidate for every conv layer and assemble the cheapest
 /// per-layer mix, then run replan_layouts over it. Deterministic: same
 /// layers + same calibration -> same plan. Throws std::invalid_argument
-/// when the candidate list is empty or holds a non-plannable algo.
+/// when the candidate list is empty or holds a non-plannable algo, or when
+/// no candidate of some conv layer fits the error budget (before anything
+/// is timed).
+///
+/// With measured scoring at batch > 1 the uncached inline timings of all
+/// distinct conv shapes are taken up front and concurrently: each shape
+/// goes, whole, to one thread of the global pool (longest processing time
+/// first by modelled op count, a static assignment made on the caller),
+/// which times its candidates serially in a buffer the caller allocated;
+/// the per-layer scoring then reads the cache. The call holds the pool's
+/// job slot for the length of that fan-out; from inside a pool chunk it
+/// runs every shape inline on the calling thread. Batch 1 times each layer
+/// on the caller as before.
 [[nodiscard]] ExecutionPlan plan_execution(
     const std::vector<LayerSpec>& layers, const PlannerOptions& options = {});
 
@@ -363,8 +384,11 @@ void forward(const ExecutionPlan& plan, const WeightBank& weights,
 
 /// Warm the execution state a plan needs so the first real forward pays no
 /// setup: filter transforms into the cross-call cache, and every pool
-/// worker's (plus the caller's) thread-local workspace slab sized for
-/// chunks of up to `max_images`. serve::InferenceServer calls this at
+/// worker's (plus the caller's) thread-local workspace slab sized for its
+/// share of a `max_images` batch — ceil(max_images / threads) images,
+/// capped by the plan's sub-batch, the most forward() hands one
+/// participant. (A forward nested inside a pool chunk runs its whole batch
+/// on one thread, whose slab grows on that first call.) serve::InferenceServer calls this at
 /// model registration, making per-request memory a planned constant.
 /// Checks the plan's algorithms and `weights` exactly like forward().
 void prewarm_workspaces(const ExecutionPlan& plan, const WeightBank& weights,

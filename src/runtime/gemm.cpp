@@ -38,9 +38,15 @@ constexpr std::size_t kNr = 16;
 
 // Reduction panel: part of the numeric contract (fixed bracketing), sized
 // so an A row-panel (MR x Kc floats) plus a B panel slice (Kc x NR) stay
-// L1-resident. Nc bounds the packed-B footprint (Kc x Nc = 2 MB fp32).
+// L1-resident. Nc bounds the packed-B footprint (Kc x Nc = 2 MB fp32). A
+// call that runs inline — inside a pool chunk, where every pool thread
+// packs into its own thread-local buffer, as the batch > 1 executor's
+// per-image im2col GEMMs do — packs at most kNcInline columns at a time,
+// so no thread keeps a copy of a whole 32 x 32 im2col panel. The column
+// blocking never changes an element's arithmetic.
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 2048;
+constexpr std::size_t kNcInline = 256;
 
 // Below this many multiply-adds (with K inside a single reduction panel,
 // so the bracketing is unchanged) packing costs more than it saves and a
@@ -229,8 +235,9 @@ void sgemm_blocked(std::size_t m, std::size_t n, std::size_t k, float alpha,
   // of the submitting caller's buffer.
   static thread_local std::vector<float> bpack_tls;
   std::vector<float>& bpack = bpack_tls;
-  for (std::size_t jc = 0; jc < n; jc += kNc) {
-    const std::size_t nc = std::min(kNc, n - jc);
+  const std::size_t nc_max = in_parallel_region() ? kNcInline : kNc;
+  for (std::size_t jc = 0; jc < n; jc += nc_max) {
+    const std::size_t nc = std::min(nc_max, n - jc);
     const std::size_t jr_panels = (nc + kNr - 1) / kNr;
     std::size_t panel_index = 0;
     for (std::size_t kb = 0; kb < k; kb += kKc, ++panel_index) {

@@ -16,6 +16,8 @@ namespace {
 thread_local bool t_in_parallel_region = false;
 }  // namespace
 
+bool in_parallel_region() { return t_in_parallel_region; }
+
 InlineScope::InlineScope() : was_inline_(t_in_parallel_region) {
   t_in_parallel_region = true;
 }

@@ -79,6 +79,10 @@ class ThreadPool {
   std::vector<std::jthread> workers_;
 };
 
+/// True while the calling thread runs a parallel_for chunk or holds an
+/// InlineScope, i.e. when every parallel_for it makes runs inline.
+[[nodiscard]] bool in_parallel_region();
+
 /// Marks the calling thread as inside a parallel region for the guard's
 /// lifetime, so every parallel_for it makes runs inline on it, the way a
 /// pool chunk runs a nested call. No worker wakes and no job slot is taken.

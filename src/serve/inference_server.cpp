@@ -155,7 +155,10 @@ std::future<Tensor4f> InferenceServer::submit(ModelId model, Tensor4f image,
     }
   }
 
-  const double predicted_ms = session->plan.predicted_total_ms;
+  // One image's share of the plan's cost at the batch it was scored at.
+  const double predicted_ms =
+      session->plan.predicted_total_ms /
+      static_cast<double>(std::max<std::size_t>(1, session->plan.batch));
   std::uint64_t seq = 0;
 
   // Admission control: bound submitted-but-not-completed requests, and —

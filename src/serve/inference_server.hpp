@@ -10,8 +10,9 @@
 // earliest-deadline-first within priority class (deadline-less requests
 // sort last in their class; a configurable starvation bound promotes any
 // request that has waited too long to the front). Requests whose deadline
-// has already passed — or whose predicted completion, estimated from the
-// session ExecutionPlan's predicted_total_ms, would miss it — are shed
+// has already passed — or whose predicted completion, estimated from one
+// image's share of the session ExecutionPlan's predicted_total_ms, would
+// miss it — are shed
 // with the distinct DeadlineMissed outcome instead of wasting compute.
 // Cost-based admission control (admission_budget_ms) rejects at submit
 // time when the predicted-ms backlog of in-flight requests exceeds the
@@ -152,15 +153,15 @@ struct ServerConfig {
   SchedulingPolicy scheduling = SchedulingPolicy::kEdf;
 
   /// Cost-based admission (kEdf only): reject a submit with
-  /// AdmissionRejected when the sum of predicted_total_ms over in-flight
+  /// AdmissionRejected when the sum of predicted cost over in-flight
   /// requests, plus this request's own predicted cost, would exceed the
-  /// budget. 0 disables the check. The per-request cost is the session
-  /// ExecutionPlan's predicted_total_ms (the PR 5 planner's estimate; 0
+  /// budget. 0 disables the check. The per-request cost is one image's
+  /// share of the session plan's estimate, predicted_total_ms / batch (0
   /// for plans built without scoring, which makes those requests free).
   /// For a plan measured at batch 1 (add_model_planned's default) that is
   /// the wall time of one image with each layer across the global pool;
-  /// for one planned at batch b > 1 it is b times the single-thread time
-  /// of one image (see nn::LayerPlan::predicted_ms).
+  /// for one planned at batch b > 1 it is the single-thread time of one
+  /// image (see nn::LayerPlan::predicted_ms).
   double admission_budget_ms = 0.0;
 
   /// Starvation bound (kEdf only): a pending request that has waited this
@@ -260,10 +261,10 @@ class InferenceServer {
   /// Register a model session under a caller-supplied execution plan —
   /// typically nn::plan_execution's cost-model-driven per-layer mix. The
   /// plan carries its own copy of the layer stack; every batch dispatched
-  /// to this session runs the plan-driven forward. The plan's
-  /// predicted_total_ms doubles as the request cost for admission control
-  /// and deadline feasibility, whatever batch it was planned at (see
-  /// ServerConfig::admission_budget_ms).
+  /// to this session runs the plan-driven forward. One image's share of
+  /// the plan's predicted_total_ms (divided by the batch it was planned
+  /// at) doubles as the request cost for admission control and deadline
+  /// feasibility (see ServerConfig::admission_budget_ms).
   ModelId add_model(std::string name, nn::ExecutionPlan plan,
                     nn::WeightBank weights);
 
@@ -358,8 +359,8 @@ class InferenceServer {
     Clock::time_point deadline = Clock::time_point::max();
     bool has_deadline = false;
     int priority = 0;
-    /// Session predicted_total_ms at admission — the admission/shedding
-    /// cost signal, released when the request finishes.
+    /// Session predicted_total_ms / batch at admission — the
+    /// admission/shedding cost signal, released when the request finishes.
     double predicted_ms = 0.0;
     /// Effective batch cap for this request's model: the session plan's
     /// cache-derived batch_ceiling clamped by config max_batch (just

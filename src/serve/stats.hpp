@@ -47,7 +47,8 @@ struct ServerStats {
   std::size_t inflight = 0;
   /// Submitters currently parked in the kBlock backpressure wait.
   std::size_t blocked_submitters = 0;
-  /// Sum of ExecutionPlan.predicted_total_ms over in-flight requests —
+  /// Sum of the per-request charge (ExecutionPlan.predicted_total_ms /
+  /// batch) over in-flight requests —
   /// the signal cost-based admission compares against admission_budget_ms.
   double backlog_predicted_ms = 0.0;
 

@@ -18,6 +18,7 @@
 // (tests/tensor_layout_test.cpp sweeps stride > 1 and asymmetric padding).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -92,32 +93,69 @@ struct PackedActivation {
 /// Lower patch rows [row_begin, row_end) of one image into `out`, row
 /// after row, outH * outW values each. Row `row` is the fixed (c, u, v) =
 /// (row / r², (row / r) % r, row % r); the range steps (c, u, v) instead
-/// of dividing per row, which dominated the lowering of small maps. The
-/// single source of truth for the im2col patch enumeration order and
-/// padding handling: tensor::pack lowers every row through it and
-/// conv::im2col fans contiguous row ranges out over the pool, so the two
-/// panels are byte-identical by construction (the determinism contract
-/// the panel conv consumer relies on). Templated over the tensor type so
-/// owning Tensor4f and non-owning Tensor4fView (slab-backed activations
-/// in the workspace executor) lower through the identical code path.
+/// of dividing per row, which dominated the lowering of small maps. Each
+/// output row is the input row iy = oy * stride + u - pad_h sampled at
+/// ix = ox * stride + v - pad_w: the in-bounds samples form one rectangle
+/// of (oy, ox) that depends only on (u, v), so each of its rows is copied
+/// as a run over a zero-filled range — the values Tensor4::padded reads,
+/// element for element (pinned against it by tests/tensor_layout_test.cpp). The single source of truth for the
+/// im2col patch enumeration order and padding handling: tensor::pack
+/// lowers every row through it and conv::im2col fans contiguous row
+/// ranges out over the pool, so the two panels are byte-identical by
+/// construction (the determinism contract the panel conv consumer relies
+/// on). Templated over the tensor type so owning Tensor4f and non-owning
+/// Tensor4fView (slab-backed activations in the workspace executor) lower
+/// through the identical code path.
 template <typename TensorLike>
 inline void im2col_lower_rows(const TensorLike& input, std::size_t image,
                               std::size_t r, int pad_h, int pad_w, int stride,
                               std::size_t row_begin, std::size_t row_end,
                               std::size_t out_h, std::size_t out_w,
                               std::span<float> out) {
+  const Shape4& s = input.shape();
+  const auto in_h = static_cast<std::ptrdiff_t>(s.h);
+  const auto in_w = static_cast<std::ptrdiff_t>(s.w);
+  const auto step = static_cast<std::ptrdiff_t>(stride);
+  // First output index whose sample offset o * stride reaches `lo`.
+  const auto first_reaching = [&](std::ptrdiff_t lo) {
+    if (lo <= 0) return std::size_t{0};
+    return static_cast<std::size_t>(stride == 1 ? lo : (lo + step - 1) / step);
+  };
   std::size_t c = row_begin / (r * r);
   std::size_t u = (row_begin / r) % r;
   std::size_t v = row_begin % r;
-  std::size_t col = 0;
-  for (std::size_t row = row_begin; row < row_end; ++row) {
-    for (std::size_t oy = 0; oy < out_h; ++oy) {
-      const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy) * stride +
-                                static_cast<std::ptrdiff_t>(u) - pad_h;
-      for (std::size_t ox = 0; ox < out_w; ++ox, ++col) {
-        const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox) * stride +
-                                  static_cast<std::ptrdiff_t>(v) - pad_w;
-        out[col] = input.padded(image, c, iy, ix);
+  // Zero the range once, then copy each row's in-bounds samples over it:
+  // one fill beats a fill per clipped edge, which on small maps costs more
+  // than the copies.
+  const std::size_t cols = out_h * out_w;
+  std::fill(out.begin(), out.begin() + (row_end - row_begin) * cols, 0.0F);
+  float* dst = out.data();
+  for (std::size_t row = row_begin; row < row_end; ++row, dst += cols) {
+    // Output rows [oy_lo, oy_hi) and columns [ox_lo, ox_hi) sample inside
+    // the input; everything else is padding.
+    const std::ptrdiff_t y0 = static_cast<std::ptrdiff_t>(u) - pad_h;
+    const std::ptrdiff_t x0 = static_cast<std::ptrdiff_t>(v) - pad_w;
+    const std::size_t ox_lo = std::min(out_w, first_reaching(-x0));
+    const std::size_t ox_hi =
+        std::max(ox_lo, std::min(out_w, first_reaching(in_w - x0)));
+    const std::size_t oy_lo = std::min(out_h, first_reaching(-y0));
+    const std::size_t oy_hi =
+        std::max(oy_lo, std::min(out_h, first_reaching(in_h - y0)));
+    const std::size_t len = ox_hi - ox_lo;
+    const float* plane =
+        input.flat().data() + (image * s.c + c) * s.h * s.w;
+    for (std::size_t oy = oy_lo; oy < oy_hi && len > 0; ++oy) {
+      // Plain loops, not std::copy: a run is a handful of floats.
+      const float* src = plane +
+                         (static_cast<std::ptrdiff_t>(oy) * step + y0) * in_w +
+                         static_cast<std::ptrdiff_t>(ox_lo) * step + x0;
+      float* run = dst + oy * out_w + ox_lo;
+      if (stride == 1) {
+        for (std::size_t i = 0; i < len; ++i) run[i] = src[i];
+      } else {
+        for (std::size_t i = 0; i < len; ++i) {
+          run[i] = src[static_cast<std::ptrdiff_t>(i) * step];
+        }
       }
     }
     if (++v == r) {

@@ -121,7 +121,8 @@ TileTransformer::TileTransformer(const TransformSet& t)
       at_(t.at_f()), data_fn_(bind_sandwich(bt_)),
       filter_fn_(bind_sandwich(g_)), inverse_fn_(bind_sandwich(at_)) {}
 
-void transform_filter_bank(const TileTransformer& xf, const Tensor4f& kernels,
+void transform_filter_bank(const TileTransformer& xf,
+                           const tensor::Tensor4fView& kernels,
                            std::span<float> out) {
   const auto& ks = kernels.shape();
   const auto r = static_cast<std::size_t>(xf.r());
@@ -143,6 +144,21 @@ void transform_filter_bank(const TileTransformer& xf, const Tensor4f& kernels,
                           out.subspan(f * nsq, nsq));
     }
   });
+}
+
+void transform_filter_bank(const TileTransformer& xf, const Tensor4f& kernels,
+                           std::span<float> out) {
+  transform_filter_bank(
+      xf, tensor::Tensor4fView(kernels.shape(), kernels.flat()), out);
+}
+
+KernelBank::KernelBank(std::span<const float> data, std::size_t kernels,
+                       std::size_t channels, std::size_t tile_area)
+    : data_(data), kernels_(kernels), channels_(channels),
+      tile_sq_(tile_area) {
+  if (data.size() != kernels * channels * tile_area) {
+    throw std::invalid_argument("KernelBank: span size != bank extent");
+  }
 }
 
 TransformedKernels::TransformedKernels(const TileTransformer& xf,
@@ -276,14 +292,14 @@ namespace {
 /// transform-domain channel reduction of tile_accumulate.hpp. Instantiated
 /// here, where -ffp-contract=off makes its multiply-adds round like the
 /// reference walk's.
-void run_fp32_columns(const TileWalk& g, const TransformedKernels& tk,
+void run_fp32_columns(const TileWalk& g, const KernelBank& bank,
                       const WinogradScratch& s, std::size_t begin,
                       std::size_t end) {
   const auto accumulate = accumulate_for<float, float>(g.nsq);
   walk_columns(
       g, s, begin, end, [](std::span<const float>) {},
       [&](std::size_t k) {
-        accumulate(s.u_all.data(), tk.v(k).data(), g.channels, g.nsq,
+        accumulate(s.u_all.data(), bank.v(k).data(), g.channels, g.nsq,
                    s.acc_m.data());
         return std::span<const float>(s.acc_m);
       });
@@ -291,7 +307,7 @@ void run_fp32_columns(const TileWalk& g, const TransformedKernels& tk,
 
 /// Validate everything but the scratch and build the walk geometry.
 TileWalk make_layout_walk(const tensor::Layout& il, std::span<const float> in,
-                          const TransformedKernels& tk,
+                          const KernelBank& bank,
                           const TileTransformer& xf,
                           const WinogradConvOptions& opt,
                           const tensor::Layout& ol, std::span<float> out,
@@ -307,8 +323,8 @@ TileWalk make_layout_walk(const tensor::Layout& il, std::span<const float> in,
         "post-inverse order runs in conv2d_winograd)");
   }
   const TileWalk g = make_tile_walk(
-      "conv2d_winograd_layout", il.shape, in, xf, tk.channels(),
-      tk.tile_area(), tk.kernel_count(), opt.pad, out, fuse_relu);
+      "conv2d_winograd_layout", il.shape, in, xf, bank.channels(),
+      bank.tile_area(), bank.kernel_count(), opt.pad, out, fuse_relu);
   if (!(ol.shape == g.output_shape())) {
     throw std::invalid_argument(
         "conv2d_winograd_layout: output layout does not match this conv");
@@ -320,16 +336,16 @@ TileWalk make_layout_walk(const tensor::Layout& il, std::span<const float> in,
 
 void conv2d_winograd_layout_into(const tensor::Layout& il,
                                  std::span<const float> in,
-                                 const TransformedKernels& tk,
+                                 const KernelBank& bank,
                                  const TileTransformer& xf,
                                  const WinogradConvOptions& opt,
                                  const tensor::Layout& ol,
                                  std::span<float> out, bool fuse_relu,
                                  const WinogradScratch& scratch) {
   const TileWalk g =
-      make_layout_walk(il, in, tk, xf, opt, ol, out, fuse_relu);
+      make_layout_walk(il, in, bank, xf, opt, ol, out, fuse_relu);
   validate_walk_scratch("conv2d_winograd_layout", g, scratch);
-  run_fp32_columns(g, tk, scratch, 0, g.columns());
+  run_fp32_columns(g, bank, scratch, 0, g.columns());
 }
 
 Tensor4f conv2d_winograd_layout(const Tensor4f& input,
@@ -340,8 +356,9 @@ Tensor4f conv2d_winograd_layout(const Tensor4f& input,
   using tensor::Layout;
   Tensor4f out(walk_output_shape("conv2d_winograd_layout", input.shape(), xf,
                                  tk.kernel_count(), opt.pad));
+  const KernelBank bank(tk);
   const TileWalk g =
-      make_layout_walk(Layout::nchw(input.shape()), input.flat(), tk, xf, opt,
+      make_layout_walk(Layout::nchw(input.shape()), input.flat(), bank, xf, opt,
                        Layout::nchw(out.shape()), out.flat(), fuse_relu);
 
   // Every worker chunk owns a private scratch and a contiguous column
@@ -349,7 +366,7 @@ Tensor4f conv2d_winograd_layout(const Tensor4f& input,
   // thread count produces the same bytes.
   runtime::parallel_for(g.columns(), [&](std::size_t begin, std::size_t end) {
     const OwnedWinogradScratch o(g.channels, g.n, g.mm);
-    run_fp32_columns(g, tk, o.spans(), begin, end);
+    run_fp32_columns(g, bank, o.spans(), begin, end);
   });
   return out;
 }

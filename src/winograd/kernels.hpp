@@ -106,6 +106,11 @@ struct WinogradConvOptions {
 /// pool chunk it runs inline. Throws std::invalid_argument when the
 /// filters are not r x r or `out` has the wrong extent.
 void transform_filter_bank(const TileTransformer& xf,
+                           const tensor::Tensor4fView& kernels,
+                           std::span<float> out);
+
+/// As above for an owning kernel tensor.
+void transform_filter_bank(const TileTransformer& xf,
                            const tensor::Tensor4f& kernels,
                            std::span<float> out);
 
@@ -128,12 +133,44 @@ class TransformedKernels {
   /// Floats per transformed tile, (m+r-1)^2 for the transformer that
   /// built this bank; consumers validate it against their own transformer.
   [[nodiscard]] std::size_t tile_area() const { return tile_sq_; }
+  /// The whole bank, [k][c][n*n].
+  [[nodiscard]] std::span<const float> flat() const { return data_; }
 
  private:
   std::size_t kernels_ = 0;
   std::size_t channels_ = 0;
   std::size_t tile_sq_ = 0;
   std::vector<float> data_;  ///< [k][c][n*n]
+};
+
+/// Non-owning view of a transformed kernel bank, [k][c][n*n] contiguous:
+/// what the executor's walk reads. Converts implicitly from
+/// TransformedKernels (as std::span does from a vector), or wraps a
+/// caller-owned span that transform_filter_bank filled, so a walk can run
+/// against a bank that lives in caller scratch.
+class KernelBank {
+ public:
+  /// Throws std::invalid_argument unless `data` holds exactly
+  /// kernels * channels * tile_area floats.
+  KernelBank(std::span<const float> data, std::size_t kernels,
+             std::size_t channels, std::size_t tile_area);
+  KernelBank(const TransformedKernels& tk)  // NOLINT(google-explicit-constructor)
+      : KernelBank(tk.flat(), tk.kernel_count(), tk.channels(),
+                   tk.tile_area()) {}
+
+  /// All C tiles of kernel k, [c][n*n] contiguous.
+  [[nodiscard]] std::span<const float> v(std::size_t k) const {
+    return data_.subspan(k * channels_ * tile_sq_, channels_ * tile_sq_);
+  }
+  [[nodiscard]] std::size_t kernel_count() const { return kernels_; }
+  [[nodiscard]] std::size_t channels() const { return channels_; }
+  [[nodiscard]] std::size_t tile_area() const { return tile_sq_; }
+
+ private:
+  std::span<const float> data_;
+  std::size_t kernels_ = 0;
+  std::size_t channels_ = 0;
+  std::size_t tile_sq_ = 0;
 };
 
 /// Convolve an NCHW input with a KCrr kernel bank using F(m x m, r x r),
@@ -210,9 +247,10 @@ struct WinogradScratch {
 /// `il`), writing the NCHW output into `out` (described by `ol`), with
 /// every intermediate in caller-provided scratch. The plan executor in
 /// nn/forward.cpp runs every Winograd conv layer through this against its
-/// per-thread workspace; the allocating conv2d_winograd_layout wrapper
-/// delegates to the same column walk, so the two entry points cannot
-/// diverge numerically. `il` and `ol` must be kNCHW (std::invalid_argument
+/// per-thread workspace, and the planner times fp32 Winograd candidates
+/// through it against a bank in caller scratch; the allocating
+/// conv2d_winograd_layout wrapper delegates to the same column walk, so
+/// the entry points cannot diverge numerically. `il` and `ol` must be kNCHW (std::invalid_argument
 /// otherwise): the Layout parameters stay only because
 /// bench/e2e/replay.cpp passes the plan's act_layout through them, and
 /// they leave together with that file (ROADMAP item 1).
@@ -224,7 +262,7 @@ struct WinogradScratch {
 /// per-worker scratch. Accumulation order as for conv2d_winograd_layout.
 void conv2d_winograd_layout_into(const tensor::Layout& il,
                                  std::span<const float> in,
-                                 const TransformedKernels& tk,
+                                 const KernelBank& bank,
                                  const TileTransformer& xf,
                                  const WinogradConvOptions& opt,
                                  const tensor::Layout& ol,

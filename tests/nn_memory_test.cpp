@@ -16,6 +16,7 @@
 #include <new>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/random.hpp"
@@ -37,9 +38,13 @@
 namespace {
 std::atomic<bool> g_count_allocations{false};
 std::atomic<std::uint64_t> g_allocation_count{0};
+// Allocations made on this thread are not counted; the default id names
+// no thread, so every thread counts unless a test sets it.
+std::atomic<std::thread::id> g_uncounted_thread{};
 
 void* counted_malloc(std::size_t size) {
-  if (g_count_allocations.load(std::memory_order_relaxed)) {
+  if (g_count_allocations.load(std::memory_order_relaxed) &&
+      std::this_thread::get_id() != g_uncounted_thread.load()) {
     g_allocation_count.fetch_add(1, std::memory_order_relaxed);
   }
   void* ptr = std::malloc(size == 0 ? 1 : size);
@@ -274,6 +279,34 @@ TEST(WorkspaceExecution, WarmForwardPerformsZeroHeapAllocations) {
                         want.size() * sizeof(float)),
             0);
   runtime::ThreadPool::set_global_threads(4);
+}
+
+// A cold batch > 1 plan times its fp32 candidates on the pool's threads
+// in buffers the planning thread sized and allocated, so the pool workers
+// allocate nothing. The warm-up plan grows each thread's sgemm packing
+// buffer once; the assignment of shapes to threads is static, so the cold
+// re-plan gives every worker the same shapes and the buffers are already
+// big enough. Allocations on the planning thread are not counted.
+TEST(PlanningAllocations, ColdBatchPlanAllocatesNothingOnPoolWorkers) {
+  runtime::ThreadPool::set_global_threads(4);
+  const auto layers = vgg16_d_scaled(14, 8);
+  PlannerOptions opts;
+  opts.batch = 8;
+  clear_measured_state();
+  (void)plan_execution(layers, opts);
+  clear_measured_state();
+  const auto cold = plan_cache_stats();
+
+  g_uncounted_thread.store(std::this_thread::get_id());
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  (void)plan_execution(layers, opts);
+  g_count_allocations.store(false);
+  g_uncounted_thread.store(std::thread::id{});
+
+  EXPECT_EQ(g_allocation_count.load(), 0u);
+  EXPECT_GT(plan_cache_stats().layer_measurements, cold.layer_measurements);
+  clear_measured_state();
 }
 
 }  // namespace

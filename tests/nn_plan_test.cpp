@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <latch>
@@ -323,6 +324,80 @@ TEST(Planner, SpatialAndFftAreNotPlannable) {
         forward_reference(uniform_plan(layers, algo), weights, input);
     EXPECT_EQ(ref.shape().c, 10u);
   }
+}
+
+// A batch > 1 plan times its distinct shapes concurrently, one shape per
+// pool thread, each shape's candidates serially on that thread. Whatever
+// the pool size, every (shape, candidate) is measured exactly once, in the
+// inline form, and a re-plan reads them all back from the cache.
+TEST(Planner, BatchPlanTimesEachShapeCandidateOnceOnAnyPool) {
+  const auto layers = vgg16_d_scaled(14, 8);  // 16x16 input
+  const std::size_t timings = distinct_conv_shapes(layers) * 4;
+  PlannerOptions opts;
+  opts.batch = 8;
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    runtime::ThreadPool::set_global_threads(threads);
+    clear_measured_state();
+    const auto cold = plan_cache_stats();
+    const ExecutionPlan plan = plan_execution(layers, opts);
+    const auto warm = plan_cache_stats();
+    EXPECT_EQ(warm.layer_measurements - cold.layer_measurements, timings)
+        << threads << " threads";
+    const MeasuredState state = export_measured_state();
+    EXPECT_EQ(state.layer_times.size(), timings) << threads << " threads";
+    for (const MeasuredLayerTime& t : state.layer_times) {
+      EXPECT_EQ(t.threads, 1u) << threads << " threads";
+    }
+    const ExecutionPlan again = plan_execution(layers, opts);
+    EXPECT_EQ(plan_cache_stats().layer_measurements, warm.layer_measurements);
+    for (std::size_t i = 0; i < plan.steps.size(); ++i) {
+      EXPECT_EQ(plan.steps[i], again.steps[i]) << "layer " << i;
+    }
+    EXPECT_EQ(plan.batch, 8u);
+  }
+  clear_measured_state();
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// Made from inside a pool chunk, the same plan runs its whole fan-out on
+// the calling thread: the other pool thread is held in its own chunk
+// until the plan returns, so a fan-out that waited on it would never
+// finish.
+TEST(Planner, BatchPlanInsideAPoolChunkRunsSerially) {
+  runtime::ThreadPool::set_global_threads(2);
+  clear_measured_state();
+  const auto layers = vgg16_d_scaled(14, 8);
+  PlannerOptions opts;
+  opts.batch = 8;
+  std::latch planned(1);
+  std::uint64_t measured = 0;
+  auto task = std::async(std::launch::async, [&] {
+    runtime::parallel_for(2, [&](std::size_t begin, std::size_t) {
+      if (begin != 0) {
+        planned.wait();  // the pool's only worker, busy until the plan ends
+        return;
+      }
+      const auto cold = plan_cache_stats();
+      (void)plan_execution(layers, opts);
+      measured = plan_cache_stats().layer_measurements -
+                 cold.layer_measurements;
+      planned.count_down();
+    });
+  });
+  if (task.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << "a plan made inside a pool chunk waited on the pool";
+    std::fflush(stdout);
+    std::_Exit(EXIT_FAILURE);
+  }
+  task.get();
+  EXPECT_EQ(measured, distinct_conv_shapes(layers) * 4);
+  for (const MeasuredLayerTime& t : export_measured_state().layer_times) {
+    EXPECT_EQ(t.threads, 1u);
+  }
+  clear_measured_state();
+  runtime::ThreadPool::set_global_threads(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 // For a batch of more than one image every candidate is timed inline on

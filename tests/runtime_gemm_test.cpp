@@ -221,6 +221,29 @@ TEST_F(RuntimeGemm, NestedInsideParallelForStaysCorrect) {
   }
 }
 
+TEST_F(RuntimeGemm, InlineCallsPackNarrowerColumnBlocksBitIdentically) {
+  // Inside a parallel region sgemm packs B in narrower column blocks than
+  // Nc; the blocking must not change a single output bit, across several
+  // inline blocks, a ragged last one and two reduction panels.
+  Rng rng(113);
+  const auto [mr, nr, kc, nc] = sgemm_blocking();
+  const std::size_t m = 2 * mr + 1;
+  const std::size_t n = 3 * 256 + 17;
+  const std::size_t k = kc + 40;
+  const auto a = random_vec(m * k, rng);
+  const auto b = random_vec(k * n, rng);
+  std::vector<float> ref(m * n);
+  sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, ref.data(), n);
+  std::vector<float> got(m * n);
+  {
+    const InlineScope inline_scope;
+    ASSERT_TRUE(in_parallel_region());
+    sgemm(m, n, k, 1.0F, a.data(), k, b.data(), n, 0.0F, got.data(), n);
+  }
+  EXPECT_FALSE(in_parallel_region());
+  expect_bitwise_equal(ref, got, "inline column blocks");
+}
+
 TEST_F(RuntimeGemm, BlockingAndKernelNameAreSane) {
   const auto blocking = sgemm_blocking();
   EXPECT_GE(blocking.mr, 4u);

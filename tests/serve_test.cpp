@@ -410,6 +410,37 @@ TEST(InferenceServerTest, AdmissionBudgetRejectsPredictedOverload) {
   EXPECT_DOUBLE_EQ(stats.backlog_predicted_ms, 0.0);  // released on finish
 }
 
+// A plan scored at batch 8 predicts eight images' cost; each request is
+// charged one image's share of it, the same charge a batch-1 plan of that
+// per-image cost makes.
+TEST(InferenceServerTest, AdmissionChargesOneImageOfABatchPlan) {
+  ManualClock clock;
+  ServerConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_wait_us = 1000000;  // requests pool; backlog stays resident
+  cfg.admission_budget_ms = 25.0;
+  cfg.clock = &clock;
+  InferenceServer server(cfg);
+  auto plan = wino::nn::uniform_plan(tiny_model(), ConvAlgo::kIm2col);
+  EXPECT_EQ(plan.batch, 1u);
+  plan.batch = 8;
+  plan.predicted_total_ms = 80.0;  // 10 ms per image
+  const auto model = server.add_model(
+      "tiny", std::move(plan), wino::nn::random_weights(tiny_model()));
+
+  auto f1 = server.submit(model, tiny_image(1));  // backlog 10 ms
+  auto f2 = server.submit(model, tiny_image(2));  // backlog 20 ms
+  EXPECT_DOUBLE_EQ(server.stats().backlog_predicted_ms, 20.0);
+  // 30 ms > 25 ms budget: the third request is rejected, not the first.
+  EXPECT_THROW((void)server.submit(model, tiny_image(3)), AdmissionRejected);
+  EXPECT_EQ(server.stats().admission_rejected, 1u);
+
+  server.shutdown();  // completes the two admitted requests
+  EXPECT_NO_THROW((void)f1.get());
+  EXPECT_NO_THROW((void)f2.get());
+  EXPECT_DOUBLE_EQ(server.stats().backlog_predicted_ms, 0.0);
+}
+
 TEST(InferenceServerTest, StarvationBoundPromotesBestEffortRequest) {
   ManualClock clock;
   PendingBarrier pooled;

@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 #include <thread>
 
 #include "common/random.hpp"
@@ -127,6 +130,75 @@ TEST(Im2colPanelLayout, MatchesConvLayerIm2col) {
   }
   runtime::ThreadPool::set_global_threads(
       std::max(1u, std::thread::hardware_concurrency()));
+}
+
+// The lowering copies clipped row runs and zero-fills the padding; it must
+// write exactly the bytes of the per-element padded() read it replaced.
+// The sweep covers odd and prime extents, pads 0/1/2 (the horizontal pad
+// one step off the vertical one), stride 1 and 2, and row ranges that
+// start and end mid-way through a channel's (u, v) taps; the input holds
+// -0.0 and a NaN, so the copy is checked bit for bit, not by value.
+TEST(Im2colLowerRows, RowRunsMatchPaddedReference) {
+  std::size_t checked = 0;
+  for (const std::size_t h : {1u, 3u, 5u, 7u, 13u}) {
+    for (const std::size_t w : {1u, 2u, 5u, 11u}) {
+      Tensor4f t = random_tensor({2, 3, h, w}, 100 + h * 16 + w);
+      t(1, 0, 0, 0) = -0.0F;
+      t(1, 2, h - 1, w - 1) = std::numeric_limits<float>::quiet_NaN();
+      for (const std::size_t r : {1u, 3u, 5u}) {
+        for (const int pad_h : {0, 1, 2}) {
+          const int pad_w = (pad_h + 1) % 3;
+          for (const int stride : {1, 2}) {
+            const auto extent = [&](std::size_t in, int pad) {
+              const auto span = static_cast<std::ptrdiff_t>(in) + 2 * pad -
+                                static_cast<std::ptrdiff_t>(r);
+              return span < 0 ? std::size_t{0}
+                              : static_cast<std::size_t>(span / stride + 1);
+            };
+            const std::size_t out_h = extent(h, pad_h);
+            const std::size_t out_w = extent(w, pad_w);
+            if (out_h == 0 || out_w == 0) continue;
+            const std::size_t rows = t.shape().c * r * r;
+            const std::size_t cols = out_h * out_w;
+            const std::size_t mid = rows / 2 + 1;
+            const std::pair<std::size_t, std::size_t> ranges[] = {
+                {0, rows}, {1, rows}, {mid, rows}, {1, mid}, {rows - 1, rows}};
+            for (const auto& [row_begin, row_end] : ranges) {
+              if (row_begin >= row_end) continue;
+              std::vector<float> want;
+              for (std::size_t row = row_begin; row < row_end; ++row) {
+                const std::size_t c = row / (r * r);
+                const auto u = static_cast<std::ptrdiff_t>((row / r) % r);
+                const auto v = static_cast<std::ptrdiff_t>(row % r);
+                for (std::size_t oy = 0; oy < out_h; ++oy) {
+                  for (std::size_t ox = 0; ox < out_w; ++ox) {
+                    want.push_back(t.padded(
+                        1, c,
+                        static_cast<std::ptrdiff_t>(oy) * stride + u - pad_h,
+                        static_cast<std::ptrdiff_t>(ox) * stride + v -
+                            pad_w));
+                  }
+                }
+              }
+              // Poisoned, so a skipped element shows as a mismatch.
+              std::vector<float> got(want.size(), 7.0F);
+              im2col_lower_rows(t, 1, r, pad_h, pad_w, stride, row_begin,
+                                row_end, out_h, out_w, got);
+              ASSERT_EQ(got.size(), (row_end - row_begin) * cols);
+              EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << h << "x" << w << " r=" << r << " pad=" << pad_h << "/"
+                  << pad_w << " stride=" << stride << " rows [" << row_begin
+                  << ", " << row_end << ")";
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500u);
 }
 
 TEST(Pack, RejectsShapeMismatch) {
