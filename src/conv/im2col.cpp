@@ -77,32 +77,18 @@ Tensor4f conv2d_im2col(const Tensor4f& input, const Tensor4f& kernels,
   // contiguously, so the flat view is already the GEMM A matrix.
   std::span<const float> a = kernels.flat();
 
+  // One image at a time, so one patch panel serves the whole batch: the
+  // per-image im2col and sgemm each fan out over the pool, and each
+  // image's GEMM writes its K x out_h*out_w slice of the NCHW output in
+  // place (sgemm with beta = 0 never reads C). The values are the
+  // thread-invariant per-image results.
   Tensor4f out(is.n, ks.n, out_h, out_w);
-  auto run_images = [&](std::size_t begin, std::size_t end) {
-    // One patch/result scratch pair per chunk, reused across every image
-    // the chunk owns instead of reallocating per image.
-    std::vector<float> patches(inner * cols);
-    std::vector<float> result(ks.n * cols);
-    for (std::size_t img = begin; img < end; ++img) {
-      im2col(input, img, r, pad_h, pad_w, opt.stride, patches);
-      gemm(a, patches, result, ks.n, inner, cols);
-      for (std::size_t k = 0; k < ks.n; ++k) {
-        for (std::size_t i = 0; i < cols; ++i) {
-          out(img, k, i / out_w, i % out_w) = result[k * cols + i];
-        }
-      }
-    }
-  };
-  // Images are independent outputs, but going image-parallel pins nested
-  // im2col/sgemm parallel_for calls inline — so only split the batch when
-  // it can occupy the whole pool; smaller batches keep the per-image
-  // kernels parallel instead. Either way each image's values are the
-  // thread-invariant per-image results, so the strategy switch cannot
-  // change the output.
-  if (is.n >= runtime::ThreadPool::global().threads()) {
-    runtime::parallel_for(is.n, run_images);
-  } else {
-    run_images(0, is.n);
+  std::vector<float> patches(inner * cols);
+  const std::span<float> o = out.flat();
+  for (std::size_t img = 0; img < is.n; ++img) {
+    im2col(input, img, r, pad_h, pad_w, opt.stride, patches);
+    gemm(a, patches, o.subspan(img * ks.n * cols, ks.n * cols), ks.n, inner,
+         cols);
   }
   return out;
 }

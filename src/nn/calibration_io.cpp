@@ -95,7 +95,7 @@ bool save_measured_state(const std::string& path) {
   {
     std::ofstream out(tmp, std::ios::trunc);
     if (!out) return false;
-    out << "winocal 3\n";
+    out << "winocal 4\n";
     out << "cpu " << calibration_cpu_signature() << '\n';
     out << "code " << calibration_code_hash() << '\n';
     for (const MeasuredLayerTime& t : state.layer_times) {
@@ -122,7 +122,7 @@ bool load_measured_state(const std::string& path) {
   if (!in) return false;
 
   std::string line;
-  if (!std::getline(in, line) || line != "winocal 3") return false;
+  if (!std::getline(in, line) || line != "winocal 4") return false;
   if (!std::getline(in, line) ||
       line != "cpu " + calibration_cpu_signature()) {
     return false;
@@ -164,6 +164,8 @@ bool load_measured_state(const std::string& path) {
       }
       t.algo = static_cast<ConvAlgo>(algo);
       if (!is_plannable(t.algo) || !(t.seconds > 0)) return false;
+      // Any other thread form of a walk is no timing the planner reads.
+      if (is_walk(t.algo) && t.threads != 1) return false;
       t.pad = static_cast<int>(pad);
       state.layer_times.push_back(t);
     } else {

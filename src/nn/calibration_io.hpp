@@ -11,20 +11,22 @@
 // match the running process. Stale or foreign measurements silently fall
 // back to fresh measurement — never to wrong plans.
 //
-// File format ("winocal", version 3) — line-oriented text:
-//   winocal 3
+// File format ("winocal", version 4) — line-oriented text:
+//   winocal 4
 //   cpu <cpu signature>
 //   code <code hash>
 //   layer <h> <w> <c> <k> <r> <pad> <algo> <threads> <hexfloat seconds>
 //     (0..n lines)
 //   end
 // <algo> is the ConvAlgo's integer value and must be plannable
-// (is_plannable); <threads> is MeasuredLayerTime::threads (>= 1). A file
-// of any other version is rejected, never misread. Doubles are printed
-// as C hexfloats (%a): exact bit round-trip, no locale or precision
-// surprises. The trailing "end" sentinel rejects truncated files. Writes
-// go through a .tmp sibling + atomic rename so a crash mid-write never
-// leaves a half-valid cache.
+// (is_plannable); <threads> is MeasuredLayerTime::threads (>= 1), and
+// exactly 1 for a Winograd walk (fp32 or int8), whose one thread form is
+// the inline one. A file of any other version is rejected, never misread:
+// version 3 keyed batch-1 walk timings by the pool size, which no planner
+// reads any more. Doubles are printed as C hexfloats (%a): exact bit
+// round-trip, no locale or precision surprises. The trailing "end"
+// sentinel rejects truncated files. Writes go through a .tmp sibling +
+// atomic rename so a crash mid-write never leaves a half-valid cache.
 #pragma once
 
 #include <string>

@@ -63,6 +63,10 @@ int int8_winograd_m(ConvAlgo algo) {
   }
 }
 
+bool is_walk(ConvAlgo algo) {
+  return winograd_m(algo) > 0 || int8_winograd_m(algo) > 0;
+}
+
 namespace {
 
 /// One cached per-layer Winograd prep: the compiled F(m x m, r x r)

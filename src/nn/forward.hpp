@@ -68,6 +68,11 @@ enum class ConvAlgo {
 /// algorithm (including kInt8Im2col).
 [[nodiscard]] int int8_winograd_m(ConvAlgo algo);
 
+/// True for the Winograd walks, fp32 or int8. A walk has no parallel_for
+/// of its own, so it runs on one thread in forward(plan) at every batch
+/// and its measured timing has one thread form, threads == 1.
+[[nodiscard]] bool is_walk(ConvAlgo algo);
+
 /// Dispatch one convolution (stride 1) with the chosen algorithm.
 tensor::Tensor4f run_conv(ConvAlgo algo, const tensor::Tensor4f& input,
                           const tensor::Tensor4f& kernels, int pad);

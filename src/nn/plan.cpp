@@ -99,91 +99,26 @@ void fill_pattern(std::span<float> out, std::uint32_t state, float amplitude) {
   }
 }
 
-/// The operands every candidate of one layer shape is timed against: a
-/// pattern-filled input image in [-1, 1) and filter bank in [-0.1, 0.1).
-/// Built once per shape and shared by all of its candidates. The kernels
-/// timed have no data-dependent paths, so the values only need to be
-/// finite, non-trivial and cheap to make.
-struct LayerOperands {
-  Tensor4f input;
-  Tensor4f kernels;
-
-  explicit LayerOperands(const ConvLayerSpec& layer)
-      : input(1, layer.c, layer.h, layer.w),
-        kernels(layer.k, layer.c, layer.r, layer.r) {
-    fill_pattern(input.flat(), 123u, 1.0F);
-    fill_pattern(kernels.flat(), 321u, 0.1F);
-  }
-};
-
-/// Threads a conv layer's own parallel_for spans when forward(plan) runs
-/// `batch` images. At one image forward() runs the stack on the calling
-/// thread, so the layer fans out over the whole global pool; at more it
-/// fans the batch out by image, and the layer runs inline inside its
-/// worker chunk, on one thread.
-std::size_t layer_threads(std::size_t batch) {
-  return batch > 1 ? 1 : runtime::ThreadPool::global().threads();
+/// Threads candidate `algo`'s own parallel_for spans when forward(plan)
+/// runs `batch` images: the key of its cached timing. At one image
+/// forward() runs the stack on the calling thread, so im2col (fp32 and
+/// int8) fans out over the whole global pool; at more it fans the batch
+/// out by image, and every layer runs inline inside its worker chunk, on
+/// one thread. A walk runs on one thread either way.
+std::size_t timing_threads(ConvAlgo algo, std::size_t batch) {
+  return batch > 1 || is_walk(algo) ? 1
+                                    : runtime::ThreadPool::global().threads();
 }
 
-/// Time one conv layer under a plannable `algo` the way forward() runs
-/// one image on the calling thread: the Winograd backends get
-/// precomputed filter transforms (the executor reads them from the
-/// cross-call cache and the op model excludes them) and run the
-/// executor's own kernel — the fp32 walk into caller scratch, like the
-/// int8 walk on the calling thread; im2col runs through run_conv. One
-/// warm-up, best of 3, single image. The batch-1 form; the inline form
-/// times in time_inline.
-double measure_layer_seconds(const ConvLayerSpec& layer, ConvAlgo algo,
-                             const LayerOperands& operands) {
-  const Tensor4f& input = operands.input;
-  const Tensor4f& kernels = operands.kernels;
-  if (const int m = winograd_m(algo); m > 0) {
-    const winograd::TileTransformer xf(
-        winograd::transforms(m, static_cast<int>(layer.r)));
-    const winograd::TransformedKernels tk(xf, kernels);
-    winograd::WinogradConvOptions wopt;
-    wopt.pad = layer.pad;
-    Tensor4f out(winograd::walk_output_shape("measure_layer_ms",
-                                             input.shape(), xf, layer.k,
-                                             layer.pad));
-    const winograd::OwnedWinogradScratch scratch(
-        layer.c, static_cast<std::size_t>(xf.tile()),
-        static_cast<std::size_t>(m));
-    return best_seconds([&] {
-      winograd::conv2d_winograd_layout_into(
-          Layout::nchw(input.shape()), input.flat(), tk, xf, wopt,
-          Layout::nchw(out.shape()), out.flat(), /*fuse_relu=*/false,
-          scratch.spans());
-    });
-  }
-  // The int8 forms time against prequantized banks, mirroring the executor
-  // (which reads them from its cross-call cache): filter quantization is a
-  // registration-time cost, not a per-forward one.
-  if (const int qm = int8_winograd_m(algo); qm > 0) {
-    const winograd::TileTransformer xf(
-        winograd::transforms(qm, static_cast<int>(layer.r)));
-    const quant::QuantizedWinogradKernels qk =
-        quant::quantize_winograd_kernels(xf, kernels);
-    return best_seconds([&] {
-      (void)quant::conv2d_winograd_int8(input, qk, xf, layer.pad);
-    });
-  }
-  if (algo == ConvAlgo::kInt8Im2col) {
-    const quant::QuantizedFilter qf = quant::quantize_filters(kernels);
-    return best_seconds(
-        [&] { (void)quant::conv2d_im2col_int8(input, qf, layer.pad); });
-  }
-  return best_seconds(
-      [&] { (void)run_conv(algo, input, kernels, layer.pad); });
-}
-
-/// One shape's inline-form timing job: the geometry, its uncached
-/// candidates, the transformer of each Winograd candidate (built on the
-/// caller; null for the others) and the seconds its timing thread writes
-/// back. `cost` (the candidates' modelled ops) is its weight in
+/// One shape's timing job in one thread form: the geometry, its uncached
+/// candidates of that form, the transformer of each Winograd candidate
+/// (built on the caller; null for the others) and the seconds its timing
+/// thread writes back. `threads` is the form (timing_threads) its timings
+/// are keyed by; `cost` (the candidates' modelled ops) is its weight in
 /// the assignment to pool threads.
 struct ShapeJob {
   ConvLayerSpec layer;
+  std::size_t threads = 1;
   std::vector<ConvAlgo> algos;
   std::vector<const winograd::TileTransformer*> xfs;
   std::vector<double> seconds;
@@ -251,17 +186,20 @@ std::size_t shape_bytes(const ShapeJob& job) {
   return need;
 }
 
-/// Time candidate `algo` inline on this thread, the way a worker chunk of
-/// forward()'s batch fan-out runs the layer: through the executor's own
-/// allocation-free kernels on the spans of `s` — the fp32 Winograd walk
+/// Time candidate `algo` on this thread through the executor's own
+/// allocation-free kernels on the spans of `s`: the fp32 Winograd walk
 /// against a bank transformed into `s.bank`, the executor's im2col
-/// lowering + GEMM loop, or the int8 cores. `xf` is the transformer of a
-/// Winograd form (fp32 or int8), else null. The int8 forms first quantize
-/// their bank, as registration does (the executor reads it from its
-/// cross-call cache): the one step of this function that allocates. One
-/// warm-up, best of 3, single image.
-double time_inline(const ConvLayerSpec& l, ConvAlgo algo,
-                   const winograd::TileTransformer* xf, const ShapeSpans& s) {
+/// lowering + GEMM loop, or the int8 cores. Inside a parallel region
+/// (runtime::InlineScope) every kernel runs inline, as in a worker chunk
+/// of forward()'s batch fan-out; outside one the im2col forms fan out
+/// over the pool, as forward() runs one image. `xf` is the transformer of
+/// a Winograd form (fp32 or int8), else null. The int8 forms first
+/// quantize their bank, as registration does (the executor reads it from
+/// its cross-call cache): the one step of this function that allocates.
+/// One warm-up, best of 3, single image.
+double time_candidate(const ConvLayerSpec& l, ConvAlgo algo,
+                      const winograd::TileTransformer* xf,
+                      const ShapeSpans& s) {
   const Shape4 in_shape{1, l.c, l.h, l.w};
   const tensor::Tensor4fView input(in_shape, s.input);
   if (winograd_m(algo) > 0) {
@@ -305,9 +243,12 @@ double time_inline(const ConvLayerSpec& l, ConvAlgo algo,
   });
 }
 
-/// Time all of `job`'s candidates serially on this thread, in the inline
-/// form, on spans carved from `buffer` (sized by shape_bytes). Only the
-/// int8 candidates allocate, for their quantized banks.
+/// Time all of `job`'s candidates serially on this thread on spans carved
+/// from `buffer` (sized by shape_bytes), against a pattern-filled input in
+/// [-1, 1) and filter bank in [-0.1, 0.1): the kernels timed have no
+/// data-dependent paths, so the values only need to be finite,
+/// non-trivial and cheap to make. Only the int8 candidates allocate, for
+/// their quantized banks.
 void time_shape(ShapeJob& job, std::span<std::byte> buffer) {
   ByteCarver carver(buffer);
   ShapeSpans s = carve_shape(carver, job.layer);
@@ -316,7 +257,7 @@ void time_shape(ShapeJob& job, std::span<std::byte> buffer) {
   for (std::size_t i = 0; i < job.algos.size(); ++i) {
     ByteCarver tail = carver;
     carve_candidate(tail, job.layer, job.algos[i], s);
-    job.seconds[i] = time_inline(job.layer, job.algos[i], job.xfs[i], s);
+    job.seconds[i] = time_candidate(job.layer, job.algos[i], job.xfs[i], s);
   }
 }
 
@@ -335,82 +276,68 @@ struct TimingRequest {
 /// measures nothing.
 class LayerTimeCache {
  public:
-  /// Seconds of `layer` under each of `algos`, with the layer's own
-  /// parallel_for spanning `threads` (layer_threads). Cached entries are
-  /// read back and the missing ones timed: in the inline form
-  /// (threads == 1) through measure_inline, in the batch-1 form on the
-  /// caller against one LayerOperands, so a shape pays its operand fill
-  /// once however many candidates it times.
+  /// Seconds of `layer` under each of `algos` when forward(plan) runs
+  /// `batch` images, each keyed by its thread form (timing_threads).
+  /// Cached entries are read back and the missing ones timed by measure.
   std::vector<double> seconds(const ConvLayerSpec& layer,
                               std::span<const ConvAlgo> algos,
-                              std::size_t threads) {
+                              std::size_t batch) {
     std::vector<double> out(algos.size());
+    const TimingRequest request{&layer, algos};
     // A clear() racing a measurement drops its entries; time them again.
     for (;;) {
-      std::vector<ConvAlgo> missing;
+      bool missing = false;
       {
         std::lock_guard lock(mutex_);
         for (std::size_t i = 0; i < algos.size(); ++i) {
-          if (const auto it = map_.find(key(layer, algos[i], threads));
-              it != map_.end()) {
+          const auto it =
+              map_.find(key(layer, algos[i], timing_threads(algos[i], batch)));
+          if (it == map_.end()) {
+            missing = true;
+          } else {
             out[i] = it->second;
-          } else if (std::find(missing.begin(), missing.end(), algos[i]) ==
-                     missing.end()) {
-            missing.push_back(algos[i]);
           }
         }
       }
-      if (missing.empty()) return out;
-      if (threads == 1) {
-        const TimingRequest request{&layer, missing};
-        measure_inline({&request, 1});
-        continue;
-      }
-      // Measure outside the lock (concurrent registrations may
-      // redundantly measure the same shape; the first write wins with an
-      // identical meaning). This is forward() running one image on the
-      // calling thread, so the candidate's parallel_for fans out over the
-      // pool as it does there.
-      std::vector<double> measured;
-      measured.reserve(missing.size());
-      const LayerOperands operands(layer);
-      for (const ConvAlgo algo : missing) {
-        measured.push_back(measure_layer_seconds(layer, algo, operands));
-      }
-      std::lock_guard lock(mutex_);
-      for (std::size_t j = 0; j < missing.size(); ++j) {
-        ++measurements_;
-        map_.emplace(key(layer, missing[j], threads), measured[j]);
-      }
+      if (!missing) return out;
+      measure({&request, 1}, batch);
     }
   }
 
-  /// Time the inline form of every uncached (shape, candidate) the
-  /// requests name, distinct shapes concurrently: each shape goes to one
-  /// global-pool thread, which times all of its candidates serially
-  /// (time_shape). The caller builds the transformers, assigns the shapes
-  /// to threads by longest processing time first on their modelled ops
-  /// (a static assignment, like the pool's own partition) and allocates
-  /// one buffer per thread, sized for the largest shape it was given, so
-  /// no timing thread allocates for an fp32 candidate. The fan-out takes
-  /// the pool's job slot for its length; from inside a pool chunk it runs
-  /// inline, every shape on the calling thread.
-  void measure_inline(std::span<const TimingRequest> requests) {
+  /// Time every uncached (shape, candidate) the requests name, in the
+  /// thread form forward(plan) runs `batch` images in. The one-thread
+  /// jobs (every walk, and im2col at batch > 1) run concurrently: each
+  /// shape goes to one global-pool thread, which times all of its
+  /// candidates serially and inline (time_shape). The caller builds the
+  /// transformers, assigns the shapes to threads by longest processing
+  /// time first on their modelled ops (a static assignment, like the
+  /// pool's own partition) and allocates one region per thread, sized for
+  /// the largest shape it was given, so no timing thread allocates for an
+  /// fp32 candidate. The fan-out takes the pool's job slot for its length;
+  /// from inside a pool chunk it runs inline, every shape on the calling
+  /// thread. Then the caller times the pool-wide jobs (im2col at batch 1)
+  /// in a region of its own, outside any InlineScope, so their GEMM fans
+  /// out over the pool as it does in forward(). Concurrent calls may
+  /// redundantly time the same shape; the first write wins, with an
+  /// identical meaning.
+  void measure(std::span<const TimingRequest> requests, std::size_t batch) {
     std::vector<ShapeJob> jobs;
     {
       std::lock_guard lock(mutex_);
       for (const TimingRequest& req : requests) {
         const ConvLayerSpec& l = *req.layer;
         for (const ConvAlgo algo : req.algos) {
-          if (map_.contains(key(l, algo, 1))) continue;
+          const std::size_t threads = timing_threads(algo, batch);
+          if (map_.contains(key(l, algo, threads))) continue;
           auto job = std::find_if(jobs.begin(), jobs.end(),
                                   [&](const ShapeJob& j) {
-                                    return key(j.layer, algo, 1) ==
-                                           key(l, algo, 1);
+                                    return key(j.layer, algo, j.threads) ==
+                                           key(l, algo, threads);
                                   });
           if (job == jobs.end()) {
-            jobs.emplace_back().layer = l;
-            job = std::prev(jobs.end());
+            job = jobs.emplace(jobs.end());
+            job->layer = l;
+            job->threads = threads;
           }
           if (std::find(job->algos.begin(), job->algos.end(), algo) ==
               job->algos.end()) {
@@ -442,48 +369,68 @@ class LayerTimeCache {
     }
 
     runtime::ThreadPool& pool = runtime::ThreadPool::global();
-    const std::size_t threads = std::min(pool.threads(), jobs.size());
+    const auto one_thread_jobs = static_cast<std::size_t>(
+        std::count_if(jobs.begin(), jobs.end(),
+                      [](const ShapeJob& j) { return j.threads == 1; }));
+    const std::size_t threads = std::min(pool.threads(), one_thread_jobs);
     std::vector<std::size_t> order(jobs.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return jobs[a].cost != jobs[b].cost ? jobs[a].cost > jobs[b].cost
                                           : a < b;
     });
-    std::vector<std::vector<std::size_t>> assigned(threads);
+    // Region t < threads is pool thread t's; region `threads` holds the
+    // pool-wide ones, which the caller times.
+    std::vector<std::vector<std::size_t>> assigned(threads + 1);
     std::vector<double> load(threads, 0.0);
-    std::vector<std::size_t> need(threads, 0);
+    std::vector<std::size_t> need(threads + 1, 0);
     for (const std::size_t j : order) {
-      const auto t = static_cast<std::size_t>(
-          std::min_element(load.begin(), load.end()) - load.begin());
+      std::size_t t = threads;
+      if (jobs[j].threads == 1) {
+        t = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        load[t] += jobs[j].cost;
+      }
       assigned[t].push_back(j);
-      load[t] += jobs[j].cost;
       need[t] = std::max(need[t], shape_bytes(jobs[j]));
     }
-    // Left uninitialised: each thread first touches its own buffer.
-    std::vector<std::unique_ptr<std::byte[]>> buffers;
-    buffers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      buffers.push_back(
-          std::make_unique_for_overwrite<std::byte[]>(need[t] + kSlabAlign));
+    // One block carved into the regions, left uninitialised: each thread
+    // first touches its own region. Freed, one block stays in the heap for
+    // the allocations that follow the plan (the transform cache and the
+    // workspace slabs); a block per region would go back to the system
+    // and be faulted in again.
+    ByteCarver measure_regions;
+    for (const std::size_t bytes : need) {
+      (void)measure_regions.take<std::byte>(bytes);
     }
+    const auto block = std::make_unique_for_overwrite<std::byte[]>(
+        measure_regions.used() + kSlabAlign);
+    const auto addr = reinterpret_cast<std::uintptr_t>(block.get());
+    ByteCarver carver(std::span<std::byte>(
+        block.get() + (kSlabAlign - addr % kSlabAlign) % kSlabAlign,
+        measure_regions.used()));
+    std::vector<std::span<std::byte>> regions;
+    regions.reserve(threads + 1);
+    for (const std::size_t bytes : need) {
+      regions.push_back(carver.take<std::byte>(bytes));
+    }
+    const auto time_region = [&](std::size_t t) {
+      for (const std::size_t j : assigned[t]) time_shape(jobs[j], regions[t]);
+    };
     pool.parallel_for(threads, [&](std::size_t begin, std::size_t end) {
       // A one-thread fan-out runs on the caller without entering the
       // pool; every layer still runs inline, as in a worker chunk.
       const runtime::InlineScope inline_scope;
-      for (std::size_t t = begin; t < end; ++t) {
-        const auto addr = reinterpret_cast<std::uintptr_t>(buffers[t].get());
-        const std::span<std::byte> buffer(
-            buffers[t].get() + (kSlabAlign - addr % kSlabAlign) % kSlabAlign,
-            need[t]);
-        for (const std::size_t j : assigned[t]) time_shape(jobs[j], buffer);
-      }
+      for (std::size_t t = begin; t < end; ++t) time_region(t);
     });
+    time_region(threads);
 
     std::lock_guard lock(mutex_);
     for (const ShapeJob& job : jobs) {
       for (std::size_t i = 0; i < job.algos.size(); ++i) {
         ++measurements_;
-        map_.emplace(key(job.layer, job.algos[i], 1), job.seconds[i]);
+        map_.emplace(key(job.layer, job.algos[i], job.threads),
+                     job.seconds[i]);
       }
     }
   }
@@ -636,10 +583,7 @@ void clear_measured_state() { layer_time_cache().clear(); }
 double measure_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo,
                         std::size_t batch) {
   require_plannable("measure_layer_ms", algo);
-  return layer_time_cache()
-             .seconds(layer, {&algo, 1}, layer_threads(batch))
-             .front() *
-         1e3;
+  return layer_time_cache().seconds(layer, {&algo, 1}, batch).front() * 1e3;
 }
 
 double predict_layer_ms(const ConvLayerSpec& layer, ConvAlgo algo,
@@ -844,17 +788,15 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
                      eligible_candidates(layers[i].conv, options, stats,
                                          ordinal)});
   }
-  const std::size_t threads = layer_threads(options.batch);
-  if (!options.calibration && threads == 1) {
-    // Inline-form timings of distinct shapes are independent: time them
-    // all up front, one shape per pool thread. The loop below then reads
-    // the cache.
+  if (!options.calibration) {
+    // Time every shape's candidates up front, the walks of distinct
+    // shapes concurrently. The loop below then reads the cache.
     std::vector<TimingRequest> requests;
     requests.reserve(convs.size());
     for (const ConvStep& cs : convs) {
       requests.push_back({&layers[cs.index].conv, cs.eligible});
     }
-    layer_time_cache().measure_inline(requests);
+    layer_time_cache().measure(requests, options.batch);
   }
   for (const ConvStep& cs : convs) {
     const ConvLayerSpec& layer = layers[cs.index].conv;
@@ -871,7 +813,7 @@ ExecutionPlan plan_execution(const std::vector<LayerSpec>& layers,
                                       options.batch));
       }
     } else {
-      ms = layer_time_cache().seconds(layer, eligible, threads);
+      ms = layer_time_cache().seconds(layer, eligible, options.batch);
       for (double& v : ms) v = v * 1e3 * static_cast<double>(options.batch);
     }
     // min_element keeps the first minimum: ties keep the earliest listed

@@ -9,9 +9,10 @@
 // candidate algorithms (by default im2col / Winograd m in {2, 3, 4}; the
 // int8 forms on request) for every conv layer, either by timing each
 // candidate at the layer's own geometry (the default, cached per process;
-// one image, in the thread form forward(plan) runs the plan's batch in;
-// at batch > 1 the distinct shapes time concurrently, one per pool
-// thread) or with the dse:: complexity equations —
+// one image, through the executor's own kernels, in the thread form
+// forward(plan) runs that candidate in at the plan's batch; the distinct
+// shapes' Winograd walks time concurrently, one shape per pool thread) or
+// with the dse:: complexity equations —
 // evaluated with exact ragged-tile counts, which is what makes the best m
 // genuinely layer-dependent on small late-network maps — divided by an
 // injected per-family GFLOP/s Calibration. The result is an ExecutionPlan: one
@@ -55,9 +56,10 @@ struct LayerPlan {
   bool fused_relu = false;
   /// Cost-model estimate for this layer at the plan's batch (conv layers;
   /// 0 otherwise). Measured at batch 1: the wall time of one image as
-  /// forward() runs it, with the layer's parallel_for across the global
-  /// pool. Measured at batch b > 1: b times the single-thread time of one
-  /// image, the work forward()'s by-image fan-out spreads over the pool.
+  /// forward() runs it, im2col with its parallel_for across the global
+  /// pool, a walk on one thread. Measured at batch b > 1: b times the
+  /// single-thread time of one image, the work forward()'s by-image
+  /// fan-out spreads over the pool.
   double predicted_ms = 0;
   /// Static per-tensor activation scale for int8 conv layers (max|x| / 127
   /// from calibration); <= 0 means "derive per image" — the value run_conv
@@ -134,7 +136,8 @@ struct Calibration {
 /// One cached per-layer timing — the export/import unit of the
 /// measure_layer_ms cache (keys mirror its geometry key plus the thread
 /// form: `threads` is 1 for a layer timed inline, as inside a worker chunk
-/// of a batch fan-out, else the global pool size it was timed across).
+/// of a batch fan-out — always for a Winograd walk — else the global pool
+/// size a batch-1 im2col candidate was timed across).
 struct MeasuredLayerTime {
   std::size_t h = 0, w = 0, c = 0, k = 0, r = 0;
   int pad = 0;
@@ -296,28 +299,29 @@ struct PlannerOptions {
 
 /// Measured per-image milliseconds of one conv layer under `algo` when
 /// forward(plan) runs `batch` images, the planner's default scoring
-/// source: the backend runs the layer's exact geometry the way forward()
-/// executes it (Winograd with precomputed filter transforms through the
-/// executor's walk, the int8 forms against prequantized banks) and the
-/// best of a few reps is kept. The thread form follows forward(): at
-/// batch 1 it runs the stack on the calling thread, so im2col (through
-/// run_conv) and int8 im2col fan out over the global pool while the
-/// Winograd walks run on the caller; at batch > 1 it fans out by image
-/// and every layer runs inline inside a worker chunk, so the candidate is
-/// timed inline on the calling thread (runtime::InlineScope) — single-
-/// thread time per image that never waits on the global pool. In that
-/// form the fp32 candidates run the executor's allocation-free kernels
-/// (the Winograd walk against a bank in a caller-owned buffer, the
-/// executor's im2col lowering + GEMM loop) and allocate nothing; the int8
-/// candidates still allocate their quantized banks and run the allocating
-/// int8 kernels. Throws std::invalid_argument for a non-plannable algo.
-/// Results are cached per process keyed by (H, W, C, K, r, pad, algo) and
-/// the thread form (1, or the pool size at batch 1), so planning
-/// re-measures nothing for repeated shapes — VGG's towers of identical
-/// layers, or many sessions over the same architecture. Every path times
-/// a shape's uncached candidates serially on one thread against one
-/// operand set, the same pattern-filled input and filter bank, so a cached
-/// timing means the same whichever path made it.
+/// source. Every candidate is timed by one routine, on one image of the
+/// layer's exact geometry, through the executor's own allocation-free
+/// kernels: the Winograd walk against a bank transformed into a caller-
+/// owned buffer, the executor's im2col lowering + GEMM loop, or the int8
+/// cores against prequantized banks (quantizing the bank is the one step
+/// that allocates). One warm-up, best of 3. The thread form — the key of
+/// the cached timing — follows forward() and depends only on the algo and
+/// the batch:
+///  * a Winograd walk (fp32 W2/W3/W4, int8 W2/W4) has no parallel_for of
+///    its own, so it has one form, threads == 1, at every batch; it is
+///    timed inline on a pool thread (runtime::InlineScope), concurrently
+///    with other shapes' walks;
+///  * im2col (fp32 and int8) at batch > 1 runs inline inside a worker
+///    chunk of forward()'s by-image fan-out and is timed that way, form 1;
+///    at batch 1 forward() runs the stack on the calling thread, so it is
+///    timed on the caller outside any InlineScope, its lowering and GEMM
+///    fanning out over the global pool, form = the pool size.
+/// Throws std::invalid_argument for a non-plannable algo. Results are
+/// cached per process keyed by (H, W, C, K, r, pad, algo, form), so
+/// planning re-measures nothing for repeated shapes — VGG's towers of
+/// identical layers, or many sessions over the same architecture. Every
+/// timing of a shape runs against the same pattern-filled input and
+/// filter bank, so a cached timing means the same whichever call made it.
 [[nodiscard]] double measure_layer_ms(const ConvLayerSpec& layer,
                                       ConvAlgo algo, std::size_t batch = 1);
 
@@ -328,15 +332,16 @@ struct PlannerOptions {
 /// no candidate of some conv layer fits the error budget (before anything
 /// is timed).
 ///
-/// With measured scoring at batch > 1 the uncached inline timings of all
-/// distinct conv shapes are taken up front and concurrently: each shape
-/// goes, whole, to one thread of the global pool (longest processing time
-/// first by modelled op count, a static assignment made on the caller),
-/// which times its candidates serially in a buffer the caller allocated;
-/// the per-layer scoring then reads the cache. The call holds the pool's
-/// job slot for the length of that fan-out; from inside a pool chunk it
-/// runs every shape inline on the calling thread. Batch 1 times each layer
-/// on the caller as before.
+/// With measured scoring the uncached timings of all conv layers are taken
+/// up front, at any batch. The one-thread ones (every walk, and im2col at
+/// batch > 1) run concurrently: each distinct shape goes, whole, to one
+/// thread of the global pool (longest processing time first by modelled
+/// op count, a static assignment made on the caller), which times its
+/// candidates serially in a buffer the caller allocated. At batch 1 the
+/// caller then times the im2col candidates with their GEMM across the
+/// pool. The per-layer scoring then reads the cache. The call holds the
+/// pool's job slot for the length of the fan-out; from inside a pool
+/// chunk it runs every shape inline on the calling thread.
 [[nodiscard]] ExecutionPlan plan_execution(
     const std::vector<LayerSpec>& layers, const PlannerOptions& options = {});
 

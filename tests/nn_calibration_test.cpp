@@ -1,7 +1,8 @@
 // Calibration-persistence contract (nn/calibration_io.*): exact round-trip
 // of the per-layer timings through the versioned on-disk format, refusal
 // of files keyed to a different CPU signature / code hash / format
-// version or naming a non-plannable algorithm, graceful fallback on
+// version, naming a non-plannable algorithm or a Winograd walk timed in
+// any thread form but the inline one, graceful fallback on
 // corruption (load fails, nothing half-imported, never crashes) — and the
 // acceptance-critical pin that a warm cache lets
 // a server register a planned model without running a single
@@ -131,6 +132,34 @@ TEST_F(CalibrationIoTest, RejectsMismatchedFormatVersion) {
   wino::nn::clear_measured_state();
   EXPECT_FALSE(wino::nn::load_measured_state(path_));
   EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
+}
+
+// Version 3 keyed a batch-1 walk timing by the pool size; a walk now has
+// one timing form, threads == 1. Neither a version-3 file nor a walk
+// entry of another form is imported, not even in part.
+TEST_F(CalibrationIoTest, RejectsWinocal3AndPoolWideWalkEntries) {
+  wino::nn::import_measured_state(synthetic_state());
+  ASSERT_TRUE(wino::nn::save_measured_state(path_));
+  rewrite_line(path_, "winocal ", "winocal 3");
+  wino::nn::clear_measured_state();
+  EXPECT_FALSE(wino::nn::load_measured_state(path_));
+  EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u);
+
+  for (const ConvAlgo walk :
+       {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
+        ConvAlgo::kInt8Winograd2, ConvAlgo::kInt8Winograd4}) {
+    MeasuredState state = synthetic_state();
+    state.layer_times.push_back(
+        {4, 4, 8, 8, 3, 1, walk, 0x1p-12, /*threads=*/4});
+    wino::nn::clear_measured_state();
+    wino::nn::import_measured_state(state);
+    ASSERT_TRUE(wino::nn::save_measured_state(path_));
+    wino::nn::clear_measured_state();
+    EXPECT_FALSE(wino::nn::load_measured_state(path_))
+        << wino::nn::to_string(walk);
+    EXPECT_EQ(wino::nn::plan_cache_stats().layer_entries, 0u)
+        << wino::nn::to_string(walk);
+  }
 }
 
 TEST_F(CalibrationIoTest, RejectsCorruptionWithoutPartialImport) {

@@ -4,7 +4,8 @@
 // stack), the workspace slab's monotonic growth, the runtime fallback for
 // stacks the plan-time walk cannot shape, and the acceptance-critical
 // property that a warm forward(plan) performs zero heap allocations while
-// staying bit-identical across calls.
+// staying bit-identical across calls, that cold planning allocates nothing
+// on pool workers, and that the im2col oracle holds one patch panel.
 #include "nn/memory_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -38,6 +39,7 @@
 namespace {
 std::atomic<bool> g_count_allocations{false};
 std::atomic<std::uint64_t> g_allocation_count{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 // Allocations made on this thread are not counted; the default id names
 // no thread, so every thread counts unless a test sets it.
 std::atomic<std::thread::id> g_uncounted_thread{};
@@ -46,6 +48,7 @@ void* counted_malloc(std::size_t size) {
   if (g_count_allocations.load(std::memory_order_relaxed) &&
       std::this_thread::get_id() != g_uncounted_thread.load()) {
     g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   void* ptr = std::malloc(size == 0 ? 1 : size);
   if (ptr == nullptr) throw std::bad_alloc();
@@ -281,32 +284,63 @@ TEST(WorkspaceExecution, WarmForwardPerformsZeroHeapAllocations) {
   runtime::ThreadPool::set_global_threads(4);
 }
 
-// A cold batch > 1 plan times its fp32 candidates on the pool's threads
-// in buffers the planning thread sized and allocated, so the pool workers
-// allocate nothing. The warm-up plan grows each thread's sgemm packing
-// buffer once; the assignment of shapes to threads is static, so the cold
-// re-plan gives every worker the same shapes and the buffers are already
-// big enough. Allocations on the planning thread are not counted.
+// A cold plan times its fp32 walk candidates on the pool's threads in
+// buffers the planning thread sized and allocated, at batch 1 as at batch
+// 8, so the pool workers allocate nothing; batch-1 im2col candidates run
+// on the planning thread, whose GEMM packs into its own buffer. The
+// warm-up plan grows each thread's sgemm packing buffer once; the
+// assignment of shapes to threads is static, so the cold re-plan gives
+// every worker the same shapes and the buffers are already big enough.
+// Allocations on the planning thread are not counted.
 TEST(PlanningAllocations, ColdBatchPlanAllocatesNothingOnPoolWorkers) {
   runtime::ThreadPool::set_global_threads(4);
   const auto layers = vgg16_d_scaled(14, 8);
-  PlannerOptions opts;
-  opts.batch = 8;
-  clear_measured_state();
-  (void)plan_execution(layers, opts);
-  clear_measured_state();
-  const auto cold = plan_cache_stats();
+  for (const std::size_t batch : {std::size_t{8}, std::size_t{1}}) {
+    PlannerOptions opts;
+    opts.batch = batch;
+    clear_measured_state();
+    (void)plan_execution(layers, opts);
+    clear_measured_state();
+    const auto cold = plan_cache_stats();
 
-  g_uncounted_thread.store(std::this_thread::get_id());
-  g_allocation_count.store(0);
+    g_uncounted_thread.store(std::this_thread::get_id());
+    g_allocation_count.store(0);
+    g_count_allocations.store(true);
+    (void)plan_execution(layers, opts);
+    g_count_allocations.store(false);
+    g_uncounted_thread.store(std::thread::id{});
+
+    EXPECT_EQ(g_allocation_count.load(), 0u) << "batch " << batch;
+    EXPECT_GT(plan_cache_stats().layer_measurements, cold.layer_measurements)
+        << "batch " << batch;
+  }
+  clear_measured_state();
+}
+
+// The im2col oracle lowers one image at a time, so a batch holds one
+// patch panel whatever the pool size: a warm run_conv(kIm2col) over 8
+// images on a 4-thread pool allocates the output and one panel, nothing
+// more. The warm-up call grows the sgemm packing buffers.
+TEST(OracleAllocations, Im2colBatchHoldsOnePatchPanel) {
+  runtime::ThreadPool::set_global_threads(4);
+  Rng rng(41);
+  Tensor4f in(8, 8, 32, 32);
+  Tensor4f kernels(16, 8, 3, 3);
+  rng.fill_uniform(in.flat());
+  rng.fill_uniform(kernels.flat(), -0.1F, 0.1F);
+  const Tensor4f want = run_conv(ConvAlgo::kIm2col, in, kernels, 1);
+
+  g_allocated_bytes.store(0);
   g_count_allocations.store(true);
-  (void)plan_execution(layers, opts);
+  const Tensor4f out = run_conv(ConvAlgo::kIm2col, in, kernels, 1);
   g_count_allocations.store(false);
-  g_uncounted_thread.store(std::thread::id{});
 
-  EXPECT_EQ(g_allocation_count.load(), 0u);
-  EXPECT_GT(plan_cache_stats().layer_measurements, cold.layer_measurements);
-  clear_measured_state();
+  const std::size_t panel = std::size_t{8 * 3 * 3} * 32 * 32 * sizeof(float);
+  EXPECT_LE(g_allocated_bytes.load(),
+            out.flat().size() * sizeof(float) + panel);
+  EXPECT_EQ(std::memcmp(out.flat().data(), want.flat().data(),
+                        want.flat().size() * sizeof(float)),
+            0);
 }
 
 }  // namespace

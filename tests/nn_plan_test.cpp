@@ -80,6 +80,15 @@ TEST(WinogradM, TiledFormPredicate) {
   EXPECT_EQ(winograd_m(ConvAlgo::kSpatial), 0);
   EXPECT_EQ(winograd_m(ConvAlgo::kIm2col), 0);
   EXPECT_EQ(winograd_m(ConvAlgo::kFft), 0);
+  for (const ConvAlgo walk :
+       {ConvAlgo::kWinograd2, ConvAlgo::kWinograd3, ConvAlgo::kWinograd4,
+        ConvAlgo::kInt8Winograd2, ConvAlgo::kInt8Winograd4}) {
+    EXPECT_TRUE(is_walk(walk)) << to_string(walk);
+  }
+  for (const ConvAlgo other : {ConvAlgo::kSpatial, ConvAlgo::kIm2col,
+                               ConvAlgo::kFft, ConvAlgo::kInt8Im2col}) {
+    EXPECT_FALSE(is_walk(other)) << to_string(other);
+  }
 }
 
 // The executor's pool step against the maxpool2x2 oracle, memcmp: odd
@@ -326,34 +335,44 @@ TEST(Planner, SpatialAndFftAreNotPlannable) {
   }
 }
 
-// A batch > 1 plan times its distinct shapes concurrently, one shape per
-// pool thread, each shape's candidates serially on that thread. Whatever
-// the pool size, every (shape, candidate) is measured exactly once, in the
-// inline form, and a re-plan reads them all back from the cache.
+// A plan times the walks of its distinct shapes concurrently, one shape
+// per pool thread, each shape's candidates serially on that thread; at
+// batch 1 the caller then times im2col with its GEMM across the pool.
+// Whatever the batch and the pool size, every (shape, candidate) is
+// measured exactly once, in its thread form — a walk always inline, im2col
+// inline at batch 8 and across the pool at batch 1 — and a re-plan reads
+// them all back from the cache.
 TEST(Planner, BatchPlanTimesEachShapeCandidateOnceOnAnyPool) {
   const auto layers = vgg16_d_scaled(14, 8);  // 16x16 input
   const std::size_t timings = distinct_conv_shapes(layers) * 4;
-  PlannerOptions opts;
-  opts.batch = 8;
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    runtime::ThreadPool::set_global_threads(threads);
-    clear_measured_state();
-    const auto cold = plan_cache_stats();
-    const ExecutionPlan plan = plan_execution(layers, opts);
-    const auto warm = plan_cache_stats();
-    EXPECT_EQ(warm.layer_measurements - cold.layer_measurements, timings)
-        << threads << " threads";
-    const MeasuredState state = export_measured_state();
-    EXPECT_EQ(state.layer_times.size(), timings) << threads << " threads";
-    for (const MeasuredLayerTime& t : state.layer_times) {
-      EXPECT_EQ(t.threads, 1u) << threads << " threads";
+  for (const std::size_t batch : {std::size_t{8}, std::size_t{1}}) {
+    PlannerOptions opts;
+    opts.batch = batch;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      runtime::ThreadPool::set_global_threads(threads);
+      clear_measured_state();
+      const auto cold = plan_cache_stats();
+      const ExecutionPlan plan = plan_execution(layers, opts);
+      const auto warm = plan_cache_stats();
+      const std::string form = "batch " + std::to_string(batch) + ", " +
+                               std::to_string(threads) + " threads";
+      EXPECT_EQ(warm.layer_measurements - cold.layer_measurements, timings)
+          << form;
+      const MeasuredState state = export_measured_state();
+      EXPECT_EQ(state.layer_times.size(), timings) << form;
+      for (const MeasuredLayerTime& t : state.layer_times) {
+        const bool wide = batch == 1 && t.algo == ConvAlgo::kIm2col;
+        EXPECT_EQ(t.threads, wide ? threads : 1u)
+            << form << ", " << to_string(t.algo);
+      }
+      const ExecutionPlan again = plan_execution(layers, opts);
+      EXPECT_EQ(plan_cache_stats().layer_measurements, warm.layer_measurements)
+          << form;
+      for (std::size_t i = 0; i < plan.steps.size(); ++i) {
+        EXPECT_EQ(plan.steps[i], again.steps[i]) << form << ", layer " << i;
+      }
+      EXPECT_EQ(plan.batch, batch);
     }
-    const ExecutionPlan again = plan_execution(layers, opts);
-    EXPECT_EQ(plan_cache_stats().layer_measurements, warm.layer_measurements);
-    for (std::size_t i = 0; i < plan.steps.size(); ++i) {
-      EXPECT_EQ(plan.steps[i], again.steps[i]) << "layer " << i;
-    }
-    EXPECT_EQ(plan.batch, 8u);
   }
   clear_measured_state();
   runtime::ThreadPool::set_global_threads(
@@ -445,9 +464,10 @@ TEST(Planner, CandidatesAreTimedInlineWhileThePoolIsBusy) {
 }
 
 // forward(plan) runs one image with each layer across the pool and more
-// with each layer inline in a worker chunk, so a shape is timed once per
-// thread form: batch 1 and batch 2 share a timing only on a one-thread
-// pool, and every batch above 1 shares the inline one.
+// with each layer inline in a worker chunk, so an im2col shape is timed
+// once per thread form: batch 1 and batch 2 share a timing only on a
+// one-thread pool, and every batch above 1 shares the inline one. A walk
+// never fans out, so every batch shares its one inline timing.
 TEST(Planner, LayerTimingFollowsTheBatchThreadForm) {
   const ConvLayerSpec l = conv_spec(4, 8, 8);
   for (const unsigned threads : {1u, 3u}) {
@@ -465,6 +485,18 @@ TEST(Planner, LayerTimingFollowsTheBatchThreadForm) {
     ASSERT_EQ(state.layer_times.size(), forms) << threads << " threads";
     EXPECT_EQ(state.layer_times.front().threads, 1u);
     EXPECT_EQ(state.layer_times.back().threads, threads);
+
+    clear_measured_state();
+    const auto walk_cold = plan_cache_stats();
+    const double w2_ms = measure_layer_ms(l, ConvAlgo::kWinograd2, 1);
+    EXPECT_GT(w2_ms, 0.0);
+    EXPECT_EQ(measure_layer_ms(l, ConvAlgo::kWinograd2, 8), w2_ms);
+    EXPECT_EQ(plan_cache_stats().layer_measurements,
+              walk_cold.layer_measurements + 1)
+        << threads << " threads";
+    const MeasuredState walk = export_measured_state();
+    ASSERT_EQ(walk.layer_times.size(), 1u) << threads << " threads";
+    EXPECT_EQ(walk.layer_times.front().threads, 1u);
   }
   clear_measured_state();
   runtime::ThreadPool::set_global_threads(
