@@ -4,8 +4,11 @@
 // arithmetic-complexity argument: Winograd's advantage should track the
 // multiplication-count reduction of Fig 1, and FFT should only pay off for
 // large kernels (the paper's Section II-C argument against FFT for 3x3).
-// BM_PlanExecution times the per-layer planner's cold set-up.
+// BM_PlanExecution times the per-layer planner's cold set-up, and
+// BM_PoolDispatch the thread pool's cost per job.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "common/random.hpp"
 #include "conv/fft.hpp"
@@ -13,6 +16,7 @@
 #include "conv/spatial.hpp"
 #include "nn/network.hpp"
 #include "nn/plan.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/tensor.hpp"
 #include "winograd/kernels.hpp"
 
@@ -180,6 +184,32 @@ void BM_PlanExecution(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanExecution)->Arg(1)->Arg(8)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// Dispatch cost of one parallel_for job with an empty body on a 4-thread
+// pool, split into range(0) chunks, in ns per job. range(1) is a serial
+// gap in us, busy-waited on the caller between jobs and not timed: 0 runs
+// jobs back to back, 30 spaces them the way a batch-1 forward's im2col
+// and GEMM jobs are spaced.
+void BM_PoolDispatch(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  const std::chrono::microseconds gap(state.range(1));
+  wino::runtime::ThreadPool pool(4);
+  for (auto _ : state) {
+    const auto resume = Clock::now() + gap;
+    while (Clock::now() < resume) {
+    }
+    const auto t0 = Clock::now();
+    pool.parallel_for(chunks, [](std::size_t, std::size_t) {});
+    state.SetIterationTime(
+        std::chrono::duration<double>(Clock::now() - t0).count());
+  }
+  state.SetLabel(std::to_string(chunks) + " chunks, " +
+                 std::to_string(gap.count()) + " us gap");
+}
+BENCHMARK(BM_PoolDispatch)
+    ->Args({2, 0})->Args({4, 0})->Args({2, 30})->Args({4, 30})
+    ->Iterations(20000)->UseManualTime()->Unit(benchmark::kNanosecond);
 
 }  // namespace
 

@@ -17,9 +17,16 @@
 // futures and timestamps completions client-side, giving per-class
 // p50/p99/p999 latency plus deadline-miss and shed rates.
 //
-// Emits BENCH_slo.json next to the binary (or at --out); CI gates the
-// bursty-trace verdict (EDF beats FIFO on deadline-miss rate) and miss
-// ceilings via check_bench_regression.py.
+// Arrival rates are set against the served capacity, measured first by a
+// closed-loop saturation probe through the same server configuration: the
+// server batches requests and forward(plan) spreads a batch over the
+// pool, so a rate derived from the single-image forward time would leave
+// the "overloaded" trace far below what the host can serve.
+//
+// Emits BENCH_slo.json next to the binary (or at --out), with the measured
+// capacity and the offered rates; CI gates the bursty-trace verdict (EDF
+// beats FIFO on deadline-miss rate) and miss ceilings via
+// check_bench_regression.py.
 //
 // Usage: traffic_replay [--quick] [--out <path>]
 #include <algorithm>
@@ -27,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <future>
 #include <mutex>
 #include <random>
@@ -153,8 +161,8 @@ double percentile(std::vector<double> samples, double p) {
 }
 
 /// Median per-image forward time for one plan, in ms — the cost signal
-/// written into the plan's predicted_total_ms and the unit deadlines and
-/// trace load are expressed in.
+/// written into the plan's predicted_total_ms and the unit deadlines are
+/// expressed in.
 double measure_image_ms(const wino::nn::ExecutionPlan& plan,
                         const wino::nn::WeightBank& weights,
                         const Tensor4f& image) {
@@ -175,13 +183,14 @@ void draw_model_and_class(std::mt19937_64& engine, TraceEvent& ev) {
   ev.klass = c < kPremiumPct ? 0 : (c < kPremiumPct + kStandardPct ? 1 : 2);
 }
 
-/// Poisson arrivals at `utilization` of the measured service capacity.
-std::vector<TraceEvent> poisson_trace(std::size_t n, double mean_cost_ms,
+/// Poisson arrivals at `utilization` of the measured served capacity,
+/// given as `service_ms`, its mean time per request.
+std::vector<TraceEvent> poisson_trace(std::size_t n, double service_ms,
                                       double utilization,
                                       std::uint64_t seed) {
   std::mt19937_64 engine(seed);
   std::exponential_distribution<double> gap_us(
-      utilization / (mean_cost_ms * 1e3));
+      utilization / (service_ms * 1e3));
   std::vector<TraceEvent> trace(n);
   double t = 0.0;
   for (TraceEvent& ev : trace) {
@@ -195,13 +204,13 @@ std::vector<TraceEvent> poisson_trace(std::size_t n, double mean_cost_ms,
 /// On/off bursts: inside a burst arrivals run at `kBurstIntensity` times
 /// service capacity; the off-gap after each burst restores `utilization`
 /// on average. The burst tails are what separates EDF from FIFO.
-std::vector<TraceEvent> bursty_trace(std::size_t n, double mean_cost_ms,
+std::vector<TraceEvent> bursty_trace(std::size_t n, double service_ms,
                                      double utilization,
                                      std::uint64_t seed) {
   constexpr double kBurstIntensity = 5.0;
   std::mt19937_64 engine(seed);
   std::exponential_distribution<double> intra_us(
-      kBurstIntensity / (mean_cost_ms * 1e3));
+      kBurstIntensity / (service_ms * 1e3));
   std::uniform_int_distribution<int> burst_len(32, 64);
   std::uniform_real_distribution<double> gap_jitter(0.8, 1.2);
   std::vector<TraceEvent> trace;
@@ -217,7 +226,7 @@ std::vector<TraceEvent> bursty_trace(std::size_t n, double mean_cost_ms,
       trace.push_back(ev);
     }
     // Off period sized so the burst's work amortises to `utilization`.
-    t += static_cast<double>(len) * mean_cost_ms * 1e3 *
+    t += static_cast<double>(len) * service_ms * 1e3 *
          (1.0 / utilization - 1.0 / kBurstIntensity) * gap_jitter(engine);
   }
   return trace;
@@ -229,6 +238,52 @@ struct ModelSet {
   Tensor4f image[2];  ///< one representative input per model
   double cost_ms[2] = {0.0, 0.0};
 };
+
+/// The batching and capacity settings every server here shares: the
+/// capacity probe and both policies' replays.
+wino::serve::ServerConfig base_config() {
+  wino::serve::ServerConfig cfg;
+  cfg.max_batch = 8;
+  cfg.max_wait_us = 2000;
+  cfg.max_inflight = 512;
+  cfg.backpressure = wino::serve::BackpressurePolicy::kReject;
+  cfg.scheduling = wino::serve::SchedulingPolicy::kFifo;
+  return cfg;
+}
+
+/// Served capacity in requests/s: a closed loop keeps 4 * max_batch
+/// requests of the trace's model mix in flight through a FIFO server
+/// built from base_config(), submitting the next as the oldest resolves,
+/// so every batch can fill. Completions over the wall time from the first
+/// submission to the last completion.
+double measure_capacity_rps(const ModelSet& models, std::size_t requests,
+                            std::uint64_t seed) {
+  const wino::serve::ServerConfig cfg = base_config();
+  wino::serve::InferenceServer server(cfg);
+  const wino::serve::ModelId ids[2] = {
+      server.add_model("small", models.plan[0], models.weights[0]),
+      server.add_model("large", models.plan[1], models.weights[1])};
+  std::mt19937_64 engine(seed);
+  std::deque<std::future<Tensor4f>> in_flight;
+  std::size_t submitted = 0;
+  const auto t0 = Clock::now();
+  while (submitted < requests || !in_flight.empty()) {
+    if (submitted < requests && in_flight.size() < 4 * cfg.max_batch) {
+      TraceEvent ev;
+      draw_model_and_class(engine, ev);
+      in_flight.push_back(
+          server.submit(ids[ev.model], models.image[ev.model], {}));
+      ++submitted;
+    } else {
+      (void)in_flight.front().get();
+      in_flight.pop_front();
+    }
+  }
+  const double wall_s =
+      std::chrono::duration<double>(Clock::now() - t0).count();
+  server.shutdown();
+  return static_cast<double>(requests) / wall_s;
+}
 
 /// Replay one trace against one policy: open-loop submission on this
 /// thread, completion harvesting (poll + client-side timestamps) on a
@@ -243,11 +298,7 @@ RunResult replay(const std::string& trace_name,
       policy == wino::serve::SchedulingPolicy::kEdf ? "edf" : "fifo";
   result.name = trace_name + "-" + result.policy;
 
-  wino::serve::ServerConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_wait_us = 2000;
-  cfg.max_inflight = 512;
-  cfg.backpressure = wino::serve::BackpressurePolicy::kReject;
+  wino::serve::ServerConfig cfg = base_config();
   cfg.scheduling = policy;
   if (policy == wino::serve::SchedulingPolicy::kEdf) {
     // Budget ~60 mean requests of predicted backlog: far above steady
@@ -362,12 +413,11 @@ int main(int argc, char** argv) {
   const bool quick = wino::common::has_flag(argc, argv, "--quick");
   const std::size_t kRequests = quick ? 240 : 480;
   const int kReps = quick ? 2 : 3;
-  // Utilisations are nominal (arrival work / measured single-image cost);
-  // the serving threads themselves consume a share of the machine, so
-  // effective utilisation runs higher and varies with the host's moment-
-  // to-moment speed. The Poisson trace at 0.55 stays in the stable-queue
-  // regime (the "both policies do fine" control); the bursty trace at
-  // 1.15 is overloaded by construction — deadline triage is then a
+  // Utilisations are fractions of the measured served capacity (requests/s
+  // at saturation, full batches). The Poisson trace at 0.55 stays in the
+  // stable-queue regime (the "both policies do fine" control); the bursty
+  // trace at 1.15 offers more than the server completed at saturation, so
+  // it is overloaded by construction — deadline triage is then a
   // necessity, not a tiebreak, which keeps the EDF-vs-FIFO verdict
   // independent of how fast the host happens to be during the run.
   constexpr double kPoissonUtil = 0.55;
@@ -400,10 +450,16 @@ int main(int argc, char** argv) {
       (1.0 - kLargePct / 100.0) * models.cost_ms[0] +
       (kLargePct / 100.0) * models.cost_ms[1];
 
+  const double capacity_rps = measure_capacity_rps(models, 2 * kRequests, 99);
+  const double service_ms = 1e3 / capacity_rps;
+
   std::printf("traffic_replay — %zu requests/run, %d rep(s); "
-              "small %.3f ms/img, large %.3f ms/img, mix mean %.3f ms\n\n",
+              "small %.3f ms/img, large %.3f ms/img, mix mean %.3f ms; "
+              "served capacity %.0f req/s, offered %.0f (poisson) and %.0f "
+              "(bursty) req/s\n\n",
               kRequests, kReps, models.cost_ms[0], models.cost_ms[1],
-              mean_cost_ms);
+              mean_cost_ms, capacity_rps, kPoissonUtil * capacity_rps,
+              kBurstyUtil * capacity_rps);
 
   // Each rep generates one Poisson and one bursty trace, then replays the
   // IDENTICAL trace under both policies — the comparison is paired, so
@@ -422,9 +478,9 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < kReps; ++rep) {
     const std::uint64_t seed = 100 + static_cast<std::uint64_t>(rep);
     const auto poisson =
-        poisson_trace(kRequests, mean_cost_ms, kPoissonUtil, seed);
+        poisson_trace(kRequests, service_ms, kPoissonUtil, seed);
     const auto bursty =
-        bursty_trace(kRequests, mean_cost_ms, kBurstyUtil, seed);
+        bursty_trace(kRequests, service_ms, kBurstyUtil, seed);
     const struct {
       const char* name;
       const std::vector<TraceEvent>* trace;
@@ -504,9 +560,12 @@ int main(int argc, char** argv) {
                "  \"quick\": %s,\n  \"requests_per_run\": %zu,\n"
                "  \"reps\": %d,\n"
                "  \"model_cost_ms\": {\"small\": %.4f, \"large\": %.4f},\n"
+               "  \"capacity_rps\": %.1f,\n"
+               "  \"offered_rps\": {\"poisson\": %.1f, \"bursty\": %.1f},\n"
                "  \"runs\": [\n",
                quick ? "true" : "false", kRequests, kReps,
-               models.cost_ms[0], models.cost_ms[1]);
+               models.cost_ms[0], models.cost_ms[1], capacity_rps,
+               kPoissonUtil * capacity_rps, kBurstyUtil * capacity_rps);
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunResult& r = runs[i];
     std::fprintf(json,

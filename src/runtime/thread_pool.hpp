@@ -7,9 +7,30 @@
 // outputs* (batch images, output channels, tiles), never across reduction
 // dimensions, so results are bit-identical for any thread count — a property
 // the runtime determinism tests pin down.
+//
+// Dispatch pays only for the workers a job uses. Each worker waits on its
+// own wake slot (a C++20 std::atomic<uint32_t>); a job of `chunks` chunks
+// bumps and notifies the slots of workers 0..chunks-2 alone, and the
+// caller waits for exactly those workers to check in. A worker with no
+// chunk is never woken. Waiting is spin-then-park on both sides: after
+// each job a worker polls its slot, and the caller polls the pending
+// count, for a fixed 35 us read off the steady clock before parking in
+// atomic::wait. Jobs that follow within the bound — a batch-1 forward or
+// planning pass issues dozens, microseconds apart — then cost a cache-line
+// handoff instead of a futex wake and sleep per worker. The bound is a
+// time, not a count of pause instructions, because pause latency varies
+// about 10x across CPUs. Its price is CPU: after every job the workers it
+// used spin for up to 35 us before they sleep (three workers on a
+// 4-thread pool). 35 us still covers the ~30 us gaps between a batch-1
+// forward's jobs; a 50 us bound took enough CPU from the serving threads
+// on a 4-vCPU host to lift serve-mixed p99 latency. A pool with more
+// threads than hardware threads never spins, where a spinner would only
+// steal the core its waker needs.
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -17,9 +38,14 @@ namespace wino::runtime {
 
 class ThreadPool {
  public:
-  /// threads == 0 picks std::thread::hardware_concurrency(). The calling
-  /// thread always participates, so `threads` is the total worker count
-  /// (a pool of 1 runs everything inline and spawns nothing).
+  /// Largest thread count a pool accepts; more is a caller error.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// threads == 0 picks std::thread::hardware_concurrency() (at most
+  /// kMaxThreads). The calling thread always participates, so `threads`
+  /// is the total worker count (a pool of 1 runs everything inline and
+  /// spawns nothing). Throws std::invalid_argument above kMaxThreads,
+  /// before any thread starts.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -63,21 +89,30 @@ class ThreadPool {
 
   /// Process-wide pool used by the free parallel_for. Created lazily with
   /// set_global_threads()'s last value, else WINO_THREADS, else hardware
-  /// concurrency.
+  /// concurrency. A WINO_THREADS that parse_thread_count rejects is
+  /// reported once on stderr and ignored.
   static ThreadPool& global();
 
   /// Resize the global pool (tests and benches switch 1 <-> N threads).
   /// Must not race in-flight parallel work on the global pool: the old
   /// pool is destroyed, so call it only from a quiescent control thread.
+  /// Throws std::invalid_argument for 0 or above kMaxThreads, leaving the
+  /// current pool in place.
   static void set_global_threads(std::size_t threads);
 
  private:
   struct State;
   void worker_loop(std::size_t worker_index);
+  void stop_workers();
 
-  State* state_;
+  std::unique_ptr<State> state_;
   std::vector<std::jthread> workers_;
 };
+
+/// The thread count a WINO_THREADS value names: a plain decimal integer in
+/// [1, ThreadPool::kMaxThreads]. Anything else — empty, a sign, trailing
+/// characters, zero, out of range — is nullopt.
+[[nodiscard]] std::optional<std::size_t> parse_thread_count(const char* text);
 
 /// True while the calling thread runs a parallel_for chunk or holds an
 /// InlineScope, i.e. when every parallel_for it makes runs inline.

@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -186,8 +188,92 @@ TEST_F(RuntimeTest, ConcurrentCallersAreAdmittedInArrivalOrder) {
   }
 }
 
+// Chunk counts cycle 1..threads over 10k back-to-back jobs, so workers
+// are woken, skipped and re-woken while others still spin from the last
+// job: every job visits each of its indices exactly once.
+TEST_F(RuntimeTest, StressJobsWithCyclingChunkCountsVisitEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr int kJobs = 10000;
+  std::vector<std::atomic<int>> hits(pool.threads());
+  for (int job = 0; job < kJobs; ++job) {
+    const std::size_t count = job % pool.threads() + 1;
+    pool.parallel_for(count, [&](std::size_t begin, std::size_t end) {
+      ASSERT_EQ(end - begin, 1u);
+      hits[begin].fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    // Index i is in every job whose count exceeds i.
+    const int jobs_with_i =
+        kJobs / 4 * static_cast<int>(pool.threads() - i);
+    EXPECT_EQ(hits[i].load(), jobs_with_i) << "index " << i;
+  }
+}
+
+// A worker's chunk throws right after a job that left the other workers
+// spinning: the exception reaches the caller and the next job runs whole.
+TEST_F(RuntimeTest, WorkerExceptionReachesCallerWhileOthersSpin) {
+  ThreadPool pool(4);
+  std::atomic<int> total{0};
+  const auto count_all = [&](std::size_t begin, std::size_t end) {
+    total.fetch_add(static_cast<int>(end - begin));
+  };
+  for (int round = 0; round < 3; ++round) {
+    total = 0;
+    pool.parallel_for(4, count_all);
+    EXPECT_EQ(total.load(), 4);
+    EXPECT_THROW(pool.parallel_for(4,
+                                   [](std::size_t begin, std::size_t) {
+                                     if (begin == 2) {
+                                       throw std::runtime_error("worker");
+                                     }
+                                   }),
+                 std::runtime_error);
+    total = 0;
+    pool.parallel_for(4, count_all);
+    EXPECT_EQ(total.load(), 4);
+  }
+}
+
+// Workers spin for a while after every job; destroying the pool then must
+// still stop and join them promptly.
+TEST_F(RuntimeTest, PoolDestroyedRightAfterAJobJoinsPromptly) {
+  for (int round = 0; round < 20; ++round) {
+    auto pool = std::make_unique<ThreadPool>(4);
+    pool->parallel_for(4, [](std::size_t, std::size_t) {});
+    const auto t0 = std::chrono::steady_clock::now();
+    pool.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+        << "round " << round;
+  }
+}
+
 TEST_F(RuntimeTest, SetGlobalThreadsRejectsZero) {
   EXPECT_THROW(ThreadPool::set_global_threads(0), std::invalid_argument);
+}
+
+// Both reject before any thread starts, and the global pool stays as it
+// was.
+TEST_F(RuntimeTest, ThreadCountsAboveTheCapAreRejected) {
+  ThreadPool::set_global_threads(2);
+  ThreadPool& before = ThreadPool::global();
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_THROW(ThreadPool::set_global_threads(ThreadPool::kMaxThreads + 1),
+               std::invalid_argument);
+  EXPECT_EQ(&ThreadPool::global(), &before);
+  EXPECT_EQ(ThreadPool::global().threads(), 2u);
+}
+
+TEST_F(RuntimeTest, ParseThreadCountAcceptsOnlyPlainCountsInRange) {
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count("1024"), ThreadPool::kMaxThreads);
+  for (const char* bad : {"4x", "-2", "0", "99999999", "", " 4", "+3",
+                          "1025", "18446744073709551617"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << '"' << bad << '"';
+  }
+  EXPECT_EQ(parse_thread_count(nullptr), std::nullopt);
 }
 
 TEST_F(RuntimeTest, GlobalParallelForEachSums) {
