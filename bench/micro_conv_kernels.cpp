@@ -188,8 +188,9 @@ BENCHMARK(BM_PlanExecution)->Arg(1)->Arg(8)->UseRealTime()
 // Dispatch cost of one parallel_for job with an empty body on a 4-thread
 // pool, split into range(0) chunks, in ns per job. range(1) is a serial
 // gap in us, busy-waited on the caller between jobs and not timed: 0 runs
-// jobs back to back, 30 spaces them the way a batch-1 forward's im2col
-// and GEMM jobs are spaced.
+// jobs back to back; 10 leaves the workers idle for less than the pool's
+// 20 us spin bound, as 91-94% of the gaps a worker sees in a cold serve
+// set-up do; 30 leaves them idle longer, so they park.
 void BM_PoolDispatch(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   const auto chunks = static_cast<std::size_t>(state.range(0));
@@ -208,7 +209,8 @@ void BM_PoolDispatch(benchmark::State& state) {
                  std::to_string(gap.count()) + " us gap");
 }
 BENCHMARK(BM_PoolDispatch)
-    ->Args({2, 0})->Args({4, 0})->Args({2, 30})->Args({4, 30})
+    ->Args({2, 0})->Args({4, 0})->Args({2, 10})->Args({4, 10})
+    ->Args({2, 30})->Args({4, 30})
     ->Iterations(20000)->UseManualTime()->Unit(benchmark::kNanosecond);
 
 }  // namespace

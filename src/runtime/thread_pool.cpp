@@ -22,7 +22,7 @@ namespace {
 thread_local bool t_in_parallel_region = false;
 
 /// How long a waiter polls before it parks (see the header comment).
-constexpr std::chrono::microseconds kSpinBound{35};
+constexpr std::chrono::microseconds kSpinBound{20};
 
 void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)

@@ -14,18 +14,23 @@
 // caller waits for exactly those workers to check in. A worker with no
 // chunk is never woken. Waiting is spin-then-park on both sides: after
 // each job a worker polls its slot, and the caller polls the pending
-// count, for a fixed 35 us read off the steady clock before parking in
+// count, for a fixed 20 us read off the steady clock before parking in
 // atomic::wait. Jobs that follow within the bound — a batch-1 forward or
-// planning pass issues dozens, microseconds apart — then cost a cache-line
-// handoff instead of a futex wake and sleep per worker. The bound is a
-// time, not a count of pause instructions, because pause latency varies
-// about 10x across CPUs. Its price is CPU: after every job the workers it
-// used spin for up to 35 us before they sleep (three workers on a
-// 4-thread pool). 35 us still covers the ~30 us gaps between a batch-1
-// forward's jobs; a 50 us bound took enough CPU from the serving threads
-// on a 4-vCPU host to lift serve-mixed p99 latency. A pool with more
-// threads than hardware threads never spins, where a spinner would only
-// steal the core its waker needs.
+// planning pass issues dozens — then cost a cache-line handoff instead of
+// a futex wake and sleep per worker. The bound is a time, not a count of
+// pause instructions, because pause latency varies about 10x across CPUs.
+// In bench/e2e's cold serve set-ups, 90% of the gaps between one worker's
+// jobs were under 14-17 us and 85-90% of jobs, which the caller waits
+// out, took under 20 us. Its price is CPU: after every job the workers it
+// used spin for up to 20 us before they sleep (three workers on a
+// 4-thread pool), CPU the serving threads then lack. 20 us was the
+// shortest bound that kept serve-tiny's faster cold set-up (at 10 us
+// the gain shrank, 35 us gained no more, 50 us lifted serve-mixed p99
+// latency). A pool with more threads than hardware threads never spins:
+// there a spinner holds a core that a worker with an unfinished chunk is
+// waiting for, and a 7-thread pool on 4 cores dispatched several times
+// slower with the spin than without. docs/ARCHITECTURE.md has the
+// measurements.
 #pragma once
 
 #include <cstddef>
